@@ -1,11 +1,13 @@
 """Admissible and permissible sets in W_I \\ W~ / W_I.
 
 adm_set computes the union of Bruhat down-sets of the translations
-t_lam over the finite-Weyl orbit of mu, projected to double cosets.
+t_lam over the finite-Weyl orbit of mu (weyl.downset, memoised within
+one call), projected to double cosets.
 perm_set filters a candidate pool by the alcove-vertex displacement
 condition x(a_i) - a_i in Conv(W_0 mu) for every i in I, with the
-same kappa as t_mu.  The two are compared as sets of double cosets;
-their expected equality is one of the main verification targets.
+same kappa as t_mu; the hull test is a closed dominance criterion in
+both types.  The two are compared as sets of double cosets; their
+expected equality is one of the main verification targets.
 
 stratum_count evaluates sum q^{l(z)} over the right-I-minimal members
 of a double coset, the point count of the corresponding stratum over
@@ -14,24 +16,22 @@ F_q.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvalidIndex, KindMismatch
+from .errors import KindMismatch, PoolBoundViolation
 from .weyl import (
     Coweight,
     ParahoricSpec,
     WeylElement,
     alcove_vertices,
     coset_min,
-    enumerate_below,
+    downset,
     elements_of_length_leq,
     kappa,
     length,
     parahoric_generators,
     parahoric_subgroup,
-    solve_exact,
     translation,
 )
 
@@ -99,19 +99,21 @@ def _check_mu(spec: ParahoricSpec, mu: Coweight):
 def adm_set(spec: ParahoricSpec, mu: Coweight) -> AdmissibleSet:
     """{ [x] : x <= t_lam for some lam in W_0 mu }, as double cosets."""
     _check_mu(spec, mu)
-    classes = set()
+    memo = {}
+    below = set()
     for lam in mu.orbit():
-        for x in enumerate_below(translation(spec.datum, lam)):
-            classes.add(DoubleCoset.of(x, spec))
-    return AdmissibleSet(spec, mu, frozenset(classes))
+        below |= downset(translation(spec.datum, lam), memo)
+    return AdmissibleSet(spec, mu, frozenset(DoubleCoset.of(x, spec) for x in below))
 
 
 def conv_membership(y, mu: Coweight) -> bool:
     """Is y (rational vector) in the convex hull of the W_0-orbit of mu?
 
-    GL: equal coordinate sum plus majorization of the sorted vectors.
-    GSp: exact rational feasibility over the enumerated orbit, by
-    searching affinely independent subsets (Caratheodory).
+    GL: equal coordinate sum, and the sorted y is majorized by the
+    sorted mu.  GSp: equal similitude c; centred at c/2, W_0 acts by
+    signed permutations, so y is in the hull iff the sorted |y_i - c/2|
+    are weakly submajorized by the sorted |mu_i - c/2| (the type-C
+    dominance criterion).
     """
     y = tuple(Fraction(v) for v in y)
     if len(y) != mu.datum.coord_len:
@@ -119,32 +121,23 @@ def conv_membership(y, mu: Coweight) -> bool:
     if mu.datum.kind == "GL":
         if sum(y) != sum(mu.value):
             return False
-        ys = sorted(y, reverse=True)
-        ms = sorted(mu.value, reverse=True)
-        py = pm = Fraction(0)
-        for a, b in zip(ys, ms):
-            py += a
-            pm += b
-            if py > pm:
-                return False
-        return True
-    # GSp: the similitude coordinate is constant on the orbit.
-    if y[-1] != mu.value[-1]:
+        return _dominated(y, mu.value)
+    c = mu.value[-1]
+    if y[-1] != c:
         return False
-    points = [tuple(Fraction(v) for v in pt) for pt in mu.orbit()]
-    m = len(y)
-    for size in range(1, m + 2):
-        for subset in itertools.combinations(points, size):
-            rows = [[pt[r] for pt in subset] for r in range(m)]
-            rows.append([Fraction(1)] * size)
-            rhs = list(y) + [Fraction(1)]
-            try:
-                coeffs = solve_exact(rows, rhs)
-            except InvalidIndex:
-                continue
-            if all(t >= 0 for t in coeffs):
-                return True
-    return False
+    half = Fraction(c, 2)
+    return _dominated([abs(v - half) for v in y[:-1]], [abs(v - half) for v in mu.value[:-1]])
+
+
+def _dominated(y, m) -> bool:
+    """Every partial sum of sorted(y, reverse) is <= that of sorted(m, reverse)."""
+    py = pm = Fraction(0)
+    for a, b in zip(sorted(y, reverse=True), sorted(m, reverse=True)):
+        py += a
+        pm += b
+        if py > pm:
+            return False
+    return True
 
 
 def perm_set(spec: ParahoricSpec, mu: Coweight) -> AdmissibleSet:
@@ -153,9 +146,10 @@ def perm_set(spec: ParahoricSpec, mu: Coweight) -> AdmissibleSet:
     Permissibility is constant on W_I-double cosets (W_I fixes every
     vertex a_i with i in I, and the hull is W_0-stable), so only the
     I-double-minimal elements of the pool are tested.  The candidate
-    pool covers every minimal representative of length <= l(t_mu) + 1;
-    a post-hoc assertion checks that nothing permissible shows up at
-    the extra boundary length, which backs the pool bound empirically.
+    pool covers every minimal representative of length <= l(t_mu) + 1,
+    and a permissible one at the extra boundary length raises
+    PoolBoundViolation: the pool bound l(t_mu) is checked on every call,
+    not assumed.
     """
     _check_mu(spec, mu)
     datum = spec.datum
@@ -182,7 +176,7 @@ def perm_set(spec: ParahoricSpec, mu: Coweight) -> AdmissibleSet:
             if not permissible(x):
                 continue
             if ln > bound:
-                raise AssertionError(
+                raise PoolBoundViolation(
                     "permissible minimal representative found at the candidate "
                     "pool boundary; the length bound l(t_mu) is violated"
                 )

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 import time
 
-from .errors import ArtifactError, BudgetExceeded, ManifestParseError
+from .errors import ArtifactError, BudgetExceeded, ManifestParseError, PoolBoundViolation
 from .weyl import Coweight, ParahoricSpec, RootDatum, length, reduced_word, translation
 from .admissible import adm_set, perm_set, stratum_count, total_count
 from . import latmod, matschemes
@@ -300,7 +301,10 @@ def run_verify_symplectic(params, budget=None, jobs=1):
     canonical = list(latmod.canonical_points(model, budget=budget, jobs=jobs))
     rep = latmod.classify_strata(canonical, s, model)
     observed = dict(rep.rows)
-    ok = rep.unmatched == 0 and len(s.maximal_classes()) == 1
+    maximal = len(s.maximal_classes())
+    # one maximal class is expected only at a special maximal parahoric
+    special = spec.I in (frozenset({0}), frozenset({mu.datum.n}))
+    ok = rep.unmatched == 0 and (maximal == 1 or not special)
     rows = []
     for c in sorted(s.classes, key=_class_sort_key):
         pred = stratum_count(c, q)
@@ -311,7 +315,7 @@ def run_verify_symplectic(params, budget=None, jobs=1):
         "predicted": total_count(s, q),
         "observed": len(canonical),
         "unmatched": rep.unmatched,
-        "maximal_classes": len(s.maximal_classes()),
+        "maximal_classes": maximal,
     }
     return _report("verify-symplectic", params, rows, totals, ok, t0)
 
@@ -548,11 +552,16 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built on the first main() call and reused."""
+    return build_parser()
+
+
 def main(argv=None, stream=None):
     stream = stream or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     budget = args.budget if getattr(args, "budget", None) else None
@@ -586,6 +595,9 @@ def main(argv=None, stream=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except PoolBoundViolation as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except ManifestParseError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2

@@ -57,3 +57,7 @@ class UnmatchedPoint(ArtifactError):
 
 class ManifestParseError(ArtifactError):
     pass
+
+
+class PoolBoundViolation(ArtifactError):
+    """A permissible class lies beyond perm_set's candidate pool bound."""

@@ -10,9 +10,12 @@ rank g acting by v_i -> v_j or v_i -> c - v_j.
 
 Length is computed by counting affine-root inversions directly; the
 closed translation-length formula <lam+, 2rho> is used only as a
-cross-check in the test suite.  The base alcove is the standard one
+cross-check in the test suite.  The count is memoised per process on
+(datum, lam, u).  The base alcove is the standard one
 (x_1 > x_2 > ... > x_d > x_1 - 1 for GL, and the analogous dominant
-small alcove for type C).
+small alcove for type C).  Bruhat down-sets come from the lifting
+recursion `downset`; the subword expansion `enumerate_below` is kept
+as its test oracle.
 """
 
 from __future__ import annotations
@@ -307,6 +310,7 @@ def finite(datum: RootDatum, u) -> WeylElement:
     return WeylElement(datum, datum.zero(), tuple(u))
 
 
+@lru_cache(maxsize=None)
 def simple_reflection(datum: RootDatum, j: int) -> WeylElement:
     if j not in datum.simple_indices:
         raise InvalidIndex(f"no affine simple reflection {j} for {datum}")
@@ -333,14 +337,6 @@ def omega_generator(datum: RootDatum) -> WeylElement:
 # -- basic maps --------------------------------------------------------------
 
 
-def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
-    return x * y
-
-
-def invert(x: WeylElement) -> WeylElement:
-    return x.inv()
-
-
 def kappa(x: WeylElement) -> int:
     """Component homomorphism: coordinate sum for GL, similitude for GSp."""
     if x.datum.kind == "GL":
@@ -355,19 +351,22 @@ def length(x: WeylElement) -> int:
     counting k >= 0 (k >= 1 for negative alpha) with negative image gives
     the length, with no reference to a closed formula.
     """
-    if x._len is not None:
-        return x._len
-    d = x.datum
+    if x._len is None:
+        x._len = _inversions(x.datum, x.lam, x.u)
+    return x._len
+
+
+@lru_cache(maxsize=None)
+def _inversions(d: RootDatum, lam, u) -> int:
     total = 0
     for alpha in d.roots():
         k_min = 0 if d.is_positive_root(alpha) else 1
-        beta = d.act_root(x.u, alpha)
-        m = d.pairing(x.lam, beta)
+        beta = d.act_root(u, alpha)
+        m = d.pairing(lam, beta)
         cnt = max(0, m - k_min)
         if not d.is_positive_root(beta) and m >= k_min:
             cnt += 1
         total += cnt
-    x._len = total
     return total
 
 
@@ -447,6 +446,26 @@ def enumerate_below(y: WeylElement) -> set:
                 x = x * s
         out.add(x * tail)
     return out
+
+
+def downset(y: WeylElement, memo: dict) -> frozenset:
+    """The Bruhat down-set of y: D(y) = D(ys) | D(ys) s for a right
+    descent s of y (lifting property, Bjorner-Brenti).  memo maps
+    elements to their down-sets and may be shared between calls."""
+    if length(y) > ENUMERATE_BELOW_MAX_LENGTH:
+        raise BudgetExceeded(f"length {length(y)} exceeds down-set guard")
+    chain = []
+    while y not in memo:
+        s = _right_descent(y)
+        if s is None:
+            memo[y] = frozenset((y,))
+            break
+        chain.append((y, s))
+        y = y * s
+    for z, s in reversed(chain):
+        memo[z] = memo[y].union([x * s for x in memo[y]])
+        y = z
+    return memo[y]
 
 
 # -- parahoric machinery -----------------------------------------------------

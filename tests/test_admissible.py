@@ -4,7 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from locmodel import admissible
 from locmodel.admissible import (
     AdmissibleSet,
     DoubleCoset,
@@ -14,6 +16,7 @@ from locmodel.admissible import (
     stratum_count,
     total_count,
 )
+from locmodel.errors import InvalidIndex, PoolBoundViolation
 from locmodel.weyl import (
     Coweight,
     ParahoricSpec,
@@ -23,6 +26,7 @@ from locmodel.weyl import (
     kappa,
     length,
     omega_generator,
+    solve_exact,
     translation,
 )
 
@@ -30,6 +34,7 @@ GL2 = RootDatum("GL", 2)
 GL3 = RootDatum("GL", 3)
 GSP1 = RootDatum("GSp", 1)
 GSP2 = RootDatum("GSp", 2)
+GSP3 = RootDatum("GSp", 3)
 
 
 def iwahori(datum):
@@ -123,6 +128,70 @@ class TestConvMembership:
         assert not conv_membership((Fraction(4, 3), 1), mu)
 
 
+def caratheodory_oracle(y, mu):
+    """y in Conv(W_0 mu) by exact feasibility over affinely independent
+    subsets of the enumerated orbit (Caratheodory): exponential, but it
+    uses nothing of the dominance criterion it checks.  The orbit spans
+    an affine space of dimension m - 1 (the similitude is constant), so
+    subsets of at most m points suffice."""
+    y = tuple(Fraction(v) for v in y)
+    points = [tuple(Fraction(v) for v in pt) for pt in mu.orbit()]
+    m = len(y)
+    for size in range(1, m + 1):
+        for subset in itertools.combinations(points, size):
+            rows = [[pt[r] for pt in subset] for r in range(m)]
+            rows.append([Fraction(1)] * size)
+            try:
+                coeffs = solve_exact(rows, list(y) + [Fraction(1)])
+            except InvalidIndex:
+                continue
+            if all(t >= 0 for t in coeffs):
+                return True
+    return False
+
+
+# Orbits of at most 12 points keep the oracle's subset search small.
+GSP_MUS = [
+    Coweight(GSP1, (1, 1)),
+    Coweight(GSP1, (2, 2)),
+    Coweight(GSP1, (3, 1)),
+    Coweight(GSP2, (1, 1, 1)),
+    Coweight(GSP2, (2, 2, 2)),
+    Coweight(GSP2, (3, 1, 2)),
+    Coweight(GSP2, (3, 0, 2)),
+    Coweight(GSP3, (1, 1, 1, 1)),
+    Coweight(GSP3, (2, 1, 0, 2)),
+    Coweight(GSP3, (2, 2, 1, 2)),
+]
+
+_rationals = st.fractions(min_value=-2, max_value=4, max_denominator=4)
+
+
+class TestTypeCHull:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(GSP_MUS), st.lists(_rationals, min_size=3, max_size=3))
+    def test_agrees_with_caratheodory(self, mu, coords):
+        # A point off the similitude level c is rejected by both at once
+        # (test_gsp_vertex_and_center); the search is over the level.
+        y = tuple(coords[: mu.datum.n]) + (mu.value[-1],)
+        assert conv_membership(y, mu) == caratheodory_oracle(y, mu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(GSP_MUS), st.data())
+    def test_convex_combinations_are_inside(self, mu, data):
+        orbit = mu.orbit()
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=len(orbit), max_size=len(orbit)))
+        if not any(weights):
+            weights[0] = 1
+        total = sum(weights)
+        y = tuple(
+            sum(Fraction(w, total) * pt[i] for w, pt in zip(weights, orbit))
+            for i in range(mu.datum.coord_len)
+        )
+        assert conv_membership(y, mu)
+        assert caratheodory_oracle(y, mu)
+
+
 class TestPermSet:
     def test_frozen_gl2_iwahori(self):
         spec = iwahori(GL2)
@@ -155,6 +224,13 @@ class TestPermSet:
         spec = ParahoricSpec(datum, frozenset(I))
         mu = Coweight(datum, mu_value)
         assert adm_set(spec, mu).classes == perm_set(spec, mu).classes
+
+    def test_pool_boundary_raises_typed_error(self, monkeypatch):
+        # With every point declared permissible, the pool's extra length
+        # l(t_mu) + 1 holds permissible classes, which must be reported.
+        monkeypatch.setattr(admissible, "conv_membership", lambda y, mu: True)
+        with pytest.raises(PoolBoundViolation):
+            perm_set(iwahori(GL2), Coweight(GL2, (1, 0)))
 
 
 class TestStratumCounts:

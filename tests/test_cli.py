@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from locmodel import cli
 from locmodel.cli import main, parse_manifest
 from locmodel.errors import ManifestParseError
 
@@ -137,6 +138,62 @@ class TestReports:
         _, parallel = run(argv + ["--jobs", "2"])
         a, b = json.loads(serial), json.loads(parallel)
         assert a["rows"] == b["rows"]
+
+
+class TestSymplecticLevels:
+    def test_iwahori_passes_with_two_maximal_classes(self):
+        # At Iwahori level the orbit of t_mu gives two maximal classes;
+        # only a special maximal parahoric has a single one.
+        code, out = run(
+            ["verify", "symplectic", "--g", "1", "--e", "2", "--I", "0,1",
+             "--p", "3", "--format", "json"]
+        )
+        report = json.loads(out)
+        assert code == 0 and report["pass"]
+        assert report["totals"]["predicted"] == report["totals"]["observed"] == 25
+        assert report["totals"]["maximal_classes"] == 2
+
+    def test_special_level_has_one_maximal_class(self):
+        code, out = run(
+            ["verify", "symplectic", "--g", "1", "--e", "2", "--I", "0",
+             "--p", "3", "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(out)["totals"]["maximal_classes"] == 1
+
+
+class TestParserReuse:
+    ADM = ["adm", "--group", "gl", "--d", "3", "--mu", "1,1,0", "--I", "0", "--format", "json"]
+    MATRIX = ["verify", "matrix", "--n", "2", "--r", "1", "--s", "1", "--p", "3", "--format", "json"]
+
+    def reports(self, argv):
+        code, out = run(argv)
+        report = json.loads(out)
+        del report["elapsed_ms"]
+        return code, report
+
+    def test_successive_calls_are_independent(self):
+        first = [self.reports(self.ADM), self.reports(self.MATRIX)]
+        second = [self.reports(self.ADM), self.reports(self.MATRIX)]
+        assert first == second
+        assert first[0][1]["case"] == "adm" and first[1][1]["case"] == "verify-matrix-unitary"
+        assert first[0][1]["params"] == {"I": "0", "d": 3, "group": "gl", "iwahori": False, "mu": "1,1,0"}
+        # the reused parser reads argv exactly as a freshly built one
+        for argv in (self.ADM, self.MATRIX):
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_usage_error_after_reuse(self):
+        assert run(self.ADM)[0] == 0
+        assert run(["adm", "--group", "gl", "--d", "3"])[0] == 2
+        assert run(["no-such-command"])[0] == 2
+        assert run(self.ADM)[0] == 0
+
+    def test_pool_bound_violation_exits_one(self, monkeypatch):
+        from locmodel import admissible
+
+        monkeypatch.setattr(admissible, "conv_membership", lambda y, mu: True)
+        code, _ = run(["perm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"])
+        assert code == 1
 
 
 class TestManifest:

@@ -6,9 +6,15 @@ Independent oracles used here:
     cross-check);
   * a subword-based Bruhat comparison built from scratch on reduced
     words;
-  * brute-force double-coset enumeration for coset_min.
+  * brute-force double-coset enumeration for coset_min;
+  * the affine hyperplanes separating a base-alcove point from its
+    image, counted from scratch, for the memoised length;
+  * the subword down-set enumerate_below, for the lifting recursion
+    downset.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,12 +23,14 @@ import pytest
 from locmodel.errors import BudgetExceeded, DatumMismatch, InvalidIndex
 from locmodel import weyl
 from locmodel.weyl import (
+    Coweight,
     ParahoricSpec,
     RootDatum,
     WeylElement,
     alcove_vertices,
     bruhat_leq,
     coset_min,
+    downset,
     element_from_word,
     elements_of_length_leq,
     enumerate_below,
@@ -143,6 +151,82 @@ class TestLength:
                     s = simple_reflection(datum, j)
                     assert abs(length(x * s) - length(x)) == 1
                     assert abs(length(s * x) - length(x)) == 1
+
+
+def separating_hyperplanes(x):
+    """Hyperplanes <alpha, p> = k (alpha > 0, k in Z) between a base-alcove
+    point p0 and x(p0): the length of x counted from scratch."""
+    d = x.datum
+    verts = list(alcove_vertices(d).values())
+    p0 = tuple(sum(v[i] for v in verts) / len(verts) for i in range(d.coord_len))
+    p1 = x.act_point(p0)
+    total = 0
+    for alpha in d.roots():
+        if d.is_positive_root(alpha):
+            a, b = d.pairing(p0, alpha), d.pairing(p1, alpha)
+            assert a.denominator != 1 and b.denominator != 1  # generic point
+            total += abs(math.floor(b) - math.floor(a))
+    return total
+
+
+class TestLengthMemo:
+    @pytest.mark.parametrize("datum", [GL2, GL3, GL4, GSP1, GSP2, RootDatum("GSp", 3)])
+    def test_matches_separating_hyperplanes(self, datum):
+        rng = random.Random(23)
+        for _ in range(60):
+            x = random_element(rng, datum, spread=3)
+            assert length(x) == separating_hyperplanes(x)
+
+    @pytest.mark.parametrize("datum", [GL3, GSP2])
+    def test_equal_elements_built_independently(self, datum):
+        # The same element reached by a word, by its (lam, u) pair and by
+        # products in another order gets one length, the from-scratch one.
+        rng = random.Random(29)
+        for _ in range(40):
+            word = [rng.choice(datum.simple_indices) for _ in range(rng.randint(0, 8))]
+            x = element_from_word(datum, word, rng.randint(-1, 1))
+            y = WeylElement(datum, x.lam, x.u)
+            z = identity(datum)
+            for j in word:
+                z = z * simple_reflection(datum, j)
+            z = z * element_from_word(datum, [], kappa(x))
+            assert x == y == z and x is not y
+            assert length(y) == length(z) == length(x) == separating_hyperplanes(x)
+
+
+class TestDownset:
+    @staticmethod
+    def minuscule_sums(datum, max_terms):
+        if datum.kind == "GSp":
+            g = datum.n
+            return [(e,) * g + (e,) for e in range(1, max_terms + 1)]
+        d = datum.n
+        out = set()
+        for k in range(1, max_terms + 1):
+            for combo in itertools.combinations_with_replacement(range(d + 1), k):
+                out.add(tuple(sum(1 for r in combo if i < r) for i in range(d)))
+        return sorted(out)
+
+    @pytest.mark.parametrize(
+        "datum,max_terms",
+        [(GL2, 3), (GL3, 3), (GL4, 2), (GSP1, 2), (GSP2, 2), (RootDatum("GSp", 3), 2)],
+    )
+    def test_matches_subword_oracle(self, datum, max_terms):
+        for mu in self.minuscule_sums(datum, max_terms):
+            memo = {}
+            for lam in Coweight(datum, mu).orbit():
+                t = translation(datum, lam)
+                assert downset(t, memo) == enumerate_below(t), (mu, lam)
+
+    def test_fresh_memo_agrees_with_shared(self):
+        y = translation(GL3, (2, 1, 0))
+        shared = {}
+        downset(translation(GL3, (1, 2, 0)), shared)
+        assert downset(y, shared) == downset(y, {})
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceeded):
+            downset(translation(GL4, (8, 8, -8, -8)), {})
 
 
 class TestKappa:
