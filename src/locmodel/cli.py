@@ -145,30 +145,23 @@ def _report(case, params, rows, totals, passed, t0):
     }
 
 
-def run_adm(params, budget=None, jobs=1):
+def _run_set(case, build, params):
     t0 = time.monotonic()
     datum = _datum(params)
-    spec = _spec(datum, params)
-    mu = Coweight(datum, _ints(params["mu"]))
-    s = adm_set(spec, mu)
+    s = build(_spec(datum, params), Coweight(datum, _ints(params["mu"])))
     rows = [
-        _class_row(c, source="admissible.adm_set")
+        _class_row(c, source=f"admissible.{case}_set")
         for c in sorted(s.classes, key=_class_sort_key)
     ]
-    return _report("adm", params, rows, {"predicted": None, "observed": len(rows)}, True, t0)
+    return _report(case, params, rows, {"predicted": None, "observed": len(rows)}, True, t0)
+
+
+def run_adm(params, budget=None, jobs=1):
+    return _run_set("adm", adm_set, params)
 
 
 def run_perm(params, budget=None, jobs=1):
-    t0 = time.monotonic()
-    datum = _datum(params)
-    spec = _spec(datum, params)
-    mu = Coweight(datum, _ints(params["mu"]))
-    s = perm_set(spec, mu)
-    rows = [
-        _class_row(c, source="admissible.perm_set")
-        for c in sorted(s.classes, key=_class_sort_key)
-    ]
-    return _report("perm", params, rows, {"predicted": None, "observed": len(rows)}, True, t0)
+    return _run_set("perm", perm_set, params)
 
 
 def run_compare(params, budget=None, jobs=1):
@@ -552,6 +545,23 @@ def build_parser():
     return parser
 
 
+def _check_args(parser, args):
+    """Reject, as a usage error, a command line lacking what its runner needs."""
+    what = getattr(args, "verify_what", None)
+    if what == "matrix":
+        need = ("n", "r", "s") if args.n is not None else ("g", "e")
+        if any(getattr(args, k) is None for k in need):
+            parser.error("verify matrix needs --n, --r and --s, or --g and --e")
+    elif args.command != "run-suite":
+        size = "g" if what == "symplectic" or args.group == "gsp" else "d"
+        if getattr(args, size) is None:
+            parser.error(f"need --{size} for this group")
+        if args.I is None and not args.iwahori:
+            parser.error("need --I or --iwahori")
+        if getattr(args, "points", None) == "unramified" and args.l is None:
+            parser.error("enumerate unramified needs --l")
+
+
 @functools.lru_cache(maxsize=None)
 def _parser():
     """The argument parser, built on the first main() call and reused."""
@@ -562,6 +572,7 @@ def main(argv=None, stream=None):
     stream = stream or sys.stdout
     try:
         args = _parser().parse_args(argv)
+        _check_args(_parser(), args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     budget = args.budget if getattr(args, "budget", None) else None

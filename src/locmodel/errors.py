@@ -61,3 +61,7 @@ class ManifestParseError(ArtifactError):
 
 class PoolBoundViolation(ArtifactError):
     """A permissible class lies beyond perm_set's candidate pool bound."""
+
+
+class ChainInvariantError(ArtifactError):
+    """A chain model breaks an invariant its construction guarantees."""

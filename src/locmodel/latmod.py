@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     BadRanks,
+    ChainInvariantError,
     IncompatibleElement,
     SignatureCollision,
     SingularGram,
@@ -159,27 +160,26 @@ class ChainModel:
         return m
 
     def _check_invariants(self):
-        p = self.field.p
-        power = FieldMatrix.identity(self.field, self.dim)
+        """Raise ChainInvariantError unless N^e = 0, the maps commute with
+        N and compose to N, and N is adjoint for each pairing, which is
+        alternating at slot 0."""
+        def require(ok, what):
+            if not ok:
+                raise ChainInvariantError(f"{self!r}: {what}")
+
+        power = loop = FieldMatrix.identity(self.field, self.dim)
         for _ in range(self.e):
             power = self.N @ power
-        assert power == FieldMatrix.zero(self.field, self.dim, self.dim)
-        maps = self.T + [self.T_wrap]
-        for t, f in enumerate(maps):
-            assert f @ self.N == self.N @ f
-        comp = FieldMatrix.identity(self.field, self.dim)
-        for f in maps:
-            comp = f @ comp
-        assert comp == self.N  # full loop is multiplication by Pi
+        require(power == FieldMatrix.zero(self.field, self.dim, self.dim), "N^e != 0")
+        for f in self.T + [self.T_wrap]:
+            require(f @ self.N == self.N @ f, "a transition map does not commute with N")
+            loop = f @ loop
+        require(loop == self.N, "the transition maps do not compose to N")
         for i, g in self.gram.items():
-            assert self.N.transpose() @ g == g @ self.N
-            if i == 0:
-                arr = g.array
-                assert np.array_equal(arr.T, (-arr) % p)
-                assert not arr.diagonal().any()
-
-    def slot_index(self, label):
-        return self.slots.index(label)
+            require(self.N.transpose() @ g == g @ self.N, f"N is not adjoint for the pairing at {i}")
+            a = g.array
+            alternating = np.array_equal(a.T, -a % self.field.p) and not a.diagonal().any()
+            require(i != 0 or alternating, "the pairing at 0 is not alternating")
 
     def __repr__(self):
         return (
@@ -280,49 +280,49 @@ class FlagPoint:
         return hash(self.as_tuple())
 
 
-def _candidate_filter(model: ChainModel, label, budget, pivot_sets=None):
+def _candidate_filter(model: ChainModel, lagrangian, budget, pivot_sets=None):
     cands = []
     for s in linalg.enumerate_subspaces(
         model.dim, model.rank, model.field, budget=budget, pivot_sets=pivot_sets
     ):
         if not linalg.stable_under(s, model.N):
             continue
-        if model.kind == "GSp" and label == 0 and linalg.perp(s, model.gram[0]) != s:
+        if lagrangian and linalg.perp(s, model.gram[0]) != s:
             continue
         cands.append(s)
     return cands
 
 
 def _candidate_worker(args):
-    model, label, pivot_sets, budget = args
-    return [s.basis for s in _candidate_filter(model, label, budget, pivot_sets)]
+    return [s.basis for s in _candidate_filter(*args)]
 
 
 def _slot_candidates(model: ChainModel, budget, jobs=1):
-    """Per independent slot label, the N-stable subspaces of the right rank.
+    """Per independent slot label, in order, the N-stable subspaces of the right rank.
 
-    For GSp only the nonnegative labels are independent; F_{-i} is the
-    pairing annihilator of F_i (forced by the ranks), and for i = 0 the
-    subspace must annihilate itself.  With jobs > 1 the enumeration is
+    The independent labels are the slots for GL and I for GSp; F_{-i} is
+    the pairing annihilator of F_i (forced by the ranks), and F_0 must
+    annihilate itself.  That is the only way a label enters, so each
+    distinct list is built once.  With jobs > 1 the enumeration is
     partitioned by pivot-column set across a process pool; chunks are
     reassembled in order, so the output is identical to the serial run.
     """
     labels = model.slots if model.kind == "GL" else model.I
-    out = {}
+    keys = [model.kind == "GSp" and label == 0 for label in labels]
     if jobs <= 1:
-        for label in labels:
-            out[label] = _candidate_filter(model, label, budget)
-        return out
+        built = {key: _candidate_filter(model, key, budget) for key in set(keys)}
+        return [built[key] for key in keys]
     import concurrent.futures
 
     pivots = list(itertools.combinations(range(model.dim), model.rank))
     chunks = [pivots[k::jobs] for k in range(jobs)]
     order = {piv: k for k, piv in enumerate(pivots)}
+    built = {}
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for label in labels:
+        for key in set(keys):
             results = pool.map(
                 _candidate_worker,
-                [(model, label, chunk, budget) for chunk in chunks],
+                [(model, key, budget, chunk) for chunk in chunks],
             )
             cands = [
                 Subspace(model.field, model.dim, basis)
@@ -331,34 +331,57 @@ def _slot_candidates(model: ChainModel, budget, jobs=1):
             ]
             # restore the canonical lexicographic stream order
             cands.sort(key=lambda s: (order[tuple(_pivot_cols(s))], s.basis.tobytes()))
-            out[label] = cands
-    return out
+            built[key] = cands
+    return [built[key] for key in keys]
 
 
 def _pivot_cols(s: Subspace):
     return [int(np.argmax(row != 0)) for row in s.basis]
 
 
-def _complete_gsp_point(model: ChainModel, chosen):
-    """Fill in the negative slots of a GSp point and check the chain conditions."""
-    subspaces = dict(chosen)
-    for i in model.I:
-        if i > 0:
-            subspaces[-i] = linalg.perp(subspaces[i], model.gram[i])
-    for s in subspaces.values():
-        if not linalg.stable_under(s, model.N):
-            return None
-    return _check_transitions(model, subspaces)
+def _chains(maps, cands):
+    """Yield every chain (F_0, .., F_{k-1}), F_t in cands[t], with maps[t](F_t)
+    <= F_{t+1} and the last map wrapping to F_0, in itertools.product order
+    (depth-first over the slots; each candidate's image is computed once)."""
+    images = [[None] * len(opts) for opts in cands]
+    return _extend(maps, cands, images, [None] * len(cands), 0, None)
 
-def _check_transitions(model: ChainModel, subspaces):
-    for t in range(len(model.slots) - 1):
-        src, dst = model.slots[t], model.slots[t + 1]
-        if not linalg.image(model.T[t], subspaces[src]).leq(subspaces[dst]):
-            return None
-    first, last = model.slots[0], model.slots[-1]
-    if not linalg.image(model.T_wrap, subspaces[last]).leq(subspaces[first]):
-        return None
-    return ChainPoint(model, subspaces)
+
+def _extend(maps, cands, images, chain, t, below):
+    # not a nested closure: that would be a cycle holding its images until gc
+    for j, c in enumerate(cands[t]):
+        if below is not None and not below.leq(c):
+            continue
+        img = images[t][j]
+        if img is None:
+            img = images[t][j] = linalg.image(maps[t], c)
+        chain[t] = c
+        if t + 1 < len(cands):
+            yield from _extend(maps, cands, images, chain, t + 1, img)
+        elif img.leq(chain[0]):
+            yield tuple(chain)
+
+
+def _compatible(maps, chain):
+    """The transition and wrap conditions of _chains for one chain."""
+    return any(_chains(maps, [[s] for s in chain]))
+
+
+def _points(model: ChainModel, maps, cands, grams):
+    """Chain points, in product order, with the subspaces of the independent
+    labels (slots for GL, I for GSp) drawn from cands.  A GSp F_{-i} is the
+    annihilator of F_i under grams[i], N-stable as N is adjoint for it."""
+    if model.kind == "GL":
+        for chain in _chains(maps, cands):
+            yield ChainPoint(model, dict(zip(model.slots, chain)))
+        return
+    for combo in itertools.product(*cands):
+        chosen = dict(zip(model.I, combo))
+        for i in model.I:
+            if i > 0:
+                chosen[-i] = linalg.perp(chosen[i], grams[i])
+        if _compatible(maps, [chosen[t] for t in model.slots]):
+            yield ChainPoint(model, chosen)
 
 
 def naive_points(model: ChainModel, budget=None, jobs=1):
@@ -369,17 +392,7 @@ def naive_points(model: ChainModel, budget=None, jobs=1):
     condition is automatic at field points and not re-tested.
     """
     cands = _slot_candidates(model, budget, jobs)
-    if model.kind == "GSp":
-        labels = model.I
-        for combo in itertools.product(*(cands[i] for i in labels)):
-            pt = _complete_gsp_point(model, dict(zip(labels, combo)))
-            if pt is not None:
-                yield pt
-        return
-    for combo in itertools.product(*(cands[t] for t in model.slots)):
-        pt = _check_transitions(model, dict(zip(model.slots, combo)))
-        if pt is not None:
-            yield pt
+    yield from _points(model, model.T + [model.T_wrap], cands, model.gram)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +401,7 @@ def naive_points(model: ChainModel, budget=None, jobs=1):
 
 def _level_ok(model: ChainModel, j, level):
     """Check the per-level conditions for a full slot assignment at level j."""
-    for t in range(len(model.slots) - 1):
-        src, dst = model.slots[t], model.slots[t + 1]
-        if not linalg.image(model.T[t], level[src]).leq(level[dst]):
-            return False
-    if not linalg.image(model.T_wrap, level[model.slots[-1]]).leq(level[model.slots[0]]):
+    if not _compatible(model.T + [model.T_wrap], [level[t] for t in model.slots]):
         return False
     if model.kind == "GSp" and j < model.e:
         npow = FieldMatrix.identity(model.field, model.dim)
@@ -519,35 +528,16 @@ def unramified_points(model: ChainModel, l: int, budget=None):
         raise BadRanks(f"l must be in 1..{model.e}")
     r = model.r_vec[l - 1] if model.kind == "GL" else model.n
     slots = model.slots
-    tbars = [
-        _mod_p_map(model, slots[t], slots[t + 1], 0) for t in range(len(slots) - 1)
-    ]
-    wrap = _mod_p_map(model, slots[-1], slots[0], 1)
-    gram = _mod_p_gram(model) if model.kind == "GSp" else None
-
-    indep = slots if model.kind == "GL" else model.I
-    cands = {}
-    for label in indep:
-        opts = list(linalg.enumerate_subspaces(model.D, r, model.field, budget=budget))
-        if model.kind == "GSp" and label == 0:
-            opts = [s for s in opts if linalg.perp(s, gram) == s]
-        cands[label] = opts
-
-    for combo in itertools.product(*(cands[t] for t in indep)):
-        chosen = dict(zip(indep, combo))
-        if model.kind == "GSp":
-            for i in model.I:
-                if i > 0:
-                    chosen[-i] = linalg.perp(chosen[i], gram)
-        ok = True
-        for t in range(len(slots) - 1):
-            if not linalg.image(tbars[t], chosen[slots[t]]).leq(chosen[slots[t + 1]]):
-                ok = False
-                break
-        if ok and not linalg.image(wrap, chosen[slots[-1]]).leq(chosen[slots[0]]):
-            ok = False
-        if ok:
-            yield ChainPoint(model, chosen)
+    maps = [_mod_p_map(model, a, b, 0) for a, b in zip(slots, slots[1:])]
+    maps.append(_mod_p_map(model, slots[-1], slots[0], 1))
+    opts = list(linalg.enumerate_subspaces(model.D, r, model.field, budget=budget))
+    if model.kind == "GL":
+        yield from _points(model, maps, [opts] * len(slots), {})
+        return
+    gram = _mod_p_gram(model)
+    lagrangians = [s for s in opts if linalg.perp(s, gram) == s]
+    cands = [lagrangians if i == 0 else opts for i in model.I]
+    yield from _points(model, maps, cands, dict.fromkeys(model.I, gram))
 
 
 @dataclass(frozen=True)

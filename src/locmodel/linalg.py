@@ -33,12 +33,6 @@ class Field:
             raise ValueError(f"p must be a prime <= 13, got {p}")
         self.p = p
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
     def __eq__(self, other):
         return isinstance(other, Field) and other.p == self.p
 
@@ -107,45 +101,43 @@ class FieldMatrix:
 
 
 def _rref(a: np.ndarray, p: int):
-    """Return (R, pivot_cols) with R the RREF of a over F_p."""
-    R = (np.array(a, dtype=np.int64) % p).copy()
-    m, n = R.shape
+    """Return (R, pivot_cols) with R the RREF of a over F_p, zero rows last.
+
+    Eliminates on Python lists: on tiny matrices numpy indexing costs more."""
+    a = np.asarray(a, dtype=np.int64)
+    m, n = a.shape
+    rows = (a % p).tolist()
     pivots: list[int] = []
-    row = 0
     for col in range(n):
-        if row == m:
+        top = len(pivots)
+        if top == m:
             break
-        # Find a nonzero entry in this column at or below `row`.
-        found = -1
-        for r in range(row, m):
-            if R[r, col] % p:
-                found = r
+        for found in range(top, m):
+            if rows[found][col]:
                 break
-        if found == -1:
+        else:
             continue
-        if found != row:
-            R[[row, found]] = R[[found, row]]
-        inv = pow(int(R[row, col]), p - 2, p)
-        R[row] = (R[row] * inv) % p
+        piv = rows[found]
+        rows[found] = rows[top]
+        inv = pow(piv[col], p - 2, p)
+        if inv != 1:
+            piv = [x * inv % p for x in piv]
+        rows[top] = piv
         for r in range(m):
-            if r != row and R[r, col]:
-                R[r] = (R[r] - R[r, col] * R[row]) % p
+            c = rows[r][col]
+            if c and r != top:
+                rows[r] = [(x - c * y) % p for x, y in zip(rows[r], piv)]
         pivots.append(col)
-        row += 1
-    return R % p, pivots
+    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
 
 
 def _nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Basis (as rows, RREF-derived) of {x : a @ x = 0} over F_p."""
-    a = np.asarray(a, dtype=np.int64) % p
-    m, n = a.shape
     R, pivots = _rref(a, p)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-R[i, fc]) % p
+    free = [c for c in range(R.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -R[: len(pivots), free].T % p
     return basis
 
 
@@ -191,17 +183,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def contains_vector(self, v) -> bool:
-        v = np.asarray(v, dtype=np.int64) % self.field.p
-        stacked = np.vstack([self.basis, v.reshape(1, -1)])
-        _, pivots = _rref(stacked, self.field.p)
-        return len(pivots) == self.dim
-
     def leq(self, other: "Subspace") -> bool:
         """True iff self is contained in other."""
         self._check(other)
         if self.dim > other.dim:
             return False
+        if self.dim == other.dim:  # containment is equality of RREF bases
+            return self._key == other._key
         stacked = np.vstack([other.basis, self.basis])
         _, pivots = _rref(stacked, self.field.p)
         return len(pivots) == other.dim

@@ -13,6 +13,7 @@ symmetric with zero diagonal in every characteristic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,25 +42,29 @@ def _symmetric_batch(n, p, flat_indices):
     return a
 
 
-def unitary_points_direct(n, r, s, p, chunk=1 << 17) -> UnitaryCount:
+def unitary_points_direct(n, r, s, p) -> UnitaryCount:
     """Direct scan over all symmetric matrices."""
     _check_unitary(n, r, s, p)
     m = n * (n + 1) // 2
     if p**m > _DIRECT_LIMIT:
         raise BudgetExceeded(f"{p}^{m} symmetric matrices exceeds the scan limit")
-    bound = min(r, s)
-    total = p**m
-    hist = {}
+    hist = {rk: c for rk, c in _square_zero_ranks(n, p) if rk <= min(r, s)}
+    return UnitaryCount(sum(hist.values()), tuple(sorted(hist.items())))
+
+
+@functools.lru_cache(maxsize=None)
+def _square_zero_ranks(n, p):
+    """((rank, count), ...) over all square-zero symmetric n x n matrices:
+    one full scan per (n, p), independent of the stratified count."""
+    total, chunk, hist = p ** (n * (n + 1) // 2), 1 << 17, {}
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         batch = _symmetric_batch(n, p, idx)
         sq = np.einsum("aij,ajk->aik", batch, batch) % p
         for a in batch[~sq.any(axis=(1, 2))]:
             _, pivots = _rref(a, p)
-            rk = len(pivots)
-            if rk <= bound:
-                hist[rk] = hist.get(rk, 0) + 1
-    return UnitaryCount(sum(hist.values()), tuple(sorted(hist.items())))
+            hist[len(pivots)] = hist.get(len(pivots), 0) + 1
+    return tuple(sorted(hist.items()))
 
 
 def _isotropic_subspace_count(n, k, p):

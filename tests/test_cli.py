@@ -33,6 +33,25 @@ class TestExitCodes:
         code, _ = run(["count", "--group", "gl", "--d", "2", "--mu", "1,0"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "matrix", "--p", "3"], "verify matrix needs"),
+            (["verify", "matrix", "--n", "3", "--r", "1", "--p", "3"], "verify matrix needs"),
+            (["verify", "matrix", "--g", "1", "--p", "3"], "verify matrix needs"),
+            (["enumerate", "unramified", "--group", "gl", "--d", "2", "--e", "2",
+              "--r", "1,1", "--I", "0", "--p", "2"], "needs --l"),
+            (["adm", "--mu", "1,0", "--iwahori"], "need --d"),
+            (["verify", "symplectic", "--e", "2", "--I", "0", "--p", "3"], "need --g"),
+            (["enumerate", "naive", "--group", "gl", "--d", "2", "--e", "2", "--p", "2"], "need --I"),
+        ],
+    )
+    def test_missing_parameters_are_usage_errors(self, argv, message, capsys):
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+
     def test_budget_exceeded_is_three(self):
         code, _ = run(
             ["enumerate", "naive", "--group", "gl", "--d", "2", "--e", "2",

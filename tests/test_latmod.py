@@ -7,6 +7,7 @@ completely independent code path.
 """
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ import pytest
 from locmodel import latmod, linalg
 from locmodel.admissible import DoubleCoset, adm_set, stratum_count, total_count
 from locmodel.errors import (
+    ArtifactError,
     BadRanks,
+    ChainInvariantError,
     IncompatibleElement,
     SingularGram,
     WildRamification,
@@ -34,7 +37,7 @@ from locmodel.latmod import (
     torsor_check,
     unramified_points,
 )
-from locmodel.linalg import Subspace
+from locmodel.linalg import FieldMatrix, Subspace
 from locmodel.weyl import Coweight, ParahoricSpec, RootDatum, omega_generator, translation
 
 GL2 = RootDatum("GL", 2)
@@ -45,6 +48,39 @@ GSP2 = RootDatum("GSp", 2)
 
 def gl2_model(p=2, r_vec=(1, 1)):
     return build_model("GL", 2, 2, {0}, p, r_vec)
+
+
+def product_filter(slots, maps, cands):
+    """The former GL point loop, kept as the reference: the full product
+    of slot candidates, filtered by maps[t](F_t) <= F_{t+1} and the wrap."""
+    for combo in itertools.product(*cands):
+        links = zip(maps, combo, combo[1:] + combo[:1])
+        if all(linalg.image(f, a).leq(b) for f, a, b in links):
+            yield dict(zip(slots, combo))
+
+
+def gsp_product_filter(model):
+    """The former GSp point loop, kept as the reference: F_{-i} completed
+    as the annihilator of F_i, every slot tested for N-stability, then
+    the transitions and the wrap."""
+    maps = model.T + [model.T_wrap]
+    for combo in itertools.product(*latmod._slot_candidates(model, None)):
+        sub = dict(zip(model.I, combo))
+        for i in model.I:
+            if i > 0:
+                sub[-i] = linalg.perp(sub[i], model.gram[i])
+        if all(linalg.stable_under(s, model.N) for s in sub.values()):
+            chain = [[sub[t]] for t in model.slots]
+            if any(product_filter(model.slots, maps, chain)):
+                yield sub
+
+
+def gl_models_e2_p2():
+    for d, r_vecs in ((2, [(1, 1), (2, 0), (1, 0)]), (3, [(1, 1), (2, 1)])):
+        for k in range(1, d + 1):
+            for I in itertools.combinations(range(d), k):
+                for r_vec in r_vecs:
+                    yield build_model("GL", d, 2, set(I), 2, r_vec)
 
 
 class TestBuildModel:
@@ -70,6 +106,15 @@ class TestBuildModel:
     def test_wild_ramification(self):
         with pytest.raises(WildRamification):
             build_model("GSp", 1, 2, {0}, 2)
+
+    @pytest.mark.parametrize("kind,size,I,r_vec", [("GL", 2, {0}, (1, 1)), ("GSp", 1, {0, 1}, None)])
+    def test_broken_invariant_raises_typed_error(self, kind, size, I, r_vec):
+        m = build_model(kind, size, 2, I, 3, r_vec)
+        m.N = FieldMatrix.identity(m.field, m.dim)  # N^e = 1, not 0
+        with pytest.raises(ChainInvariantError) as err:
+            m._check_invariants()
+        assert isinstance(err.value, ArtifactError)
+        assert "N^e" in str(err.value)
 
     def test_bad_ranks(self):
         with pytest.raises(BadRanks):
@@ -111,6 +156,27 @@ class TestNaive:
     def test_rank_zero(self):
         m = build_model("GL", 2, 2, {0}, 2, (0, 0))
         assert sum(1 for _ in naive_points(m)) == 1
+
+    @pytest.mark.parametrize("model", list(gl_models_e2_p2()), ids=repr)
+    def test_backtracking_equals_product_filter(self, model):
+        # same points in the same order, for one slot (wrap only) and more
+        cands = latmod._slot_candidates(model, None)
+        expected = list(product_filter(model.slots, model.T + [model.T_wrap], cands))
+        got = [pt.subspaces for pt in naive_points(model)]
+        assert got == expected
+        assert [list(s) for s in got] == [list(s) for s in expected]
+        # the slots share one candidate list, equal to a fresh filter
+        assert all(c == latmod._candidate_filter(model, False, None) for c in cands)
+
+    @pytest.mark.parametrize(
+        "e,I,p", [(2, {0}, 3), (2, {1}, 3), (2, {0, 1}, 3), (2, {0, 1}, 5), (3, {0, 1}, 2)]
+    )
+    def test_gsp_points_equal_product_filter(self, e, I, p):
+        model = build_model("GSp", 1, e, I, p)
+        got = [pt.subspaces for pt in naive_points(model)]
+        expected = list(gsp_product_filter(model))
+        assert got == expected
+        assert [list(s) for s in got] == [list(s) for s in expected]
 
 
 class TestSplitting:
@@ -157,6 +223,16 @@ class TestUnramified:
         m = gl2_model(2)
         for l in (1, 2):
             assert sum(1 for _ in unramified_points(m, l)) == 3
+
+    @pytest.mark.parametrize("model", list(gl_models_e2_p2()), ids=repr)
+    def test_backtracking_equals_product_filter(self, model):
+        slots = model.slots
+        maps = [latmod._mod_p_map(model, a, b, 0) for a, b in zip(slots, slots[1:])]
+        maps.append(latmod._mod_p_map(model, slots[-1], slots[0], 1))
+        for l, r in enumerate(model.r_vec, start=1):
+            opts = list(linalg.enumerate_subspaces(model.D, r, model.field))
+            expected = list(product_filter(slots, maps, [opts] * len(slots)))
+            assert [pt.subspaces for pt in unramified_points(model, l)] == expected
 
     def test_bad_level(self):
         with pytest.raises(BadRanks):

@@ -6,7 +6,7 @@ Gaussian binomial product formula, written out here from scratch.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from locmodel.errors import BudgetExceeded, DimensionMismatch, SingularGram
 from locmodel.linalg import (
@@ -23,6 +23,7 @@ from locmodel.linalg import (
     rank,
     stable_under,
     subspaces_between,
+    _rref,
 )
 
 F2 = Field(2)
@@ -38,6 +39,52 @@ def oracle_gaussian_binomial(n, k, p):
     for i in range(k):
         value = value * (p ** (n - i) - 1) // (p ** (i + 1) - 1)
     return value
+
+
+def oracle_rref(a, p):
+    """The former numpy-indexed Gauss-Jordan elimination, kept as the
+    reference for the list-based _rref."""
+    R = (np.array(a, dtype=np.int64) % p).copy()
+    m, n = R.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        found = -1
+        for r in range(row, m):
+            if R[r, col] % p:
+                found = r
+                break
+        if found == -1:
+            continue
+        if found != row:
+            R[[row, found]] = R[[found, row]]
+        inv = pow(int(R[row, col]), p - 2, p)
+        R[row] = (R[row] * inv) % p
+        for r in range(m):
+            if r != row and R[r, col]:
+                R[r] = (R[r] - R[r, col] * R[row]) % p
+        pivots.append(col)
+        row += 1
+    return R % p, pivots
+
+
+@st.composite
+def rref_inputs(draw):
+    """(matrix, p): shapes up to 12 x 12, entries not yet reduced mod p,
+    with all-zero matrices and repeated rows drawn on purpose."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    shape = draw(st.sampled_from(["random", "zero", "repeated"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-p, 2 * p, size=(m, n), dtype=np.int64)
+    if shape == "zero":
+        a[:] = 0
+    elif shape == "repeated" and m > 1:
+        a = a[rng.integers(0, (m + 1) // 2, size=m)] * rng.integers(1, p, size=(m, 1))
+    return a, p
 
 
 def random_matrix(rng, p, rows, cols):
@@ -58,6 +105,40 @@ class TestRank:
         m = [[1, 1], [1, -1]]
         assert rank(FieldMatrix(F2, m)) == 1
         assert rank(FieldMatrix(F3, m)) == 2
+
+
+class TestRref:
+    @given(rref_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_numpy_oracle(self, case):
+        a, p = case
+        R, pivots = _rref(a, p)
+        R0, pivots0 = oracle_rref(a, p)
+        assert R.dtype == R0.dtype == np.int64
+        assert R.shape == R0.shape == a.shape
+        assert np.array_equal(R, R0)
+        assert pivots == pivots0
+
+    def test_input_untouched(self):
+        a = np.array([[2, 4], [1, 1]], dtype=np.int64)
+        _rref(a, 3)
+        assert a.tolist() == [[2, 4], [1, 1]]
+
+    @given(st.integers(0, 10**9), st.sampled_from([2, 3, 5]), st.integers(0, 4), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_dimension_leq_is_equality(self, seed, p, k, regenerate):
+        # leq answers equal dimensions from the RREF key; check it by elimination
+        rng = np.random.default_rng(seed)
+        field = Field(p)
+        a = Subspace.from_rows(field, 4, random_matrix(rng, p, k, 4))
+        if regenerate:  # the same space from other generators
+            mixed = random_matrix(rng, p, k, a.dim) @ a.basis
+            b = Subspace.from_rows(field, 4, np.vstack([mixed, a.basis[::-1]]))
+        else:
+            b = Subspace.from_rows(field, 4, random_matrix(rng, p, a.dim, 4))
+        assume(a.dim == b.dim)
+        _, pivots = oracle_rref(np.vstack([b.basis, a.basis]), p)
+        assert a.leq(b) == (len(pivots) == b.dim) == (a == b)
 
 
 class TestSubspaceCanonicity:

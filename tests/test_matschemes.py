@@ -38,6 +38,17 @@ class TestUnitary:
             assert d.total == t.total
             assert d.by_rank == t.by_rank
 
+    def test_one_scan_per_size_and_field(self):
+        from locmodel.matschemes import _square_zero_ranks
+
+        _square_zero_ranks.cache_clear()
+        full = unitary_points_direct(3, 3, 3, 3)
+        for r in range(4):
+            got = unitary_points_direct(3, r, 3 - r, 3)
+            assert got.by_rank == tuple((k, c) for k, c in full.by_rank if k <= min(r, 3 - r))
+        info = _square_zero_ranks.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
     def test_monotone_in_rank_bound(self):
         prev = -1
         for r in range(5):
