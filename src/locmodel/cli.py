@@ -3,8 +3,10 @@
 Subcommands: adm, perm, compare-adm-perm, count, enumerate,
 verify strata|torsor|symplectic|matrix, run-suite.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 budget
-exceeded.  The report schema is
+Exit codes: 0 pass, 1 verification failure, 2 usage error (a --budget
+or LOCMODEL_BUDGET that is not a positive integer included), 3 budget
+exceeded, 4 unexpected internal error (one line on stderr, no
+traceback).  The report schema is
 {case, params, rows:[{w:{word, omega, translation, finite}, length,
 predicted, observed, source}], totals, pass, elapsed_ms}; CSV mirrors
 the rows, text is a human-readable table.  Output is deterministic for
@@ -318,8 +320,8 @@ def run_verify_matrix(params, budget=None, jobs=1):
     p = int(params["p"])
     if params.get("n") is not None:
         n, r, s = int(params["n"]), int(params["r"]), int(params["s"])
-        direct = matschemes.unitary_points_direct(n, r, s, p)
-        strat = matschemes.unitary_points_stratified(n, r, s, p)
+        direct = matschemes.unitary_points_direct(n, r, s, p, budget=budget)
+        strat = matschemes.unitary_points_stratified(n, r, s, p, budget=budget)
         by_rank = dict(direct.by_rank)
         rows = [
             {
@@ -335,8 +337,8 @@ def run_verify_matrix(params, budget=None, jobs=1):
         passed = direct.total == strat.total and direct.by_rank == strat.by_rank
         return _report("verify-matrix-unitary", params, rows, totals, passed, t0)
     g, e = int(params["g"]), int(params["e"])
-    direct = matschemes.symplectic_P_points(g, e, p, "direct")
-    linear = matschemes.symplectic_P_points(g, e, p, "linear")
+    direct = matschemes.symplectic_P_points(g, e, p, "direct", budget=budget)
+    linear = matschemes.symplectic_P_points(g, e, p, "linear", budget=budget)
     rows = [
         {
             "w": None,
@@ -562,6 +564,21 @@ def _check_args(parser, args):
             parser.error("enumerate unramified needs --l")
 
 
+def _budget(parser, args):
+    """The enumeration budget of --budget, else of LOCMODEL_BUDGET, else
+    None; a budget that is not a positive integer is a usage error."""
+    budget, source = args.budget, "--budget"
+    if budget is None and os.environ.get("LOCMODEL_BUDGET"):
+        source = "LOCMODEL_BUDGET"
+        try:
+            budget = int(os.environ["LOCMODEL_BUDGET"])
+        except ValueError:
+            parser.error("LOCMODEL_BUDGET must be an integer")
+    if budget is not None and budget <= 0:
+        parser.error(f"{source} must be a positive integer, got {budget}")
+    return budget
+
+
 @functools.lru_cache(maxsize=None)
 def _parser():
     """The argument parser, built on the first main() call and reused."""
@@ -573,15 +590,9 @@ def main(argv=None, stream=None):
     try:
         args = _parser().parse_args(argv)
         _check_args(_parser(), args)
+        budget = _budget(_parser(), args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    budget = args.budget if getattr(args, "budget", None) else None
-    if budget is None and os.environ.get("LOCMODEL_BUDGET"):
-        try:
-            budget = int(os.environ["LOCMODEL_BUDGET"])
-        except ValueError:
-            print("usage error: LOCMODEL_BUDGET must be an integer", file=sys.stderr)
-            return 2
     jobs = getattr(args, "jobs", 1) or 1
 
     try:
@@ -618,6 +629,9 @@ def main(argv=None, stream=None):
     except (ArtifactError, ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}".splitlines()[0], file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

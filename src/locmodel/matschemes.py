@@ -14,6 +14,7 @@ symmetric with zero diagonal in every characteristic.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import BadRanks, BudgetExceeded
 from .linalg import Field, _rref
 
 _DIRECT_LIMIT = 10**8
+_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -42,61 +44,116 @@ def _symmetric_batch(n, p, flat_indices):
     return a
 
 
-def unitary_points_direct(n, r, s, p) -> UnitaryCount:
-    """Direct scan over all symmetric matrices."""
+def unitary_points_direct(n, r, s, p, budget=None) -> UnitaryCount:
+    """Direct scan over all symmetric matrices; ``budget`` (default
+    _DIRECT_LIMIT) caps their number."""
     _check_unitary(n, r, s, p)
-    m = n * (n + 1) // 2
-    if p**m > _DIRECT_LIMIT:
-        raise BudgetExceeded(f"{p}^{m} symmetric matrices exceeds the scan limit")
+    _check_scan(n, p, budget)
     hist = {rk: c for rk, c in _square_zero_ranks(n, p) if rk <= min(r, s)}
     return UnitaryCount(sum(hist.values()), tuple(sorted(hist.items())))
+
+
+def _check_scan(n, p, budget):
+    """Raise BudgetExceeded if the p^m symmetric n x n matrices exceed the
+    budget (default _DIRECT_LIMIT)."""
+    m, limit = n * (n + 1) // 2, _DIRECT_LIMIT if budget is None else budget
+    if p**m > limit:
+        raise BudgetExceeded(f"{p}^{m} symmetric matrices exceeds the scan limit {limit}")
+
+
+def _upper_triangles(n, p, chunk):
+    """Yield every symmetric n x n matrix over F_p once, in chunks of at
+    most max(p, chunk), as its upper-triangle entries in np.triu_indices
+    order: the low mixed-radix digits are the rows of one precomputed int16
+    table, the high digits are ints held constant over the chunk."""
+    m, low = n * (n + 1) // 2, 1
+    while low < m and p ** (low + 1) <= chunk:
+        low += 1
+    table = list(np.indices((p,) * low, dtype=np.int16).reshape(low, -1))
+    for high in itertools.product(range(p), repeat=m - low):
+        yield table + list(high)
+
+
+def _assemble(n, entries):
+    """The (N, n, n) symmetric matrices with the given upper triangles."""
+    a = np.empty((len(entries[0]), n, n), dtype=np.int16)
+    for (i, j), e in zip(zip(*np.triu_indices(n)), entries):
+        a[:, i, j] = a[:, j, i] = e
+    return a
+
+
+def _square_zero_scan(n, p, chunk=_CHUNK):
+    """(((rank, count), ...), tested) over all square-zero symmetric n x n
+    matrices, with tested the number of matrices put to the test.
+
+    A^2 = 0 is tested one upper-triangle entry of A^2 at a time, diagonal
+    first, each on the matrices that passed the entries before it; only
+    the survivors are built and ranked."""
+    pos = {}
+    for e, (i, j) in enumerate(zip(*np.triu_indices(n))):
+        pos[i, j] = pos[j, i] = e
+    order = [(i, i) for i in range(n)] + [(i, k) for i in range(n) for k in range(i + 1, n)]
+    hist, tested = {}, 0
+    for entries in _upper_triangles(n, p, chunk):
+        tested += len(entries[0])
+        for i, k in order:
+            sq = sum(entries[pos[i, j]] * entries[pos[j, k]] for j in range(n)) % p
+            if np.ndim(sq) == 0:  # fixed by the high digits alone
+                if sq:
+                    break
+                continue
+            keep = sq == 0
+            entries = [e[keep] if isinstance(e, np.ndarray) else e for e in entries]
+        else:
+            for a in _assemble(n, entries):
+                rk = len(_rref(a, p)[1])
+                hist[rk] = hist.get(rk, 0) + 1
+    return tuple(sorted(hist.items())), tested
 
 
 @functools.lru_cache(maxsize=None)
 def _square_zero_ranks(n, p):
     """((rank, count), ...) over all square-zero symmetric n x n matrices:
     one full scan per (n, p), independent of the stratified count."""
-    total, chunk, hist = p ** (n * (n + 1) // 2), 1 << 17, {}
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        batch = _symmetric_batch(n, p, idx)
-        sq = np.einsum("aij,ajk->aik", batch, batch) % p
-        for a in batch[~sq.any(axis=(1, 2))]:
-            _, pivots = _rref(a, p)
-            hist[len(pivots)] = hist.get(len(pivots), 0) + 1
-    return tuple(sorted(hist.items()))
+    return _square_zero_scan(n, p)[0]
 
 
-def _isotropic_subspace_count(n, k, p):
+def _isotropic_subspace_count(n, k, p, budget=None):
     """k-dim totally isotropic subspaces for the standard symmetric form."""
     from .linalg import enumerate_subspaces
 
     field = Field(p)
     count = 0
-    for sub in enumerate_subspaces(n, k, field):
+    for sub in enumerate_subspaces(n, k, field, budget=budget):
         if not (sub.basis @ sub.basis.T % p).any():
             count += 1
     return count
 
 
-def _invertible_symmetric_count(k, p):
+def _invertible_symmetric_count(k, p, budget=None, chunk=_CHUNK):
+    """Invertible symmetric k x k matrices over F_p, by Gaussian
+    elimination mod p on whole chunks at once."""
     if k == 0:
         return 1
-    m = k * (k + 1) // 2
-    if p**m > _DIRECT_LIMIT:
-        raise BudgetExceeded(f"{p}^{m} symmetric matrices exceeds the scan limit")
-    idx = np.arange(p**m, dtype=np.int64)
+    _check_scan(k, p, budget)
+    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int16)
     count = 0
-    for start in range(0, len(idx), 1 << 17):
-        batch = _symmetric_batch(k, p, idx[start : start + (1 << 17)])
-        for a in batch:
-            _, pivots = _rref(a, p)
-            if len(pivots) == k:
-                count += 1
+    for entries in _upper_triangles(k, p, chunk):
+        a = _assemble(k, entries)
+        for c in range(k):
+            a = a[a[:, c:, c].any(axis=1)]  # drop the matrices with no pivot
+            rows = np.arange(len(a))
+            piv = c + a[:, c:, c].argmax(axis=1)
+            top = a[rows, piv]
+            a[rows, piv] = a[:, c]
+            top = top * inverse[top[:, c]][:, None] % p
+            below = a[:, c + 1 :]
+            a[:, c + 1 :] = (below - below[:, :, c : c + 1] * top[:, None, :]) % p
+        count += len(a)
     return count
 
 
-def unitary_points_stratified(n, r, s, p) -> UnitaryCount:
+def unitary_points_stratified(n, r, s, p, budget=None) -> UnitaryCount:
     """Stratified count: A = C S C^t over isotropic column spaces.
 
     A square-zero symmetric A of rank k has totally isotropic column
@@ -107,7 +164,7 @@ def unitary_points_stratified(n, r, s, p) -> UnitaryCount:
     _check_unitary(n, r, s, p)
     hist = {}
     for k in range(min(r, s) + 1):
-        c = _isotropic_subspace_count(n, k, p) * _invertible_symmetric_count(k, p)
+        c = _isotropic_subspace_count(n, k, p, budget) * _invertible_symmetric_count(k, p, budget)
         if c:
             hist[k] = c
     return UnitaryCount(sum(hist.values()), tuple(sorted(hist.items())))
@@ -145,13 +202,14 @@ def _nilpotent_matrices(n, p, e):
     return out
 
 
-def symplectic_P_points(g, e, p, strategy="direct") -> int:
+def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
     """Count block matrices (a b; 0 a^t), a nilpotent of size ge, b
     alternating, with A^e = 0.
 
     'direct' scans all (a, b) pairs; 'linear' enumerates a and counts
     the solution space of the linear condition on b, namely
-    sum_{i+j=e-1} a^i b (a^t)^j = 0.
+    sum_{i+j=e-1} a^i b (a^t)^j = 0.  ``budget`` caps the matrices
+    scanned.
     """
     n = g * e
     Field(p)
@@ -159,6 +217,9 @@ def symplectic_P_points(g, e, p, strategy="direct") -> int:
         raise BudgetExceeded("symplectic scan restricted to ge <= 2, p <= 3")
     if strategy not in ("direct", "linear"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    scanned = p ** (n * n + (n * (n - 1) // 2 if strategy == "direct" else 0))
+    if budget is not None and scanned > budget:
+        raise BudgetExceeded(f"{scanned} symplectic matrices exceeds budget {budget}")
     nilpotents = _nilpotent_matrices(n, p, e)
     basis = _alternating_basis(n)
 

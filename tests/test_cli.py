@@ -71,6 +71,38 @@ class TestExitCodes:
         assert code == 2
 
 
+    def test_budget_reaches_verify_matrix(self, capsys):
+        code, out = run(["verify", "matrix", "--n", "4", "--r", "2", "--s", "2", "--p", "5",
+                         "--budget", "1000"])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith("budget exceeded:")
+        assert run(["verify", "matrix", "--g", "1", "--e", "2", "--p", "3", "--budget", "10"])[0] == 3
+        assert run(["verify", "matrix", "--n", "2", "--r", "1", "--s", "1", "--p", "5",
+                    "--budget", "1000"])[0] == 0
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_budget_is_usage_error(self, value, monkeypatch, capsys):
+        adm = ["adm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"]
+        code, out = run(adm + ["--budget", value])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("usage error: --budget must be a positive integer")
+        monkeypatch.setenv("LOCMODEL_BUDGET", value)
+        code, out = run(adm)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("usage error: LOCMODEL_BUDGET must be a positive")
+        # a valid --budget takes precedence over the environment
+        assert run(adm + ["--budget", "5"])[0] == 0
+
+    def test_unexpected_exception_is_four(self, monkeypatch, capsys):
+        def broken(params, budget=None, jobs=1):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setitem(cli._RUNNERS, "adm", broken)
+        code, out = run(["adm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"])
+        assert code == 4 and out == ""
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
 class TestReports:
     def test_adm_json_schema(self):
         code, out = run(

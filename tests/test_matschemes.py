@@ -86,6 +86,123 @@ class TestUnitary:
             unitary_points_direct(0, 0, 0, 3)
 
 
+def oracle_square_zero_ranks(n, p):
+    """The former direct scan: every symmetric matrix as int64, squared by
+    einsum, each square-zero one ranked by _rref."""
+    from locmodel.linalg import _rref
+    from locmodel.matschemes import _symmetric_batch
+
+    total, chunk, hist = p ** (n * (n + 1) // 2), 1 << 17, {}
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        batch = _symmetric_batch(n, p, idx)
+        sq = np.einsum("aij,ajk->aik", batch, batch) % p
+        for a in batch[~sq.any(axis=(1, 2))]:
+            _, pivots = _rref(a, p)
+            hist[len(pivots)] = hist.get(len(pivots), 0) + 1
+    return tuple(sorted(hist.items()))
+
+
+def oracle_invertible_symmetric_count(k, p):
+    """The former invertible count: one _rref per symmetric matrix."""
+    from locmodel.linalg import _rref
+    from locmodel.matschemes import _symmetric_batch
+
+    if k == 0:
+        return 1
+    idx = np.arange(p ** (k * (k + 1) // 2), dtype=np.int64)
+    return sum(len(_rref(a, p)[1]) == k for a in _symmetric_batch(k, p, idx))
+
+
+# every (n, p) with n <= 4, p in {2, 3, 5, 7} and p^(n(n+1)/2) <= 10^5
+SMALL = [(n, p) for n in (1, 2, 3, 4) for p in (2, 3, 5, 7) if p ** (n * (n + 1) // 2) <= 10**5]
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n,p", SMALL)
+    def test_scan_matches_oracle(self, n, p):
+        from locmodel.matschemes import _square_zero_scan
+
+        want = oracle_square_zero_ranks(n, p)
+        for chunk in (p ** (n * (n + 1) // 2) // 100, 1 << 17):
+            assert _square_zero_scan(n, p, chunk)[0] == want
+
+    @pytest.mark.parametrize("k,p", SMALL)
+    def test_invertible_matches_oracle(self, k, p):
+        from locmodel.matschemes import _invertible_symmetric_count
+
+        want = oracle_invertible_symmetric_count(k, p)
+        for chunk in (p ** (k * (k + 1) // 2) // 100, 1 << 17):
+            assert _invertible_symmetric_count(k, p, chunk=chunk) == want
+
+    def test_frozen_histogram_n4_p5(self):
+        from locmodel.matschemes import _square_zero_ranks
+
+        assert _square_zero_ranks(4, 5) == ((0, 1), (1, 144), (2, 1200))
+
+    @pytest.mark.parametrize(
+        "k,p,count", [(3, 3, 468), (3, 5, 12_400), (4, 3, 37_908), (3, 7, 100_548)]
+    )
+    def test_frozen_invertible_counts(self, k, p, count):
+        from locmodel.matschemes import _invertible_symmetric_count
+
+        assert _invertible_symmetric_count(k, p) == count
+
+    @pytest.mark.parametrize(
+        "n,p,chunk", [(1, 7, 1), (3, 3, 10), (4, 2, 1 << 17), (4, 3, 100), (3, 7, 1 << 17)]
+    )
+    def test_scan_tests_every_matrix(self, n, p, chunk):
+        from locmodel.matschemes import _square_zero_scan
+
+        assert _square_zero_scan(n, p, chunk)[1] == p ** (n * (n + 1) // 2)
+
+    def test_scan_is_independent_of_the_stratified_count(self):
+        # the scan reaches none of the stratified count's helpers
+        from locmodel import matschemes
+
+        stratified = {"_isotropic_subspace_count", "_invertible_symmetric_count",
+                      "enumerate_subspaces", "gaussian_binomial", "unitary_points_stratified"}
+        for fn in (matschemes._square_zero_scan, matschemes._upper_triangles, matschemes._assemble):
+            names = set(fn.__code__.co_names)
+            for const in fn.__code__.co_consts:
+                if hasattr(const, "co_names"):
+                    names |= set(const.co_names)
+            assert not names & stratified
+
+    def test_memory_bounded_by_chunk(self):
+        import tracemalloc
+
+        from locmodel.matschemes import _invertible_symmetric_count, _square_zero_scan
+
+        # 3^10 = 59049 matrices; one full int16 batch would take 59049 * 16 * 2 bytes
+        full = 3**10 * 16 * 2
+        for run in (
+            lambda: _square_zero_scan(4, 3, 3**5),
+            lambda: _invertible_symmetric_count(4, 3, chunk=3**5),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < full // 8
+
+    def test_budget_threads_into_both_counts(self):
+        assert unitary_points_direct(3, 1, 1, 3, budget=3**6).total == 9
+        with pytest.raises(BudgetExceeded):
+            unitary_points_direct(3, 1, 1, 3, budget=3**6 - 1)
+        # the budget is checked before the memoised histogram is consulted
+        unitary_points_direct(2, 1, 1, 5)
+        with pytest.raises(BudgetExceeded):
+            unitary_points_direct(2, 1, 1, 5, budget=5**3 - 1)
+        with pytest.raises(BudgetExceeded):
+            unitary_points_stratified(3, 3, 3, 7, budget=1000)
+        with pytest.raises(BudgetExceeded):
+            symplectic_P_points(1, 2, 3, "direct", budget=3**5 - 1)
+        assert symplectic_P_points(1, 2, 3, "direct", budget=3**5) == 27
+
+
 class TestSymplectic:
     @pytest.mark.parametrize("p", [2, 3])
     def test_degenerate_e1(self, p):
