@@ -58,7 +58,7 @@ def _spec(datum, params) -> ParahoricSpec:
     return ParahoricSpec(datum, frozenset(_ints(params["I"])))
 
 
-def _model(params, budget):
+def _model(params):
     datum = _datum(params)
     kind = datum.kind
     e = int(params["e"])
@@ -158,15 +158,15 @@ def _run_set(case, build, params):
     return _report(case, params, rows, {"predicted": None, "observed": len(rows)}, True, t0)
 
 
-def run_adm(params, budget=None, jobs=1):
+def run_adm(params, budget=None):
     return _run_set("adm", adm_set, params)
 
 
-def run_perm(params, budget=None, jobs=1):
+def run_perm(params, budget=None):
     return _run_set("perm", perm_set, params)
 
 
-def run_compare(params, budget=None, jobs=1):
+def run_compare(params, budget=None):
     t0 = time.monotonic()
     datum = _datum(params)
     spec = _spec(datum, params)
@@ -186,7 +186,7 @@ def run_compare(params, budget=None, jobs=1):
     return _report("compare-adm-perm", params, rows, totals, a == b, t0)
 
 
-def run_count(params, budget=None, jobs=1):
+def run_count(params, budget=None):
     t0 = time.monotonic()
     datum = _datum(params)
     spec = _spec(datum, params)
@@ -205,16 +205,16 @@ def _subspace_dump(sub):
     return [[int(x) for x in row] for row in sub.basis]
 
 
-def run_enumerate(params, budget=None, jobs=1):
+def run_enumerate(params, budget=None):
     t0 = time.monotonic()
-    model = _model(params, budget)
+    model = _model(params)
     what = params.get("points", "naive")
     rows = []
     if what == "naive":
-        pts = latmod.naive_points(model, budget=budget, jobs=jobs)
+        pts = latmod.naive_points(model, budget=budget)
         src = "latmod.naive_points"
     elif what == "canonical":
-        pts = latmod.canonical_points(model, budget=budget, jobs=jobs)
+        pts = latmod.canonical_points(model, budget=budget)
         src = "latmod.canonical_points"
     elif what == "splitting":
         pts = latmod.splitting_points(model, budget=budget)
@@ -234,15 +234,17 @@ def run_enumerate(params, budget=None, jobs=1):
     return _report(f"enumerate-{what}", params, rows, totals, True, t0)
 
 
-def run_verify_strata(params, budget=None, jobs=1):
-    t0 = time.monotonic()
-    model = _model(params, budget)
+def _classify(params, budget):
+    """Shared core of verify strata and verify symplectic: the model's
+    canonical points classified into the strata of adm(mu), one row per
+    stratum with its predicted and observed count.  Returns (adm set,
+    rows, totals, ok), ok when every stratum matches and no point is
+    unmatched."""
+    model = _model(params)
     q = model.field.p
     mu = _mu_from_model(model)
-    datum = mu.datum
-    spec = ParahoricSpec(datum, frozenset(model.I))
-    s = adm_set(spec, mu)
-    naive = list(latmod.naive_points(model, budget=budget, jobs=jobs))
+    s = adm_set(ParahoricSpec(mu.datum, frozenset(model.I)), mu)
+    naive = list(latmod.naive_points(model, budget=budget))
     canonical = [pt for pt in naive if latmod.has_splitting_flag(pt, budget=budget)]
     rep = latmod.classify_strata(canonical, s, model)
     observed = dict(rep.rows)
@@ -260,12 +262,18 @@ def run_verify_strata(params, budget=None, jobs=1):
         "canonical": len(canonical),
         "unmatched": rep.unmatched,
     }
+    return s, rows, totals, ok
+
+
+def run_verify_strata(params, budget=None):
+    t0 = time.monotonic()
+    _, rows, totals, ok = _classify(params, budget)
     return _report("verify-strata", params, rows, totals, ok, t0)
 
 
-def run_verify_torsor(params, budget=None, jobs=1):
+def run_verify_torsor(params, budget=None):
     t0 = time.monotonic()
-    model = _model(params, budget)
+    model = _model(params)
     rep = latmod.torsor_check(model, budget=budget)
     rows = [
         {
@@ -284,38 +292,21 @@ def run_verify_torsor(params, budget=None, jobs=1):
     return _report("verify-torsor", params, rows, totals, rep.passed, t0)
 
 
-def run_verify_symplectic(params, budget=None, jobs=1):
+def run_verify_symplectic(params, budget=None):
     t0 = time.monotonic()
     params = dict(params)
     params["group"] = "gsp"
-    model = _model(params, budget)
-    q = model.field.p
-    mu = _mu_from_model(model)
-    spec = ParahoricSpec(mu.datum, frozenset(model.I))
-    s = adm_set(spec, mu)
-    canonical = list(latmod.canonical_points(model, budget=budget, jobs=jobs))
-    rep = latmod.classify_strata(canonical, s, model)
-    observed = dict(rep.rows)
+    s, rows, counts, ok = _classify(params, budget)
     maximal = len(s.maximal_classes())
     # one maximal class is expected only at a special maximal parahoric
-    special = spec.I in (frozenset({0}), frozenset({mu.datum.n}))
-    ok = rep.unmatched == 0 and (maximal == 1 or not special)
-    rows = []
-    for c in sorted(s.classes, key=_class_sort_key):
-        pred = stratum_count(c, q)
-        obs = observed.get(c, 0)
-        ok = ok and pred == obs
-        rows.append(_class_row(c, predicted=pred, observed=obs, source="latmod.classify_strata"))
-    totals = {
-        "predicted": total_count(s, q),
-        "observed": len(canonical),
-        "unmatched": rep.unmatched,
-        "maximal_classes": maximal,
-    }
+    special = s.spec.I in (frozenset({0}), frozenset({s.spec.datum.n}))
+    ok = ok and (maximal == 1 or not special)
+    totals = {k: counts[k] for k in ("predicted", "observed", "unmatched")}
+    totals["maximal_classes"] = maximal
     return _report("verify-symplectic", params, rows, totals, ok, t0)
 
 
-def run_verify_matrix(params, budget=None, jobs=1):
+def run_verify_matrix(params, budget=None):
     t0 = time.monotonic()
     p = int(params["p"])
     if params.get("n") is not None:
@@ -397,7 +388,7 @@ def parse_manifest(text):
     return cases
 
 
-def run_suite(manifest_path, budget=None, jobs=1, out_dir=None):
+def run_suite(manifest_path, budget=None, out_dir=None):
     with open(manifest_path) as fh:
         cases = parse_manifest(fh.read())
     reports = []
@@ -406,7 +397,7 @@ def run_suite(manifest_path, budget=None, jobs=1, out_dir=None):
         params = {k: v for k, v in block.items() if k != "case" and not k.startswith("expect_")}
         if "iwahori" in params:
             params["iwahori"] = params["iwahori"].lower() in ("1", "true", "yes")
-        report = _RUNNERS[block["case"]](params, budget=budget, jobs=jobs)
+        report = _RUNNERS[block["case"]](params, budget=budget)
         for key, value in block.items():
             if key.startswith("expect_"):
                 field = key[len("expect_"):]
@@ -498,7 +489,6 @@ def _add_common(sp, model=False, mu=False, need_p=False):
     sp.add_argument("--I")
     sp.add_argument("--iwahori", action="store_true")
     sp.add_argument("--format", default="text", choices=["json", "csv", "text"])
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--budget", type=int)
     if model:
         sp.add_argument("--e", type=int, required=True)
@@ -542,7 +532,6 @@ def build_parser():
     sp.add_argument("manifest")
     sp.add_argument("--out")
     sp.add_argument("--format", default="json", choices=["json", "csv", "text"])
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--budget", type=int)
     return parser
 
@@ -593,11 +582,10 @@ def main(argv=None, stream=None):
         budget = _budget(_parser(), args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    jobs = getattr(args, "jobs", 1) or 1
 
     try:
         if args.command == "run-suite":
-            aggregate = run_suite(args.manifest, budget=budget, jobs=jobs, out_dir=args.out)
+            aggregate = run_suite(args.manifest, budget=budget, out_dir=args.out)
             if args.format == "json":
                 stream.write(json.dumps(aggregate, indent=2) + "\n")
             else:
@@ -609,9 +597,9 @@ def main(argv=None, stream=None):
         params = {
             k: v
             for k, v in vars(args).items()
-            if k not in ("command", "verify_what", "format", "jobs", "budget")
+            if k not in ("command", "verify_what", "format", "budget")
         }
-        report = _RUNNERS[name](params, budget=budget, jobs=jobs)
+        report = _RUNNERS[name](params, budget=budget)
         emit(report, args.format, stream)
         return 0 if report["pass"] else 1
     except BudgetExceeded as exc:

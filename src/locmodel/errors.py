@@ -51,10 +51,6 @@ class SignatureCollision(ArtifactError):
     pass
 
 
-class UnmatchedPoint(ArtifactError):
-    pass
-
-
 class ManifestParseError(ArtifactError):
     pass
 

@@ -280,63 +280,21 @@ class FlagPoint:
         return hash(self.as_tuple())
 
 
-def _candidate_filter(model: ChainModel, lagrangian, budget, pivot_sets=None):
-    cands = []
-    for s in linalg.enumerate_subspaces(
-        model.dim, model.rank, model.field, budget=budget, pivot_sets=pivot_sets
-    ):
-        if not linalg.stable_under(s, model.N):
-            continue
-        if lagrangian and linalg.perp(s, model.gram[0]) != s:
-            continue
-        cands.append(s)
-    return cands
-
-
-def _candidate_worker(args):
-    return [s.basis for s in _candidate_filter(*args)]
-
-
-def _slot_candidates(model: ChainModel, budget, jobs=1):
+def _slot_candidates(model: ChainModel, budget):
     """Per independent slot label, in order, the N-stable subspaces of the right rank.
 
     The independent labels are the slots for GL and I for GSp; F_{-i} is
     the pairing annihilator of F_i (forced by the ranks), and F_0 must
-    annihilate itself.  That is the only way a label enters, so each
-    distinct list is built once.  With jobs > 1 the enumeration is
-    partitioned by pivot-column set across a process pool; chunks are
-    reassembled in order, so the output is identical to the serial run.
+    annihilate itself.  That is the only way a label enters, so the
+    stable subspaces are generated once and shared by the labels.
     """
-    labels = model.slots if model.kind == "GL" else model.I
-    keys = [model.kind == "GSp" and label == 0 for label in labels]
-    if jobs <= 1:
-        built = {key: _candidate_filter(model, key, budget) for key in set(keys)}
-        return [built[key] for key in keys]
-    import concurrent.futures
-
-    pivots = list(itertools.combinations(range(model.dim), model.rank))
-    chunks = [pivots[k::jobs] for k in range(jobs)]
-    order = {piv: k for k, piv in enumerate(pivots)}
-    built = {}
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for key in set(keys):
-            results = pool.map(
-                _candidate_worker,
-                [(model, key, budget, chunk) for chunk in chunks],
-            )
-            cands = [
-                Subspace(model.field, model.dim, basis)
-                for part in results
-                for basis in part
-            ]
-            # restore the canonical lexicographic stream order
-            cands.sort(key=lambda s: (order[tuple(_pivot_cols(s))], s.basis.tobytes()))
-            built[key] = cands
-    return [built[key] for key in keys]
-
-
-def _pivot_cols(s: Subspace):
-    return [int(np.argmax(row != 0)) for row in s.basis]
+    stable = linalg.stable_subspaces(model.N, model.rank, budget)
+    if model.kind == "GL":
+        return [stable] * len(model.slots)
+    return [
+        [s for s in stable if linalg.perp(s, model.gram[0]) == s] if i == 0 else stable
+        for i in model.I
+    ]
 
 
 def _chains(maps, cands):
@@ -384,14 +342,14 @@ def _points(model: ChainModel, maps, cands, grams):
             yield ChainPoint(model, chosen)
 
 
-def naive_points(model: ChainModel, budget=None, jobs=1):
+def naive_points(model: ChainModel, budget=None):
     """Yield every F_p-point of the naive special fiber.
 
     Rank, Pi-stability, transition/wrap compatibility (and for GSp the
     pairing condition F_{-i} = F_i^perp) are tested; the determinant
     condition is automatic at field points and not re-tested.
     """
-    cands = _slot_candidates(model, budget, jobs)
+    cands = _slot_candidates(model, budget)
     yield from _points(model, model.T + [model.T_wrap], cands, model.gram)
 
 
@@ -483,9 +441,9 @@ def splitting_points(model: ChainModel, budget=None):
             yield FlagPoint(model, flags)
 
 
-def canonical_points(model: ChainModel, budget=None, jobs=1):
+def canonical_points(model: ChainModel, budget=None):
     """Naive points admitting a splitting flag (the flat-closure points)."""
-    for pt in naive_points(model, budget=budget, jobs=jobs):
+    for pt in naive_points(model, budget=budget):
         if has_splitting_flag(pt, budget=budget):
             yield pt
 

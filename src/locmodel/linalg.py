@@ -5,8 +5,8 @@ Subspaces are row spaces canonicalized to reduced row echelon form
 (RREF), so equality and hashing are structural and O(1)-comparable.
 ``enumerate_subspaces`` streams every k-dimensional subspace of F_p^n
 exactly once, ordered lexicographically by pivot-column set and then
-by free entries; the stream can be partitioned by pivot set for
-independent workers.
+by free entries; ``stable_subspaces`` generates the subspaces stable
+under a nilpotent operator and returns them in that same order.
 """
 
 from __future__ import annotations
@@ -270,13 +270,12 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(n, k, field, budget=None, pivot_sets=None):
+def enumerate_subspaces(n, k, field, budget=None):
     """Yield every k-dimensional subspace of F_p^n exactly once.
 
     Order: lexicographic on pivot-column sets, then lexicographic on
-    the free entries (row-major, last entry fastest).  ``pivot_sets``
-    restricts to a subset of pivot-column sets so disjoint partitions
-    can be enumerated by independent workers.
+    the free entries (row-major, last entry fastest); ``_order_key``
+    sorts into it.
 
     Raises BudgetExceeded if the total count exceeds the budget
     (default 10^7 subspaces).
@@ -288,10 +287,7 @@ def enumerate_subspaces(n, k, field, budget=None, pivot_sets=None):
     if total > limit:
         raise BudgetExceeded(f"{total} subspaces of dim {k} in F_{field.p}^{n} exceeds budget {limit}")
     p = field.p
-    if pivot_sets is None:
-        pivot_sets = itertools.combinations(range(n), k)
-    for piv in pivot_sets:
-        piv = tuple(piv)
+    for piv in itertools.combinations(range(n), k):
         base = np.zeros((k, n), dtype=np.int64)
         for i, c in enumerate(piv):
             base[i, c] = 1
@@ -335,3 +331,41 @@ def subspaces_between(a: Subspace, b: Subspace, k: int, budget=None):
         lifted = (w.basis @ comp) % a.field.p
         rows = np.vstack([a.basis, lifted.reshape(-1, a.ambient_dim)])
         yield Subspace.from_rows(a.field, a.ambient_dim, rows)
+
+
+def _order_key(s: Subspace):
+    """Sort key of the enumerate_subspaces order: the pivot columns, then
+    the free entries, which the RREF bytes compare in row-major order."""
+    return tuple((s.basis != 0).argmax(axis=1).tolist()), s.basis.tobytes()
+
+
+def stable_subspaces(N: FieldMatrix, k: int, budget=None) -> list:
+    """Every k-dimensional subspace stable under the nilpotent N, in
+    enumerate_subspaces order.
+
+    A stable V of dimension d has the stable image U = N(V), of smaller
+    dimension as N is nilpotent, with U <= V <= N^-1(U) and U <= N(F_p^n).
+    So level d is built from the levels below it: for each stable U inside
+    the image of N, the V between U and N^-1(U) with N(V) = U, which
+    yields each V once.  Every V examined, over all levels, counts against
+    one budget (default DEFAULT_BUDGET); BudgetExceeded is raised past it.
+    """
+    n, p = N.rows, N.field.p
+    if not 0 <= k <= n:
+        raise DimensionMismatch(f"need 0 <= k <= n, got k={k}, n={n}")
+    limit = DEFAULT_BUDGET if budget is None else budget
+    examined = 0
+    im = image(N, Subspace.full(N.field, n))
+    pairs = []  # (U, N^-1(U)) for every stable U <= im of dimension < d
+    level = [Subspace.zero(N.field, n)]
+    for d in range(1, k + 1):
+        pairs += [(u, preimage(N, u)) for u in level if u.leq(im)]
+        level = []
+        for u, pre in pairs:
+            examined += gaussian_binomial(pre.dim - u.dim, d - u.dim, p)
+            if examined > limit:
+                raise BudgetExceeded(
+                    f"over {limit} subspaces examined for N-stable ones of dim {k} in F_{p}^{n}"
+                )
+            level += [v for v in subspaces_between(u, pre, d, budget=limit) if image(N, v) == u]
+    return sorted(level, key=_order_key)

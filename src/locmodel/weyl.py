@@ -489,10 +489,6 @@ class ParahoricSpec:
         return [j for j in self.datum.simple_indices if j not in self.I]
 
 
-def parahoric_spec(datum: RootDatum, I) -> ParahoricSpec:
-    return ParahoricSpec(datum, frozenset(I))
-
-
 def parahoric_generators(spec: ParahoricSpec):
     return [simple_reflection(spec.datum, j) for j in spec.generator_indices]
 

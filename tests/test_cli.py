@@ -5,6 +5,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locmodel import cli
 from locmodel.cli import main, parse_manifest
@@ -93,14 +94,101 @@ class TestExitCodes:
         # a valid --budget takes precedence over the environment
         assert run(adm + ["--budget", "5"])[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "naive", "--group", "gl", "--d", "2", "--e", "2", "--r", "1,1",
+             "--I", "0", "--p", "2", "--jobs", "2"],
+            ["run-suite", "suite.txt", "--jobs", "2"],
+        ],
+    )
+    def test_jobs_is_usage_error(self, argv, capsys):
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --jobs 2")
+
     def test_unexpected_exception_is_four(self, monkeypatch, capsys):
-        def broken(params, budget=None, jobs=1):
+        def broken(params, budget=None):
             raise RuntimeError("boom\nsecond line")
 
         monkeypatch.setitem(cli._RUNNERS, "adm", broken)
         code, out = run(["adm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"])
         assert code == 4 and out == ""
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+_GROUP = ("--group", "--d", "--g", "--I", "--iwahori")
+_MODEL = _GROUP + ("--e", "--r", "--p")
+_FLAGS = {
+    ("adm",): _GROUP + ("--mu",),
+    ("perm",): _GROUP + ("--mu",),
+    ("compare-adm-perm",): _GROUP + ("--mu",),
+    ("count",): _GROUP + ("--mu", "--p"),
+    **{("enumerate", w): _MODEL + ("--l",)
+       for w in ("naive", "splitting", "canonical", "unramified")},
+    **{("verify", w): _MODEL for w in ("strata", "torsor", "symplectic")},
+    ("verify", "matrix"): ("--n", "--r", "--s", "--g", "--e", "--p"),
+}
+# values that the CLI must reject, one list per flag
+_BAD = {
+    "--group": ["gu"],
+    "--d": ["0", "-1"],
+    "--g": ["0"],
+    "--I": ["x", "5"],
+    "--iwahori": [None],  # takes no value
+    "--mu": ["a", "1"],
+    "--e": ["0"],
+    "--r": ["3,3", "x"],
+    "--p": ["1", "4"],
+    "--l": ["0", "9"],
+    "--n": ["0"],
+    "--s": ["-1"],
+}
+
+
+def _csv(values):
+    return ",".join(str(v) for v in values)
+
+
+@st.composite
+def command_lines(draw):
+    """A random small command line under a small --budget.  The values
+    mostly fit together; about one flag in twelve that its subcommand
+    takes is left out, and as many get a value from _BAD."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    gsp = draw(st.booleans())
+    n = draw(st.integers(1, 2 if gsp else 3))
+    e = draw(st.integers(1, 3))
+    labels = range(n + 1) if gsp else range(n)
+    fitting = {
+        "--group": "gsp" if gsp else "gl",
+        "--d": str(n),
+        "--g": str(n),
+        "--I": _csv(draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))),
+        "--iwahori": None,
+        "--mu": _csv(sorted(draw(st.lists(st.integers(0, 2), min_size=n + gsp, max_size=n + gsp)))[::-1]),
+        "--e": str(e),
+        "--r": _csv(draw(st.integers(0, n)) for _ in range(1 if command[-1] == "matrix" else e)),
+        "--p": str(draw(st.sampled_from([2, 3, 5]))),
+        "--l": str(draw(st.integers(1, e))),
+        "--n": str(n),
+        "--s": str(draw(st.integers(0, n))),
+    }
+    argv = list(command)
+    for flag in _FLAGS[command]:
+        choice = draw(st.integers(0, 11))
+        if choice == 0:
+            continue
+        value = draw(st.sampled_from(_BAD[flag])) if choice == 1 else fitting[flag]
+        argv += [flag] if value is None else [flag, value]
+    return argv + ["--budget", str(draw(st.integers(1, 40)))]
+
+
+class TestExitCodeContract:
+    @settings(max_examples=200, deadline=None)
+    @given(command_lines())
+    def test_exit_code_is_documented(self, argv):
+        assert main(argv, stream=io.StringIO()) in (0, 1, 2, 3, 4)
 
 
 class TestReports:
@@ -181,14 +269,6 @@ class TestReports:
             del rep["elapsed_ms"]
             reports.append(rep)
         assert reports[0] == reports[1]
-
-    def test_jobs_match_serial(self):
-        argv = ["enumerate", "naive", "--group", "gl", "--d", "2", "--e", "2",
-                "--r", "1,1", "--I", "0", "--p", "2", "--format", "json"]
-        _, serial = run(argv)
-        _, parallel = run(argv + ["--jobs", "2"])
-        a, b = json.loads(serial), json.loads(parallel)
-        assert a["rows"] == b["rows"]
 
 
 class TestSymplecticLevels:

@@ -17,6 +17,7 @@ from locmodel.admissible import DoubleCoset, adm_set, stratum_count, total_count
 from locmodel.errors import (
     ArtifactError,
     BadRanks,
+    BudgetExceeded,
     ChainInvariantError,
     IncompatibleElement,
     SingularGram,
@@ -57,6 +58,21 @@ def product_filter(slots, maps, cands):
         links = zip(maps, combo, combo[1:] + combo[:1])
         if all(linalg.image(f, a).leq(b) for f, a, b in links):
             yield dict(zip(slots, combo))
+
+
+def grassmannian_filter(model, lagrangian, rank=None):
+    """The former slot-candidate path, kept as the reference: every
+    subspace of the Grassmannian, in enumeration order, that N maps into
+    itself (and, for the GSp key at 0, that annihilates itself)."""
+    rank = model.rank if rank is None else rank
+    cands = []
+    for s in linalg.enumerate_subspaces(model.dim, rank, model.field):
+        if not linalg.stable_under(s, model.N):
+            continue
+        if lagrangian and linalg.perp(s, model.gram[0]) != s:
+            continue
+        cands.append(s)
+    return cands
 
 
 def gsp_product_filter(model):
@@ -165,8 +181,8 @@ class TestNaive:
         got = [pt.subspaces for pt in naive_points(model)]
         assert got == expected
         assert [list(s) for s in got] == [list(s) for s in expected]
-        # the slots share one candidate list, equal to a fresh filter
-        assert all(c == latmod._candidate_filter(model, False, None) for c in cands)
+        # the slots share one candidate list, equal to the Grassmannian filter
+        assert all(c == grassmannian_filter(model, False) for c in cands)
 
     @pytest.mark.parametrize(
         "e,I,p", [(2, {0}, 3), (2, {1}, 3), (2, {0, 1}, 3), (2, {0, 1}, 5), (3, {0, 1}, 2)]
@@ -177,6 +193,64 @@ class TestNaive:
         expected = list(gsp_product_filter(model))
         assert got == expected
         assert [list(s) for s in got] == [list(s) for s in expected]
+
+
+class TestStableSubspaces:
+    """stable_subspaces against the Grassmannian filter: the same list in
+    the same order (Subspace equality compares the RREF key)."""
+
+    @pytest.mark.parametrize(
+        "kind,size,e,I,p,r_vec",
+        [
+            ("GL", 2, 2, {0}, 2, (1, 1)),
+            ("GL", 2, 2, {0}, 3, (1, 1)),
+            ("GL", 2, 2, {0}, 5, (1, 1)),
+            ("GL", 2, 2, {0}, 3, (2, 0)),
+            ("GL", 2, 3, {0, 1}, 2, (1, 1, 0)),
+            ("GL", 3, 2, {0}, 2, (1, 1)),
+            ("GL", 3, 2, {0}, 2, (2, 1)),
+            ("GL", 3, 1, {0, 1, 2}, 5, (1,)),
+            ("GL", 4, 2, {0}, 2, (1, 1)),
+            ("GSp", 1, 2, {0, 1}, 3, None),
+            ("GSp", 1, 2, {0}, 5, None),
+            ("GSp", 1, 3, {0}, 2, None),
+            ("GSp", 2, 1, {0, 1, 2}, 2, None),
+            ("GSp", 2, 1, {0, 2}, 3, None),
+            ("GSp", 2, 1, {1}, 5, None),
+        ],
+        ids=str,
+    )
+    def test_slot_candidates_equal_filter(self, kind, size, e, I, p, r_vec):
+        model = build_model(kind, size, e, I, p, r_vec)
+        got = latmod._slot_candidates(model, None)
+        labels = model.slots if kind == "GL" else model.I
+        keys = [kind == "GSp" and label == 0 for label in labels]
+        assert got == [grassmannian_filter(model, key) for key in keys]
+
+    @pytest.mark.parametrize(
+        "kind,size,e,p,r_vec",
+        [
+            ("GL", 2, 2, 3, (1, 1)),
+            ("GL", 2, 3, 2, (1, 1, 0)),
+            ("GL", 3, 2, 2, (1, 1)),
+            ("GSp", 1, 2, 3, None),
+        ],
+        ids=str,
+    )
+    def test_every_dimension(self, kind, size, e, p, r_vec):
+        model = build_model(kind, size, e, {0}, p, r_vec)
+        for k in range(model.dim + 1):
+            assert linalg.stable_subspaces(model.N, k) == grassmannian_filter(model, False, k)
+
+    def test_cumulative_budget(self):
+        # GL(2) e=2 p=2: 3 lines in ker N, then 1 + 3 * 3 planes are
+        # examined; no single subspaces_between call goes over 3.
+        model = gl2_model(2)
+        assert len(linalg.stable_subspaces(model.N, 2, budget=13)) == 7
+        with pytest.raises(BudgetExceeded):
+            linalg.stable_subspaces(model.N, 2, budget=12)
+        with pytest.raises(BudgetExceeded):
+            list(naive_points(model, budget=3))
 
 
 class TestSplitting:

@@ -200,17 +200,6 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded):
             list(enumerate_subspaces(6, 3, F5, budget=10))
 
-    def test_partitioned_enumeration_is_a_partition(self):
-        import itertools
-
-        all_sets = list(itertools.combinations(range(4), 2))
-        merged = []
-        for piv in all_sets:
-            merged.extend(enumerate_subspaces(4, 2, F2, pivot_sets=[piv]))
-        assert sorted(s._key for s in merged) == sorted(
-            s._key for s in enumerate_subspaces(4, 2, F2)
-        )
-
     def test_deterministic_order(self):
         a = [s._key for s in enumerate_subspaces(4, 2, F3)]
         b = [s._key for s in enumerate_subspaces(4, 2, F3)]
