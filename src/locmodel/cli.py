@@ -3,10 +3,11 @@
 Subcommands: adm, perm, compare-adm-perm, count, enumerate,
 verify strata|torsor|symplectic|matrix, run-suite.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error (a --budget
-or LOCMODEL_BUDGET that is not a positive integer included), 3 budget
-exceeded, 4 unexpected internal error (one line on stderr, no
-traceback).  The report schema is
+Exit codes: 0 pass, 1 verification failure (two standard points with
+one signature included), 2 usage error (a --budget or LOCMODEL_BUDGET
+that is not a positive integer, and a manifest block lacking a parameter
+its case needs, included), 3 budget exceeded, 4 unexpected internal
+error (one line on stderr, no traceback).  The report schema is
 {case, params, rows:[{w:{word, omega, translation, finite}, length,
 predicted, observed, source}], totals, pass, elapsed_ms}; CSV mirrors
 the rows, text is a human-readable table.  Output is deterministic for
@@ -24,7 +25,7 @@ import os
 import sys
 import time
 
-from .errors import ArtifactError, BudgetExceeded, ManifestParseError, PoolBoundViolation
+from .errors import ArtifactError, BudgetExceeded, ManifestParseError, PoolBoundViolation, SignatureCollision
 from .weyl import Coweight, ParahoricSpec, RootDatum, length, reduced_word, translation
 from .admissible import adm_set, perm_set, stratum_count, total_count
 from . import latmod, matschemes
@@ -388,16 +389,25 @@ def parse_manifest(text):
     return cases
 
 
+def _block_params(block):
+    """The runner parameters of a manifest block."""
+    params = {k: v for k, v in block.items() if k != "case" and not k.startswith("expect_")}
+    if "iwahori" in params:
+        params["iwahori"] = params["iwahori"].lower() in ("1", "true", "yes")
+    return params
+
+
 def run_suite(manifest_path, budget=None, out_dir=None):
     with open(manifest_path) as fh:
         cases = parse_manifest(fh.read())
+    for i, block in enumerate(cases):  # before any case runs
+        problem = _missing(block["case"], _block_params(block))
+        if problem:
+            raise ManifestParseError(f"block {i + 1} ({block['case']}): {problem}")
     reports = []
     ok = True
     for i, block in enumerate(cases):
-        params = {k: v for k, v in block.items() if k != "case" and not k.startswith("expect_")}
-        if "iwahori" in params:
-            params["iwahori"] = params["iwahori"].lower() in ("1", "true", "yes")
-        report = _RUNNERS[block["case"]](params, budget=budget)
+        report = _RUNNERS[block["case"]](_block_params(block), budget=budget)
         for key, value in block.items():
             if key.startswith("expect_"):
                 field = key[len("expect_"):]
@@ -482,7 +492,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"usage error: {message}\n")
 
 
-def _add_common(sp, model=False, mu=False, need_p=False):
+# the options each case requires; _missing checks the rest
+_REQUIRED = {
+    **dict.fromkeys(("adm", "perm", "compare-adm-perm"), ("mu",)),
+    "count": ("mu", "p"),
+    **dict.fromkeys(("enumerate", "verify-strata", "verify-torsor", "verify-symplectic"), ("e", "p")),
+    "verify-matrix": ("p",),
+}
+
+
+def _add_common(sp, case):
+    need = _REQUIRED[case]
     sp.add_argument("--group", default="gl", choices=["gl", "gsp"])
     sp.add_argument("--d", type=int)
     sp.add_argument("--g", type=int)
@@ -490,12 +510,12 @@ def _add_common(sp, model=False, mu=False, need_p=False):
     sp.add_argument("--iwahori", action="store_true")
     sp.add_argument("--format", default="text", choices=["json", "csv", "text"])
     sp.add_argument("--budget", type=int)
-    if model:
+    if "e" in need:
         sp.add_argument("--e", type=int, required=True)
         sp.add_argument("--r")
-    if mu:
+    if "mu" in need:
         sp.add_argument("--mu", required=True)
-    if need_p:
+    if "p" in need:
         sp.add_argument("--p", type=int, required=True)
 
 
@@ -503,26 +523,19 @@ def build_parser():
     parser = _Parser(prog="locmodel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("adm", "perm", "compare-adm-perm"):
-        sp = sub.add_parser(name)
-        _add_common(sp, mu=True)
-    sp = sub.add_parser("count")
-    _add_common(sp, mu=True, need_p=True)
+    for name in ("adm", "perm", "compare-adm-perm", "count"):
+        _add_common(sub.add_parser(name), name)
     sp = sub.add_parser("enumerate")
     sp.add_argument("points", choices=["naive", "splitting", "canonical", "unramified"])
-    _add_common(sp, model=True, need_p=True)
+    _add_common(sp, "enumerate")
     sp.add_argument("--l", type=int)
 
     vp = sub.add_parser("verify")
     vsub = vp.add_subparsers(dest="verify_what", required=True)
-    sp = vsub.add_parser("strata")
-    _add_common(sp, model=True, need_p=True)
-    sp = vsub.add_parser("torsor")
-    _add_common(sp, model=True, need_p=True)
-    sp = vsub.add_parser("symplectic")
-    _add_common(sp, model=True, need_p=True)
+    for what in ("strata", "torsor", "symplectic"):
+        _add_common(vsub.add_parser(what), f"verify-{what}")
     sp = vsub.add_parser("matrix")
-    _add_common(sp, need_p=True)
+    _add_common(sp, "verify-matrix")
     sp.add_argument("--n", type=int)
     sp.add_argument("--r", type=int)
     sp.add_argument("--s", type=int)
@@ -536,21 +549,25 @@ def build_parser():
     return parser
 
 
-def _check_args(parser, args):
-    """Reject, as a usage error, a command line lacking what its runner needs."""
-    what = getattr(args, "verify_what", None)
-    if what == "matrix":
-        need = ("n", "r", "s") if args.n is not None else ("g", "e")
-        if any(getattr(args, k) is None for k in need):
-            parser.error("verify matrix needs --n, --r and --s, or --g and --e")
-    elif args.command != "run-suite":
-        size = "g" if what == "symplectic" or args.group == "gsp" else "d"
-        if getattr(args, size) is None:
-            parser.error(f"need --{size} for this group")
-        if args.I is None and not args.iwahori:
-            parser.error("need --I or --iwahori")
-        if getattr(args, "points", None) == "unramified" and args.l is None:
-            parser.error("enumerate unramified needs --l")
+def _missing(case, params):
+    """The usage message for parameters lacking what the runner of case
+    needs, or None.  The command line and manifest blocks share it."""
+    absent = [f"--{k}" for k in _REQUIRED[case] if params.get(k) is None]
+    if absent:
+        return "the following arguments are required: " + ", ".join(absent)
+    if case == "verify-matrix":
+        need = ("n", "r", "s") if params.get("n") is not None else ("g", "e")
+        bad = any(params.get(k) is None for k in need)
+        return "verify matrix needs --n, --r and --s, or --g and --e" if bad else None
+    gsp = case == "verify-symplectic" or str(params.get("group", "gl")).lower() == "gsp"
+    size = "g" if gsp else "d"
+    if params.get(size) is None:
+        return f"need --{size} for this group"
+    if params.get("I") is None and not params.get("iwahori"):
+        return "need --I or --iwahori"
+    if params.get("points") == "unramified" and params.get("l") is None:
+        return "enumerate unramified needs --l"
+    return None
 
 
 def _budget(parser, args):
@@ -578,7 +595,10 @@ def main(argv=None, stream=None):
     stream = stream or sys.stdout
     try:
         args = _parser().parse_args(argv)
-        _check_args(_parser(), args)
+        name = args.command if args.command != "verify" else f"verify-{args.verify_what}"
+        problem = name in _REQUIRED and _missing(name, vars(args))
+        if problem:
+            _parser().error(problem)
         budget = _budget(_parser(), args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
@@ -593,7 +613,6 @@ def main(argv=None, stream=None):
                     emit(rep, args.format, stream)
             return 0 if aggregate["pass"] else 1
 
-        name = args.command if args.command != "verify" else f"verify-{args.verify_what}"
         params = {
             k: v
             for k, v in vars(args).items()
@@ -605,7 +624,7 @@ def main(argv=None, stream=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except PoolBoundViolation as exc:
+    except (PoolBoundViolation, SignatureCollision) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except ManifestParseError as exc:

@@ -26,13 +26,14 @@ and is therefore documented here rather than tested per point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     BadRanks,
+    BudgetExceeded,
     ChainInvariantError,
     IncompatibleElement,
     SignatureCollision,
@@ -41,7 +42,7 @@ from .errors import (
 )
 from . import linalg
 from .linalg import Field, FieldMatrix, Subspace
-from .weyl import RootDatum, WeylElement, kappa
+from .weyl import WeylElement
 
 # ---------------------------------------------------------------------------
 # model construction
@@ -115,6 +116,40 @@ class ChainModel:
         if self.kind == "GL":
             return sum(self.r_vec[:j])
         return j * self.n
+
+    @cached_property
+    def signature_plan(self):
+        """Per slot t, one (columns, offset) pair per entry (t', n) of
+        signature, in its order: the columns (m, j) of M_t with
+        a_m + j < a'_m + n, and the number of coordinates of
+        Pi^e Lambda_t inside Pi^n Lambda_{t'} (a, a' the exponents of
+        Lambda_t, Lambda_{t'}; the ambient ends at Pi^e Lambda_min)."""
+        bottom = {sym: a + self.e for sym, a in self.slot_basis[self.slots[0]]}
+        plan = []
+        for t in self.slots:
+            basis = self.slot_basis[t]
+            row = []
+            for t2 in self.slots:
+                exps = dict(self.slot_basis[t2])
+                for n in range(-1, self.e + 1):
+                    cols = tuple(
+                        self.coord(m, j)
+                        for m, (sym, a) in enumerate(basis)
+                        for j in range(self.e)
+                        if a + j < exps[sym] + n
+                    )
+                    offset = sum(
+                        max(0, bottom[sym] - max(a + self.e, exps[sym] + n))
+                        for sym, a in basis
+                    )
+                    row.append((cols, offset))
+            plan.append(row)
+        return plan
+
+    @cached_property
+    def level_memo(self):
+        """The options of _level_options, keyed on (F^{j+1}, j)."""
+        return {}
 
     def _pi_matrix(self):
         a = np.zeros((self.dim, self.dim), dtype=np.int64)
@@ -320,26 +355,45 @@ def _extend(maps, cands, images, chain, t, below):
             yield tuple(chain)
 
 
-def _compatible(maps, chain):
-    """The transition and wrap conditions of _chains for one chain."""
-    return any(_chains(maps, [[s] for s in chain]))
-
-
-def _points(model: ChainModel, maps, cands, grams):
+def _points(model: ChainModel, maps, cands, grams, budget=None):
     """Chain points, in product order, with the subspaces of the independent
     labels (slots for GL, I for GSp) drawn from cands.  A GSp F_{-i} is the
-    annihilator of F_i under grams[i], N-stable as N is adjoint for it."""
+    annihilator of F_i under grams[i], N-stable as N is adjoint for it; the
+    GSp labels are chosen one by one, each link checked once both its ends
+    are, and every combination tried counts against the budget."""
     if model.kind == "GL":
         for chain in _chains(maps, cands):
             yield ChainPoint(model, dict(zip(model.slots, chain)))
         return
-    for combo in itertools.product(*cands):
-        chosen = dict(zip(model.I, combo))
-        for i in model.I:
-            if i > 0:
-                chosen[-i] = linalg.perp(chosen[i], grams[i])
-        if _compatible(maps, [chosen[t] for t in model.slots]):
-            yield ChainPoint(model, chosen)
+    slots = model.slots
+    step = {t: model.I.index(abs(t)) for t in slots}
+    links = [[] for _ in model.I]  # link k maps slots[k] into the next slot
+    for k, (a, b) in enumerate(zip(slots, slots[1:] + slots[:1])):
+        links[max(step[a], step[b])].append((maps[k], a, b))
+    choices = [
+        [{i: c} if i == 0 else {i: c, -i: linalg.perp(c, grams[i])} for c in opts]
+        for i, opts in zip(model.I, cands)
+    ]
+    limit = linalg.DEFAULT_BUDGET if budget is None else budget
+    yield from _extend_labels(model, choices, links, {}, 0, [0, limit])
+
+
+def _extend_labels(model, choices, links, chosen, s, tried):
+    """Extend chosen by each choice of {F_i, F_{-i}} for the s-th label i
+    of I whose links[s] hold; tried = [combinations tried, budget]."""
+    for sub in choices[s]:
+        tried[0] += 1
+        if tried[0] > tried[1]:
+            raise BudgetExceeded(f"over {tried[1]} slot combinations tried for {model!r}")
+        chosen.update(sub)
+        if all(linalg.image(f, chosen[a]).leq(chosen[b]) for f, a, b in links[s]):
+            if s + 1 < len(choices):
+                yield from _extend_labels(model, choices, links, chosen, s + 1, tried)
+            else:  # keys in the order I, then -i for i > 0
+                order = list(model.I) + [-i for i in model.I if i > 0]
+                yield ChainPoint(model, {t: chosen[t] for t in order})
+        for t in sub:
+            del chosen[t]
 
 
 def naive_points(model: ChainModel, budget=None):
@@ -350,45 +404,65 @@ def naive_points(model: ChainModel, budget=None):
     condition is automatic at field points and not re-tested.
     """
     cands = _slot_candidates(model, budget)
-    yield from _points(model, model.T + [model.T_wrap], cands, model.gram)
+    yield from _points(model, model.T + [model.T_wrap], cands, model.gram, budget)
 
 
 # ---------------------------------------------------------------------------
 # splitting flags
 
 
+def _level_options(model: ChainModel, upper, j, budget):
+    """The candidates for F^j under F^{j+1} = upper: the subspaces of rank
+    level_rank(j) between N(upper) and upper with dim N(F^j) <=
+    level_rank(j-1), and N(F^1) = 0 at the bottom.  They depend on no slot,
+    so they are memoised per model on (upper, j)."""
+    opts = model.level_memo.get((upper, j))
+    if opts is None:
+        lower = linalg.image(model.N, upper)
+        target = model.level_rank(j)
+        opts = []
+        if lower.dim <= target:
+            for cand in linalg.subspaces_between(lower, upper, target, budget=budget):
+                img = linalg.image(model.N, cand)
+                if img.dim > model.level_rank(j - 1):
+                    continue  # pruning: N(F^j) must fit in F^{j-1}
+                if j == 1 and img.dim > 0:
+                    continue
+                opts.append(cand)
+        model.level_memo[(upper, j)] = opts
+    return opts
+
+
 def _level_ok(model: ChainModel, j, level):
-    """Check the per-level conditions for a full slot assignment at level j."""
-    if not _compatible(model.T + [model.T_wrap], [level[t] for t in model.slots]):
-        return False
-    if model.kind == "GSp" and j < model.e:
-        npow = FieldMatrix.identity(model.field, model.dim)
-        for _ in range(model.e - j):
-            npow = model.N @ npow
-        for i in model.I:
-            a, b = level[i], level[-i]
-            g = model.gram[i]
-            prod = (a.basis @ g.array % model.field.p) @ b.basis.T % model.field.p
-            if prod.any():  # mutual isotropy under the chain pairing
-                return False
-            # perp(b, g^T) lives in the positive slot, perp(a, g) in the negative
-            if not linalg.image(npow, linalg.perp(b, g.transpose())).leq(a):
-                return False
-            if not linalg.image(npow, linalg.perp(a, g)).leq(b):
-                return False
+    """The GSp conditions on level j < e: F_i and F_{-i} are mutually
+    isotropic, and N^(e-j) maps the annihilator of each into the other.
+    _chains has checked the chain conditions."""
+    npow = FieldMatrix(model.field, np.linalg.matrix_power(model.N.array, model.e - j))
+    for i in model.I:
+        a, b = level[i], level[-i]
+        g = model.gram[i]
+        prod = (a.basis @ g.array % model.field.p) @ b.basis.T % model.field.p
+        if prod.any():  # mutual isotropy under the chain pairing
+            return False
+        # perp(b, g^T) lives in the positive slot, perp(a, g) in the negative
+        if not linalg.image(npow, linalg.perp(b, g.transpose())).leq(a):
+            return False
+        if not linalg.image(npow, linalg.perp(a, g)).leq(b):
+            return False
     return True
 
 
 def _flag_search(model: ChainModel, top: ChainPoint, budget, collect):
     """Backtracking search for splitting flags under a naive point.
 
-    Levels are chosen from j = e-1 down to 1; candidates at level j lie
-    between N(F^{j+1}) and F^{j+1}, with the dimension pruning rule
-    dim N(F^j) <= level_rank(j-1) and N(F^1) = 0 at the bottom.
-    Yields dicts {slot: (F^1 .. F^e)} if collect, else just True once.
+    Levels are chosen from j = e-1 down to 1, each from the chains of
+    _level_options that meet the transition and wrap conditions (and for
+    GSp _level_ok).  Yields dicts {slot: (F^1 .. F^e)} if collect, else
+    just True once.
     """
     e = model.e
     labels = list(model.slots)
+    maps = model.T + [model.T_wrap]
 
     def descend(j, stack):
         # stack maps slot -> list of levels already chosen, top first
@@ -398,24 +472,13 @@ def _flag_search(model: ChainModel, top: ChainPoint, budget, collect):
             return
         per_slot = []
         for t in labels:
-            upper = stack[t][-1]
-            lower = linalg.image(model.N, upper)
-            target = model.level_rank(j)
-            opts = []
-            if lower.dim <= target:
-                for cand in linalg.subspaces_between(lower, upper, target, budget=budget):
-                    img = linalg.image(model.N, cand)
-                    if img.dim > model.level_rank(j - 1):
-                        continue  # pruning: N(F^j) must fit in F^{j-1}
-                    if j == 1 and img.dim > 0:
-                        continue
-                    opts.append(cand)
-            per_slot.append(opts)
+            opts = _level_options(model, stack[t][-1], j, budget)
             if not opts:
                 return
-        for combo in itertools.product(*per_slot):
+            per_slot.append(opts)
+        for combo in _chains(maps, per_slot):
             level = dict(zip(labels, combo))
-            if not _level_ok(model, j, level):
+            if model.kind == "GSp" and not _level_ok(model, j, level):
                 continue
             for t in labels:
                 stack[t].append(level[t])
@@ -490,12 +553,12 @@ def unramified_points(model: ChainModel, l: int, budget=None):
     maps.append(_mod_p_map(model, slots[-1], slots[0], 1))
     opts = list(linalg.enumerate_subspaces(model.D, r, model.field, budget=budget))
     if model.kind == "GL":
-        yield from _points(model, maps, [opts] * len(slots), {})
+        yield from _points(model, maps, [opts] * len(slots), {}, budget)
         return
     gram = _mod_p_gram(model)
     lagrangians = [s for s in opts if linalg.perp(s, gram) == s]
     cands = [lagrangians if i == 0 else opts for i in model.I]
-    yield from _points(model, maps, cands, dict.fromkeys(model.I, gram))
+    yield from _points(model, maps, cands, dict.fromkeys(model.I, gram), budget)
 
 
 @dataclass(frozen=True)
@@ -594,68 +657,28 @@ def standard_point(w: WeylElement, model: ChainModel) -> ChainPoint:
     return ChainPoint(model, subspaces)
 
 
-class _Ambient:
-    """Common ambient A = Pi^-1 Lambda_max / Pi^e Lambda_min for signatures."""
-
-    def __init__(self, model: ChainModel):
-        self.model = model
-        first, last = model.slots[0], model.slots[-1]
-        amin = {sym: a for sym, a in model.slot_basis[first]}
-        amax = {sym: a for sym, a in model.slot_basis[last]}
-        self.top = {sym: amax[sym] - 1 for sym in amax}
-        self.bot = {sym: amin[sym] + model.e for sym in amin}
-        self.index = {}
-        for sym in sorted(self.top):
-            for a in range(self.top[sym], self.bot[sym]):
-                self.index[(sym, a)] = len(self.index)
-        self.dim = len(self.index)
-
-    def vector(self, sym, a):
-        v = np.zeros(self.dim, dtype=np.int64)
-        if a < self.bot[sym]:
-            v[self.index[(sym, a)]] = 1
-        return v
-
-    def lattice(self, label, n):
-        """Pi^n Lambda_label as a subspace of A."""
-        rows = []
-        for sym, a in self.model.slot_basis[label]:
-            for b in range(max(a + n, self.top[sym]), self.bot[sym]):
-                rows.append(self.vector(sym, b))
-        return Subspace.from_rows(self.model.field, self.dim, np.asarray(rows))
-
-    def chain_subspace(self, label, sub: Subspace):
-        """L = F + Pi^e Lambda_label inside A."""
-        basis = self.model.slot_basis[label]
-        rows = []
-        for row in sub.basis:
-            v = np.zeros(self.dim, dtype=np.int64)
-            for m, (sym, a) in enumerate(basis):
-                for j in range(self.model.e):
-                    c = row[self.model.coord(m, j)]
-                    if c and a + j < self.bot[sym]:
-                        v[self.index[(sym, a + j)]] += c
-            rows.append(v % self.model.field.p)
-        for sym, a in basis:
-            for b in range(a + self.model.e, self.bot[sym]):
-                rows.append(self.vector(sym, b))
-        return Subspace.from_rows(self.model.field, self.dim, np.asarray(rows))
-
-
 def signature(pt: ChainPoint):
     """Intersection-dimension data identifying the stratum of a point.
 
-    d(t, t', n) = dim(L_t meet Pi^n Lambda_{t'}) over all slot pairs
-    and -1 <= n <= e, computed inside the common ambient space.
+    d(t, t', n) = dim(L_t meet Pi^n Lambda_{t'}) over all slot pairs and
+    -1 <= n <= e, for L_t = F_t + Pi^e Lambda_t inside the common ambient
+    A = Pi^-1 Lambda_max / Pi^e Lambda_min.  Each Pi^n Lambda_{t'} is a
+    coordinate subspace of A, so d is dim L_t minus the rank of L_t on
+    the coordinates outside it.  Of L_t, Pi^e Lambda_t keeps its
+    coordinates inside Pi^n Lambda_{t'}, and F_t, whose column (m, j) is
+    the coordinate pi^(a_m + j) of symbol m, keeps dim F_t minus the rank
+    of its basis on the columns outside (ChainModel.signature_plan).
     """
     model = pt.model
-    amb = _Ambient(model)
-    chains = {t: amb.chain_subspace(t, pt.subspaces[t]) for t in model.slots}
     out = []
-    for t in model.slots:
-        for t2 in model.slots:
-            for n in range(-1, model.e + 1):
-                out.append(linalg.meet(chains[t], amb.lattice(t2, n)).dim)
+    for t, plan in zip(model.slots, model.signature_plan):
+        basis = pt.subspaces[t].basis
+        ranks = {(): 0, tuple(range(model.dim)): len(basis)}
+        for cols, offset in plan:
+            r = ranks.get(cols)
+            if r is None:
+                r = ranks[cols] = linalg.rank(FieldMatrix(model.field, basis[:, cols]))
+            out.append(len(basis) + offset - r)
     return tuple(out)
 
 
@@ -674,11 +697,10 @@ class StratumReport:
 def classify_strata(points, adm, model: ChainModel) -> StratumReport:
     """Assign each point to the stratum whose standard point it matches.
 
-    Primary key is the signature; if two standard points collide
-    (possible in principle for GSp) GL chains fall back to an exact
-    orbit computation under the elementary chain automorphisms, while
-    GSp re-raises SignatureCollision (the fallback group would have to
-    preserve the pairing as well).
+    The key is the signature.  Two standard points with one signature
+    raise SignatureCollision; the tests find none for GL with d <= 4 and
+    GSp with g <= 2, e <= 3, and classify small models by chain
+    automorphism orbits to the same strata.
     """
     points = list(points)
     sigs = {}
@@ -689,8 +711,6 @@ def classify_strata(points, adm, model: ChainModel) -> StratumReport:
             continue
         sig = signature(sp)
         if sig in sigs:
-            if model.kind == "GL":
-                return _classify_by_orbits(points, adm, model)
             raise SignatureCollision(
                 f"standard points of {sigs[sig].min_rep} and {c.min_rep} coincide"
             )
@@ -703,154 +723,5 @@ def classify_strata(points, adm, model: ChainModel) -> StratumReport:
             unmatched += 1
             continue
         counts[c] = counts.get(c, 0) + 1
-    rows = sorted(counts.items(), key=lambda kv: kv[0].min_rep.lam)
-    return StratumReport(rows, unmatched)
-
-
-# ---------------------------------------------------------------------------
-# chain automorphisms (signature invariance, collision fallback)
-
-
-def _coeff_valuations(model: ChainModel):
-    """Minimal pi-divisibility of entry (m, m') forced by lattice stability."""
-    syms = [sym for sym, _ in model.slot_basis[model.slots[0]]]
-    valuation = {}
-    for m, s_out in enumerate(syms):
-        for m2, s_in in enumerate(syms):
-            v = 0
-            for t in model.slots:
-                exps = {sym: a for sym, a in model.slot_basis[t]}
-                v = max(v, exps[s_out] - exps[s_in])
-            valuation[(m, m2)] = v
-    return valuation
-
-
-def _induced_slot_matrices(model: ChainModel, coeffs):
-    """Slot matrices of the O_F-linear map with power-series coefficient
-    array coeffs[m, m', k] (entry (m, m') = sum_k c_k pi^k), or None if
-    the induced map fails to be invertible on some slot."""
-    e, D = model.e, model.D
-    mats = {}
-    for t in model.slots:
-        exps = [a for _, a in model.slot_basis[t]]
-        a = np.zeros((model.dim, model.dim), dtype=np.int64)
-        for m2 in range(D):
-            for j2 in range(e):
-                for m in range(D):
-                    for k in range(e):
-                        if not coeffs[m, m2, k]:
-                            continue
-                        j_out = k + j2 + exps[m2] - exps[m]
-                        if 0 <= j_out < e:
-                            a[model.coord(m, j_out), model.coord(m2, j2)] = coeffs[m, m2, k]
-        f = FieldMatrix(model.field, a)
-        if linalg.rank(f) != model.dim:
-            return None
-        mats[t] = f
-    return mats
-
-
-def random_chain_automorphism(model: ChainModel, rng):
-    """A random element of the finite chain automorphism group.
-
-    Sampled as an O_F-linear map of the ambient F^D that preserves
-    every slot lattice: entry (m, m') is a truncated power series whose
-    low coefficients vanish as dictated by the exponent gaps of the
-    slot bases.  Such a map automatically commutes with Pi, the
-    transitions and the wrap; invertibility is checked per slot and the
-    draw is retried on failure.  Returns {slot: FieldMatrix}.
-    """
-    p, e, D = model.field.p, model.e, model.D
-    valuation = _coeff_valuations(model)
-    while True:
-        coeffs = np.asarray(rng.integers(0, p, size=(D, D, e)), dtype=np.int64)
-        for (m, m2), v in valuation.items():
-            coeffs[m, m2, :v] = 0
-        mats = _induced_slot_matrices(model, coeffs)
-        if mats is not None:
-            return mats
-
-
-def chain_automorphism_generators(model: ChainModel):
-    """Elementary generators of the chain automorphism group (GL chains).
-
-    Transvections 1 + c pi^k E_{m m'} at every admissible valuation k,
-    plus diagonal unit rescalings; these generate the stabilizer of the
-    chain.
-    """
-    p, e, D = model.field.p, model.e, model.D
-    valuation = _coeff_valuations(model)
-    ident = np.zeros((D, D, e), dtype=np.int64)
-    for m in range(D):
-        ident[m, m, 0] = 1
-    gens = []
-    for m in range(D):
-        for m2 in range(D):
-            lo = 1 if m == m2 else valuation[(m, m2)]
-            for k in range(lo, e):
-                for c in range(1, p):
-                    coeffs = ident.copy()
-                    coeffs[m, m2, k] += c
-                    mats = _induced_slot_matrices(model, coeffs)
-                    if mats is not None:
-                        gens.append(mats)
-        for c in range(2, p):
-            coeffs = ident.copy()
-            coeffs[m, m, 0] = c
-            mats = _induced_slot_matrices(model, coeffs)
-            if mats is not None:
-                gens.append(mats)
-    return gens
-
-
-def apply_chain_automorphism(auto, pt: ChainPoint) -> ChainPoint:
-    return ChainPoint(
-        pt.model, {t: linalg.image(auto[t], s) for t, s in pt.subspaces.items()}
-    )
-
-
-def _classify_by_orbits(points, adm, model: ChainModel) -> StratumReport:
-    """Exact fallback: orbits under the elementary chain automorphisms,
-    matched to the orbit of each standard point."""
-    gens = chain_automorphism_generators(model)
-    points = list(points)
-    orbit_of = {}
-    n_orbits = 0
-    for pt in points:
-        if orbit_of.get(pt) is not None:
-            continue
-        tag = n_orbits
-        n_orbits += 1
-        frontier = [pt]
-        orbit_of[pt] = tag
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = apply_chain_automorphism(g, cur)
-                if orbit_of.get(nxt) is None:
-                    orbit_of[nxt] = tag
-                    frontier.append(nxt)
-    tag_class = {}
-    for c in adm.classes:
-        try:
-            sp = standard_point(c.min_rep, model)
-        except IncompatibleElement:
-            continue
-        tag = orbit_of.get(sp)
-        if tag is None:
-            continue
-        if tag in tag_class:
-            raise SignatureCollision(
-                "two standard points lie in one chain-automorphism orbit"
-            )
-        tag_class[tag] = c
-    counts = {}
-    unmatched = 0
-    for pt in points:
-        c = tag_class.get(orbit_of[pt])
-        if c is None:
-            unmatched += 1
-        else:
-            counts[c] = counts.get(c, 0) + 1
     rows = sorted(counts.items(), key=lambda kv: kv[0].min_rep.lam)
     return StratumReport(rows, unmatched)

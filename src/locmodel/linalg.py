@@ -12,6 +12,7 @@ under a nilpotent operator and returns them in that same order.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -208,18 +209,6 @@ class Subspace:
         return f"Subspace(p={self.field.p}, n={self.ambient_dim}, dim={self.dim})"
 
 
-def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two subspaces."""
-    a._check(b)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.field, a.ambient_dim)
-    stacked = np.vstack([a.basis, b.basis])
-    # (u, v) with u·A + v·B = 0  =>  u·A lies in both row spaces.
-    relations = _nullspace(stacked.T, a.field.p)
-    gens = (relations[:, : a.dim] @ a.basis) % a.field.p
-    return Subspace.from_rows(a.field, a.ambient_dim, gens)
-
-
 def join(a: Subspace, b: Subspace) -> Subspace:
     """Sum of two subspaces."""
     a._check(b)
@@ -244,21 +233,21 @@ def preimage(f: FieldMatrix, b: Subspace) -> Subspace:
     return Subspace.from_rows(b.field, f.cols, _nullspace(cond, b.field.p))
 
 
+@lru_cache(maxsize=64)
+def _invertible(m: FieldMatrix) -> bool:
+    """Is the square matrix m invertible?  Memoised: perp asks it of the
+    same few grams for every subspace."""
+    return rank(m) == m.rows
+
+
 def perp(a: Subspace, gram: FieldMatrix) -> Subspace:
     """Annihilator {w : v·gram·w = 0 for all v in a} for a perfect gram."""
     if gram.rows != a.ambient_dim or gram.cols != a.ambient_dim:
         raise DimensionMismatch("gram shape does not match ambient")
-    if rank(gram) != a.ambient_dim:
+    if not _invertible(gram):
         raise SingularGram("gram matrix is not invertible")
     cond = (a.basis @ gram.array) % a.field.p
     return Subspace.from_rows(a.field, a.ambient_dim, _nullspace(cond, a.field.p))
-
-
-def stable_under(a: Subspace, f: FieldMatrix) -> bool:
-    """True iff f maps a into itself."""
-    if f.rows != f.cols or f.cols != a.ambient_dim:
-        raise DimensionMismatch("operator must be square of matching size")
-    return image(f, a).leq(a)
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

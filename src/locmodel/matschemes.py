@@ -32,18 +32,6 @@ class UnitaryCount:
     by_rank: tuple  # ((rank, count), ...)
 
 
-def _symmetric_batch(n, p, flat_indices):
-    """Symmetric matrices for a batch of mixed-radix upper-triangle digits."""
-    m = n * (n + 1) // 2
-    powers = p ** np.arange(m, dtype=np.int64)
-    digits = (flat_indices[:, None] // powers) % p
-    iu, ju = np.triu_indices(n)
-    a = np.zeros((len(flat_indices), n, n), dtype=np.int64)
-    a[:, iu, ju] = digits
-    a[:, ju, iu] = digits
-    return a
-
-
 def unitary_points_direct(n, r, s, p, budget=None) -> UnitaryCount:
     """Direct scan over all symmetric matrices; ``budget`` (default
     _DIRECT_LIMIT) caps their number."""

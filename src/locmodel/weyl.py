@@ -14,8 +14,7 @@ cross-check in the test suite.  The count is memoised per process on
 (datum, lam, u).  The base alcove is the standard one
 (x_1 > x_2 > ... > x_d > x_1 - 1 for GL, and the analogous dominant
 small alcove for type C).  Bruhat down-sets come from the lifting
-recursion `downset`; the subword expansion `enumerate_below` is kept
-as its test oracle.
+recursion `downset`; the tests check it against the subword expansion.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceeded, DatumMismatch, InvalidIndex
 
-ENUMERATE_BELOW_MAX_LENGTH = 20
+DOWNSET_MAX_LENGTH = 20
 
 
 @dataclass(frozen=True)
@@ -430,29 +429,11 @@ def element_from_word(datum: RootDatum, word, omega_power: int = 0) -> WeylEleme
     return x
 
 
-def enumerate_below(y: WeylElement) -> set:
-    """The Bruhat down-set of y, via the subword property."""
-    ly = length(y)
-    if ly > ENUMERATE_BELOW_MAX_LENGTH:
-        raise BudgetExceeded(f"length {ly} exceeds down-set guard")
-    word, om = reduced_word(y)
-    tail = element_from_word(y.datum, [], om)
-    letters = [simple_reflection(y.datum, j) for j in word]
-    out = set()
-    for mask in range(1 << len(letters)):
-        x = identity(y.datum)
-        for i, s in enumerate(letters):
-            if mask >> i & 1:
-                x = x * s
-        out.add(x * tail)
-    return out
-
-
 def downset(y: WeylElement, memo: dict) -> frozenset:
     """The Bruhat down-set of y: D(y) = D(ys) | D(ys) s for a right
     descent s of y (lifting property, Bjorner-Brenti).  memo maps
     elements to their down-sets and may be shared between calls."""
-    if length(y) > ENUMERATE_BELOW_MAX_LENGTH:
+    if length(y) > DOWNSET_MAX_LENGTH:
         raise BudgetExceeded(f"length {length(y)} exceeds down-set guard")
     chain = []
     while y not in memo:

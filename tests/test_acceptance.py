@@ -22,10 +22,11 @@ from locmodel.weyl import (
     RootDatum,
     bruhat_leq,
     elements_of_length_leq,
-    enumerate_below,
     length,
     translation,
 )
+
+from reference import enumerate_below
 
 
 def nonempty_subsets(labels):

@@ -30,6 +30,8 @@ from locmodel.weyl import (
     translation,
 )
 
+from reference import enumerate_below
+
 GL2 = RootDatum("GL", 2)
 GL3 = RootDatum("GL", 3)
 GSP1 = RootDatum("GSp", 1)
@@ -71,7 +73,7 @@ class TestAdmSet:
         for c in s.classes:
             below = [
                 DoubleCoset.of(x, s.spec)
-                for x in __import__("locmodel.weyl", fromlist=["enumerate_below"]).enumerate_below(c.min_rep)
+                for x in enumerate_below(c.min_rep)
             ]
             for d in below:
                 assert d.min_rep in all_min_reps

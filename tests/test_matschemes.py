@@ -10,6 +10,8 @@ from locmodel.matschemes import (
     unitary_points_stratified,
 )
 
+from reference import symmetric_batch
+
 
 class TestUnitary:
     def test_size_one(self):
@@ -64,10 +66,8 @@ class TestUnitary:
     def test_charpoly_automatic(self):
         # square-zero matrices have characteristic polynomial T^n
         p, n = 3, 3
-        from locmodel.matschemes import _symmetric_batch
-
         idx = np.arange(p ** (n * (n + 1) // 2), dtype=np.int64)
-        batch = _symmetric_batch(n, p, idx)
+        batch = symmetric_batch(n, p, idx)
         sq = np.einsum("aij,ajk->aik", batch, batch) % p
         for a in batch[~sq.any(axis=(1, 2))]:
             assert int(np.trace(a)) % p == 0
@@ -90,12 +90,11 @@ def oracle_square_zero_ranks(n, p):
     """The former direct scan: every symmetric matrix as int64, squared by
     einsum, each square-zero one ranked by _rref."""
     from locmodel.linalg import _rref
-    from locmodel.matschemes import _symmetric_batch
 
     total, chunk, hist = p ** (n * (n + 1) // 2), 1 << 17, {}
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        batch = _symmetric_batch(n, p, idx)
+        batch = symmetric_batch(n, p, idx)
         sq = np.einsum("aij,ajk->aik", batch, batch) % p
         for a in batch[~sq.any(axis=(1, 2))]:
             _, pivots = _rref(a, p)
@@ -106,12 +105,11 @@ def oracle_square_zero_ranks(n, p):
 def oracle_invertible_symmetric_count(k, p):
     """The former invertible count: one _rref per symmetric matrix."""
     from locmodel.linalg import _rref
-    from locmodel.matschemes import _symmetric_batch
 
     if k == 0:
         return 1
     idx = np.arange(p ** (k * (k + 1) // 2), dtype=np.int64)
-    return sum(len(_rref(a, p)[1]) == k for a in _symmetric_batch(k, p, idx))
+    return sum(len(_rref(a, p)[1]) == k for a in symmetric_batch(k, p, idx))
 
 
 # every (n, p) with n <= 4, p in {2, 3, 5, 7} and p^(n(n+1)/2) <= 10^5

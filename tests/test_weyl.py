@@ -33,7 +33,6 @@ from locmodel.weyl import (
     downset,
     element_from_word,
     elements_of_length_leq,
-    enumerate_below,
     finite,
     identity,
     kappa,
@@ -44,6 +43,8 @@ from locmodel.weyl import (
     simple_reflection,
     translation,
 )
+
+from reference import enumerate_below
 
 GL2 = RootDatum("GL", 2)
 GL3 = RootDatum("GL", 3)
