@@ -151,8 +151,10 @@ def random_chain_automorphism(model: ChainModel, rng):
     """
     p, e, D = model.field.p, model.e, model.D
     valuation = _coeff_valuations(model)
+    # terms up to pi^(e + valuation - 1) act on some slot
+    size = (D, D, e + max(valuation.values()))
     while True:
-        coeffs = np.asarray(rng.integers(0, p, size=(D, D, e)), dtype=np.int64)
+        coeffs = np.asarray(rng.integers(0, p, size=size), dtype=np.int64)
         for (m, m2), v in valuation.items():
             coeffs[m, m2, :v] = 0
         mats = _induced_slot_matrices(model, coeffs)
