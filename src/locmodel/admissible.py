@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import KindMismatch, PoolBoundViolation
+from .errors import Budget, KindMismatch, PoolBoundViolation
 from .weyl import (
     Coweight,
     ParahoricSpec,
     WeylElement,
     alcove_vertices,
+    bruhat_leq,
     coset_min,
     downset,
     elements_of_length_leq,
@@ -45,7 +46,7 @@ class DoubleCoset:
 
     @classmethod
     def of(cls, x: WeylElement, spec: ParahoricSpec) -> "DoubleCoset":
-        return cls(spec, coset_min(x, spec, "double"))
+        return cls(spec, coset_min(x, spec))
 
     def members(self) -> frozenset:
         group = parahoric_subgroup(self.spec)
@@ -66,8 +67,6 @@ class DoubleCoset:
 
     def leq(self, other: "DoubleCoset") -> bool:
         """Bruhat order on double cosets via minimal representatives."""
-        from .weyl import bruhat_leq
-
         return bruhat_leq(self.min_rep, other.min_rep)
 
 
@@ -96,13 +95,15 @@ def _check_mu(spec: ParahoricSpec, mu: Coweight):
         raise KindMismatch("coweight belongs to a different datum")
 
 
-def adm_set(spec: ParahoricSpec, mu: Coweight) -> AdmissibleSet:
-    """{ [x] : x <= t_lam for some lam in W_0 mu }, as double cosets."""
+def adm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
+    """{ [x] : x <= t_lam for some lam in W_0 mu }, as double cosets.
+    The down-sets are spent from one budget (a fresh Budget() if None)."""
     _check_mu(spec, mu)
+    budget = budget or Budget()
     memo = {}
     below = set()
     for lam in mu.orbit():
-        below |= downset(translation(spec.datum, lam), memo)
+        below |= downset(translation(spec.datum, lam), memo, budget)
     return AdmissibleSet(spec, mu, frozenset(DoubleCoset.of(x, spec) for x in below))
 
 
@@ -140,7 +141,7 @@ def _dominated(y, m) -> bool:
     return True
 
 
-def perm_set(spec: ParahoricSpec, mu: Coweight) -> AdmissibleSet:
+def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     """Classes whose members satisfy the vertex displacement condition.
 
     Permissibility is constant on W_I-double cosets (W_I fixes every
@@ -149,14 +150,15 @@ def perm_set(spec: ParahoricSpec, mu: Coweight) -> AdmissibleSet:
     pool covers every minimal representative of length <= l(t_mu) + 1,
     and a permissible one at the extra boundary length raises
     PoolBoundViolation: the pool bound l(t_mu) is checked on every call,
-    not assumed.
+    not assumed.  The pool's levels are spent from the budget (a fresh
+    Budget() if None).
     """
     _check_mu(spec, mu)
     datum = spec.datum
     t_mu = translation(datum, mu.value)
     bound = length(t_mu)
     verts = alcove_vertices(datum)
-    levels = elements_of_length_leq(datum, kappa(t_mu), bound + 1)
+    levels = elements_of_length_leq(datum, kappa(t_mu), bound + 1, budget)
     gens = parahoric_generators(spec)
 
     def permissible(x: WeylElement) -> bool:

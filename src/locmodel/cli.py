@@ -12,6 +12,12 @@ error (one line on stderr, no traceback).  The report schema is
 predicted, observed, source}], totals, pass, elapsed_ms}; CSV mirrors
 the rows, text is a human-readable table.  Output is deterministic for
 fixed inputs except for the elapsed_ms field.
+
+--budget N (else LOCMODEL_BUDGET, else 10^7) is one cumulative allowance
+of work per case, and per block of run-suite.  Each stage spends its own
+unit: subspaces enumerated, slot choices tried by the chain backtracker,
+down-set elements stored by adm, elements of bounded length listed by
+perm, and symmetric or symplectic matrices scanned by verify matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import os
 import sys
 import time
 
-from .errors import ArtifactError, BudgetExceeded, ManifestParseError, PoolBoundViolation, SignatureCollision
+from .errors import ArtifactError, Budget, BudgetExceeded, ManifestParseError, PoolBoundViolation, SignatureCollision
 from .weyl import Coweight, ParahoricSpec, RootDatum, length, reduced_word, translation
 from .admissible import adm_set, perm_set, stratum_count, total_count
 from . import latmod, matschemes
@@ -148,10 +154,10 @@ def _report(case, params, rows, totals, passed, t0):
     }
 
 
-def _run_set(case, build, params):
+def _run_set(case, build, params, budget):
     t0 = time.monotonic()
     datum = _datum(params)
-    s = build(_spec(datum, params), Coweight(datum, _ints(params["mu"])))
+    s = build(_spec(datum, params), Coweight(datum, _ints(params["mu"])), budget)
     rows = [
         _class_row(c, source=f"admissible.{case}_set")
         for c in sorted(s.classes, key=_class_sort_key)
@@ -160,11 +166,11 @@ def _run_set(case, build, params):
 
 
 def run_adm(params, budget=None):
-    return _run_set("adm", adm_set, params)
+    return _run_set("adm", adm_set, params, budget)
 
 
 def run_perm(params, budget=None):
-    return _run_set("perm", perm_set, params)
+    return _run_set("perm", perm_set, params, budget)
 
 
 def run_compare(params, budget=None):
@@ -172,8 +178,8 @@ def run_compare(params, budget=None):
     datum = _datum(params)
     spec = _spec(datum, params)
     mu = Coweight(datum, _ints(params["mu"]))
-    a = adm_set(spec, mu).classes
-    b = perm_set(spec, mu).classes
+    a = adm_set(spec, mu, budget).classes
+    b = perm_set(spec, mu, budget).classes
     rows = [
         _class_row(
             c,
@@ -193,7 +199,7 @@ def run_count(params, budget=None):
     spec = _spec(datum, params)
     mu = Coweight(datum, _ints(params["mu"]))
     q = int(params["p"])
-    s = adm_set(spec, mu)
+    s = adm_set(spec, mu, budget)
     rows = []
     for c in sorted(s.classes, key=_class_sort_key):
         n = stratum_count(c, q)
@@ -244,7 +250,7 @@ def _classify(params, budget):
     model = _model(params)
     q = model.field.p
     mu = _mu_from_model(model)
-    s = adm_set(ParahoricSpec(mu.datum, frozenset(model.I)), mu)
+    s = adm_set(ParahoricSpec(mu.datum, frozenset(model.I)), mu, budget)
     naive = list(latmod.naive_points(model, budget=budget))
     canonical = [pt for pt in naive if latmod.has_splitting_flag(pt, budget=budget)]
     rep = latmod.classify_strata(canonical, s, model)
@@ -286,10 +292,7 @@ def run_verify_torsor(params, budget=None):
         }
         for l, f in enumerate(rep.unramified_factors, start=1)
     ]
-    prod = 1
-    for f in rep.unramified_factors:
-        prod *= f
-    totals = {"predicted": prod, "observed": rep.splitting_total}
+    totals = {"predicted": rep.product, "observed": rep.splitting_total}
     return _report("verify-torsor", params, rows, totals, rep.passed, t0)
 
 
@@ -398,6 +401,7 @@ def _block_params(block):
 
 
 def run_suite(manifest_path, budget=None, out_dir=None):
+    """Run every block of the manifest, each with a fresh Budget(budget)."""
     with open(manifest_path) as fh:
         cases = parse_manifest(fh.read())
     for i, block in enumerate(cases):  # before any case runs
@@ -407,7 +411,7 @@ def run_suite(manifest_path, budget=None, out_dir=None):
     reports = []
     ok = True
     for i, block in enumerate(cases):
-        report = _RUNNERS[block["case"]](_block_params(block), budget=budget)
+        report = _RUNNERS[block["case"]](_block_params(block), budget=Budget(budget))
         for key, value in block.items():
             if key.startswith("expect_"):
                 field = key[len("expect_"):]
@@ -571,18 +575,18 @@ def _missing(case, params):
 
 
 def _budget(parser, args):
-    """The enumeration budget of --budget, else of LOCMODEL_BUDGET, else
-    None; a budget that is not a positive integer is a usage error."""
-    budget, source = args.budget, "--budget"
-    if budget is None and os.environ.get("LOCMODEL_BUDGET"):
+    """The budget limit of --budget, else of LOCMODEL_BUDGET, else None
+    (the default); a limit that is not a positive integer is a usage error."""
+    limit, source = args.budget, "--budget"
+    if limit is None and os.environ.get("LOCMODEL_BUDGET"):
         source = "LOCMODEL_BUDGET"
         try:
-            budget = int(os.environ["LOCMODEL_BUDGET"])
+            limit = int(os.environ["LOCMODEL_BUDGET"])
         except ValueError:
             parser.error("LOCMODEL_BUDGET must be an integer")
-    if budget is not None and budget <= 0:
-        parser.error(f"{source} must be a positive integer, got {budget}")
-    return budget
+    if limit is not None and limit <= 0:
+        parser.error(f"{source} must be a positive integer, got {limit}")
+    return limit
 
 
 @functools.lru_cache(maxsize=None)
@@ -599,13 +603,13 @@ def main(argv=None, stream=None):
         problem = name in _REQUIRED and _missing(name, vars(args))
         if problem:
             _parser().error(problem)
-        budget = _budget(_parser(), args)
+        limit = _budget(_parser(), args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
         if args.command == "run-suite":
-            aggregate = run_suite(args.manifest, budget=budget, out_dir=args.out)
+            aggregate = run_suite(args.manifest, budget=limit, out_dir=args.out)
             if args.format == "json":
                 stream.write(json.dumps(aggregate, indent=2) + "\n")
             else:
@@ -618,7 +622,7 @@ def main(argv=None, stream=None):
             for k, v in vars(args).items()
             if k not in ("command", "verify_what", "format", "budget")
         }
-        report = _RUNNERS[name](params, budget=budget)
+        report = _RUNNERS[name](params, budget=Budget(limit))
         emit(report, args.format, stream)
         return 0 if report["pass"] else 1
     except BudgetExceeded as exc:

@@ -12,7 +12,28 @@ class ArtifactError(Exception):
 
 
 class BudgetExceeded(ArtifactError):
-    """An enumeration would exceed the configured guard."""
+    """An enumeration would exceed its work budget."""
+
+
+DEFAULT_BUDGET = 10**7
+
+
+class Budget:
+    """One cumulative allowance of enumeration work, shared by every
+    enumerator of a case.  Each spends its own unit (subspaces, slot
+    choices, matrices, down-set elements); a spend that takes the total
+    past the limit raises BudgetExceeded."""
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit=None):
+        self.limit = DEFAULT_BUDGET if limit is None else limit
+        self.spent = 0
+
+    def spend(self, n, what):
+        self.spent += n
+        if self.spent > self.limit:
+            raise BudgetExceeded(f"{self.spent} units spent, over the limit of {self.limit}, at {n} {what}")
 
 
 class DimensionMismatch(ArtifactError):

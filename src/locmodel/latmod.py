@@ -26,6 +26,7 @@ and is therefore documented here rather than tested per point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import (
     BadRanks,
-    BudgetExceeded,
+    Budget,
     ChainInvariantError,
     IncompatibleElement,
     SignatureCollision,
@@ -332,68 +333,54 @@ def _slot_candidates(model: ChainModel, budget):
     ]
 
 
-def _chains(maps, cands):
-    """Yield every chain (F_0, .., F_{k-1}), F_t in cands[t], with maps[t](F_t)
-    <= F_{t+1} and the last map wrapping to F_0, in itertools.product order
-    (depth-first over the slots; each candidate's image is computed once)."""
-    images = [[None] * len(opts) for opts in cands]
-    return _extend(maps, cands, images, [None] * len(cands), 0, None)
+def _chains(maps, slots, labels, choices, budget):
+    """Yield {slot: subspace} for every chain, in itertools.product order
+    over the labels: labels[s] is the tuple of slots chosen together and
+    choices[s] its options, each a tuple of subspaces in the order of
+    labels[s].  Link k holds when maps[k] sends slots[k] into the next
+    slot, the last wrapping to the first; it is checked once both its
+    ends are chosen, with each image computed once per call.  Every
+    choice tried spends one unit of the budget."""
+    where = {t: (s, pos) for s, label in enumerate(labels) for pos, t in enumerate(label)}
+    links = [[] for _ in labels]  # links[s]: (k, source, target) completed by label s
+    for k, (a, b) in enumerate(zip(slots, slots[1:] + slots[:1])):
+        links[max(where[a][0], where[b][0])].append((k, where[a], where[b]))
+    images = [[None] * len(choices[where[a][0]]) for a in slots]
+    return _extend(maps, labels, choices, links, images, budget, [0] * len(labels), 0)
 
 
-def _extend(maps, cands, images, chain, t, below):
+def _extend(maps, labels, choices, links, images, budget, picked, s):
     # not a nested closure: that would be a cycle holding its images until gc
-    for j, c in enumerate(cands[t]):
-        if below is not None and not below.leq(c):
-            continue
-        img = images[t][j]
-        if img is None:
-            img = images[t][j] = linalg.image(maps[t], c)
-        chain[t] = c
-        if t + 1 < len(cands):
-            yield from _extend(maps, cands, images, chain, t + 1, img)
-        elif img.leq(chain[0]):
-            yield tuple(chain)
+    for j in range(len(choices[s])):
+        budget.spend(1, "slot choices tried")
+        picked[s] = j
+        for k, (sa, pa), (sb, pb) in links[s]:
+            img = images[k][picked[sa]]
+            if img is None:
+                img = images[k][picked[sa]] = linalg.image(maps[k], choices[sa][picked[sa]][pa])
+            if not img.leq(choices[sb][picked[sb]][pb]):
+                break
+        else:
+            if s + 1 < len(labels):
+                yield from _extend(maps, labels, choices, links, images, budget, picked, s + 1)
+            else:
+                yield {t: c for label, opts, i in zip(labels, choices, picked) for t, c in zip(label, opts[i])}
 
 
-def _points(model: ChainModel, maps, cands, grams, budget=None):
+def _points(model: ChainModel, maps, cands, grams, budget):
     """Chain points, in product order, with the subspaces of the independent
     labels (slots for GL, I for GSp) drawn from cands.  A GSp F_{-i} is the
-    annihilator of F_i under grams[i], N-stable as N is adjoint for it; the
-    GSp labels are chosen one by one, each link checked once both its ends
-    are, and every combination tried counts against the budget."""
-    if model.kind == "GL":
-        for chain in _chains(maps, cands):
-            yield ChainPoint(model, dict(zip(model.slots, chain)))
-        return
-    slots = model.slots
-    step = {t: model.I.index(abs(t)) for t in slots}
-    links = [[] for _ in model.I]  # link k maps slots[k] into the next slot
-    for k, (a, b) in enumerate(zip(slots, slots[1:] + slots[:1])):
-        links[max(step[a], step[b])].append((maps[k], a, b))
+    annihilator of F_i under grams[i], N-stable as N is adjoint for it, and
+    is chosen together with F_i."""
+    paired = [i for i in model.I if model.kind == "GSp" and i > 0]
+    labels = [(i, -i) if i in paired else (i,) for i in model.I]
     choices = [
-        [{i: c} if i == 0 else {i: c, -i: linalg.perp(c, grams[i])} for c in opts]
+        [(c, linalg.perp(c, grams[i])) if i in paired else (c,) for c in opts]
         for i, opts in zip(model.I, cands)
     ]
-    limit = linalg.DEFAULT_BUDGET if budget is None else budget
-    yield from _extend_labels(model, choices, links, {}, 0, [0, limit])
-
-
-def _extend_labels(model, choices, links, chosen, s, tried):
-    """Extend chosen by each choice of {F_i, F_{-i}} for the s-th label i
-    of I whose links[s] hold; tried = [combinations tried, budget]."""
-    for sub in choices[s]:
-        tried[0] += 1
-        if tried[0] > tried[1]:
-            raise BudgetExceeded(f"over {tried[1]} slot combinations tried for {model!r}")
-        chosen.update(sub)
-        if all(linalg.image(f, chosen[a]).leq(chosen[b]) for f, a, b in links[s]):
-            if s + 1 < len(choices):
-                yield from _extend_labels(model, choices, links, chosen, s + 1, tried)
-            else:  # keys in the order I, then -i for i > 0
-                order = list(model.I) + [-i for i in model.I if i > 0]
-                yield ChainPoint(model, {t: chosen[t] for t in order})
-        for t in sub:
-            del chosen[t]
+    order = list(model.I) + [-i for i in paired]
+    for chain in _chains(maps, model.slots, labels, choices, budget):
+        yield ChainPoint(model, {t: chain[t] for t in order})
 
 
 def naive_points(model: ChainModel, budget=None):
@@ -403,6 +390,7 @@ def naive_points(model: ChainModel, budget=None):
     pairing condition F_{-i} = F_i^perp) are tested; the determinant
     condition is automatic at field points and not re-tested.
     """
+    budget = budget or Budget()
     cands = _slot_candidates(model, budget)
     yield from _points(model, model.T + [model.T_wrap], cands, model.gram, budget)
 
@@ -412,10 +400,11 @@ def naive_points(model: ChainModel, budget=None):
 
 
 def _level_options(model: ChainModel, upper, j, budget):
-    """The candidates for F^j under F^{j+1} = upper: the subspaces of rank
-    level_rank(j) between N(upper) and upper with dim N(F^j) <=
-    level_rank(j-1), and N(F^1) = 0 at the bottom.  They depend on no slot,
-    so they are memoised per model on (upper, j)."""
+    """The candidates for F^j under F^{j+1} = upper, as the 1-tuples that
+    _chains chooses from: the subspaces of rank level_rank(j) between
+    N(upper) and upper with dim N(F^j) <= level_rank(j-1), and N(F^1) = 0
+    at the bottom.  They depend on no slot, so they are memoised per model
+    on (upper, j)."""
     opts = model.level_memo.get((upper, j))
     if opts is None:
         lower = linalg.image(model.N, upper)
@@ -428,7 +417,7 @@ def _level_options(model: ChainModel, upper, j, budget):
                     continue  # pruning: N(F^j) must fit in F^{j-1}
                 if j == 1 and img.dim > 0:
                     continue
-                opts.append(cand)
+                opts.append((cand,))
         model.level_memo[(upper, j)] = opts
     return opts
 
@@ -452,60 +441,57 @@ def _level_ok(model: ChainModel, j, level):
     return True
 
 
-def _flag_search(model: ChainModel, top: ChainPoint, budget, collect):
+def _flag_search(model: ChainModel, top: ChainPoint, budget):
     """Backtracking search for splitting flags under a naive point.
 
     Levels are chosen from j = e-1 down to 1, each from the chains of
     _level_options that meet the transition and wrap conditions (and for
-    GSp _level_ok).  Yields dicts {slot: (F^1 .. F^e)} if collect, else
-    just True once.
+    GSp _level_ok).  Yields dicts {slot: (F^1 .. F^e)}.
     """
-    e = model.e
-    labels = list(model.slots)
+    slots = model.slots
+    labels = [(t,) for t in slots]
     maps = model.T + [model.T_wrap]
 
     def descend(j, stack):
         # stack maps slot -> list of levels already chosen, top first
         if j == 0:
-            flags = {t: tuple(reversed(stack[t])) for t in labels}
-            yield flags if collect else True
+            yield {t: tuple(reversed(stack[t])) for t in slots}
             return
-        per_slot = []
-        for t in labels:
+        choices = []
+        for t in slots:
             opts = _level_options(model, stack[t][-1], j, budget)
             if not opts:
                 return
-            per_slot.append(opts)
-        for combo in _chains(maps, per_slot):
-            level = dict(zip(labels, combo))
+            choices.append(opts)
+        for level in _chains(maps, slots, labels, choices, budget):
             if model.kind == "GSp" and not _level_ok(model, j, level):
                 continue
-            for t in labels:
+            for t in slots:
                 stack[t].append(level[t])
             yield from descend(j - 1, stack)
-            for t in labels:
+            for t in slots:
                 stack[t].pop()
 
-    stack = {t: [top.subspaces[t]] for t in labels}
-    yield from descend(e - 1, stack)
+    stack = {t: [top.subspaces[t]] for t in slots}
+    yield from descend(model.e - 1, stack)
 
 
 def has_splitting_flag(pt: ChainPoint, budget=None) -> bool:
     """Does some splitting flag have this chain point on top?"""
-    for _ in _flag_search(pt.model, pt, budget, collect=False):
-        return True
-    return False
+    return next(_flag_search(pt.model, pt, budget or Budget()), None) is not None
 
 
 def splitting_points(model: ChainModel, budget=None):
     """Yield every F_p-point of the splitting model."""
+    budget = budget or Budget()
     for pt in naive_points(model, budget=budget):
-        for flags in _flag_search(model, pt, budget, collect=True):
+        for flags in _flag_search(model, pt, budget):
             yield FlagPoint(model, flags)
 
 
 def canonical_points(model: ChainModel, budget=None):
     """Naive points admitting a splitting flag (the flat-closure points)."""
+    budget = budget or Budget()
     for pt in naive_points(model, budget=budget):
         if has_splitting_flag(pt, budget=budget):
             yield pt
@@ -515,16 +501,12 @@ def canonical_points(model: ChainModel, budget=None):
 # unramified models
 
 
-def _mod_p_map(model: ChainModel, src, dst, extra_pi):
-    """Transition on Lambda tensor F_p: only exact exponent matches survive."""
-    sb, db = model.slot_basis[src], model.slot_basis[dst]
-    pos = {sym: (m, a) for m, (sym, a) in enumerate(db)}
-    a = np.zeros((model.D, model.D), dtype=np.int64)
-    for m_src, (sym, a_src) in enumerate(sb):
-        m_dst, a_dst = pos[sym]
-        if a_src + extra_pi == a_dst:
-            a[m_dst, m_src] = 1
-    return FieldMatrix(model.field, a)
+def _residue_maps(model: ChainModel):
+    """The transition and wrap maps on Lambda tensor F_p: the chain's own
+    maps on the Pi^0 coordinates (m, 0), where only exact exponent matches
+    survive."""
+    e = model.e
+    return [FieldMatrix(model.field, f.array[::e, ::e]) for f in model.T + [model.T_wrap]]
 
 
 def _mod_p_gram(model: ChainModel):
@@ -547,13 +529,12 @@ def unramified_points(model: ChainModel, l: int, budget=None):
     """
     if not 1 <= l <= model.e:
         raise BadRanks(f"l must be in 1..{model.e}")
+    budget = budget or Budget()
     r = model.r_vec[l - 1] if model.kind == "GL" else model.n
-    slots = model.slots
-    maps = [_mod_p_map(model, a, b, 0) for a, b in zip(slots, slots[1:])]
-    maps.append(_mod_p_map(model, slots[-1], slots[0], 1))
+    maps = _residue_maps(model)
     opts = list(linalg.enumerate_subspaces(model.D, r, model.field, budget=budget))
     if model.kind == "GL":
-        yield from _points(model, maps, [opts] * len(slots), {}, budget)
+        yield from _points(model, maps, [opts] * len(model.slots), {}, budget)
         return
     gram = _mod_p_gram(model)
     lagrangians = [s for s in opts if linalg.perp(s, gram) == s]
@@ -565,20 +546,20 @@ def unramified_points(model: ChainModel, l: int, budget=None):
 class TorsorReport:
     splitting_total: int
     unramified_factors: tuple
+    product: int
     passed: bool
 
 
 def torsor_check(model: ChainModel, budget=None) -> TorsorReport:
     """Compare |splitting points| with the product of the unramified counts."""
+    budget = budget or Budget()
     total = sum(1 for _ in splitting_points(model, budget=budget))
     factors = tuple(
         sum(1 for _ in unramified_points(model, l, budget=budget))
         for l in range(1, model.e + 1)
     )
-    prod = 1
-    for f in factors:
-        prod *= f
-    return TorsorReport(total, factors, total == prod)
+    product = math.prod(factors)
+    return TorsorReport(total, factors, product, total == product)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, SingularGram
-
-DEFAULT_BUDGET = 10**7
+from .errors import Budget, DimensionMismatch, SingularGram
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -266,16 +264,13 @@ def enumerate_subspaces(n, k, field, budget=None):
     the free entries (row-major, last entry fastest); ``_order_key``
     sorts into it.
 
-    Raises BudgetExceeded if the total count exceeds the budget
-    (default 10^7 subspaces).
+    Spends their number, the Gaussian binomial, from the budget (a
+    fresh Budget() if None) before the first is yielded.
     """
     if not 0 <= k <= n:
         raise DimensionMismatch(f"need 0 <= k <= n, got k={k}, n={n}")
-    limit = DEFAULT_BUDGET if budget is None else budget
-    total = gaussian_binomial(n, k, field.p)
-    if total > limit:
-        raise BudgetExceeded(f"{total} subspaces of dim {k} in F_{field.p}^{n} exceeds budget {limit}")
     p = field.p
+    (budget or Budget()).spend(gaussian_binomial(n, k, p), f"subspaces of dim {k} in F_{p}^{n}")
     for piv in itertools.combinations(range(n), k):
         base = np.zeros((k, n), dtype=np.int64)
         for i, c in enumerate(piv):
@@ -336,14 +331,13 @@ def stable_subspaces(N: FieldMatrix, k: int, budget=None) -> list:
     dimension as N is nilpotent, with U <= V <= N^-1(U) and U <= N(F_p^n).
     So level d is built from the levels below it: for each stable U inside
     the image of N, the V between U and N^-1(U) with N(V) = U, which
-    yields each V once.  Every V examined, over all levels, counts against
-    one budget (default DEFAULT_BUDGET); BudgetExceeded is raised past it.
+    yields each V once.  Every V examined, over all levels, is spent
+    from one budget (a fresh Budget() if None).
     """
-    n, p = N.rows, N.field.p
+    n = N.rows
     if not 0 <= k <= n:
         raise DimensionMismatch(f"need 0 <= k <= n, got k={k}, n={n}")
-    limit = DEFAULT_BUDGET if budget is None else budget
-    examined = 0
+    budget = budget or Budget()
     im = image(N, Subspace.full(N.field, n))
     pairs = []  # (U, N^-1(U)) for every stable U <= im of dimension < d
     level = [Subspace.zero(N.field, n)]
@@ -351,10 +345,5 @@ def stable_subspaces(N: FieldMatrix, k: int, budget=None) -> list:
         pairs += [(u, preimage(N, u)) for u in level if u.leq(im)]
         level = []
         for u, pre in pairs:
-            examined += gaussian_binomial(pre.dim - u.dim, d - u.dim, p)
-            if examined > limit:
-                raise BudgetExceeded(
-                    f"over {limit} subspaces examined for N-stable ones of dim {k} in F_{p}^{n}"
-                )
-            level += [v for v in subspaces_between(u, pre, d, budget=limit) if image(N, v) == u]
+            level += [v for v in subspaces_between(u, pre, d, budget) if image(N, v) == u]
     return sorted(level, key=_order_key)

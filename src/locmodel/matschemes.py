@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRanks, BudgetExceeded
-from .linalg import Field, _rref
+from .errors import BadRanks, Budget, BudgetExceeded
+from .linalg import Field, _rref, enumerate_subspaces
 
-_DIRECT_LIMIT = 10**8
 _CHUNK = 1 << 17
 
 
@@ -33,20 +32,12 @@ class UnitaryCount:
 
 
 def unitary_points_direct(n, r, s, p, budget=None) -> UnitaryCount:
-    """Direct scan over all symmetric matrices; ``budget`` (default
-    _DIRECT_LIMIT) caps their number."""
+    """Direct scan over all symmetric matrices; their number p^m is spent
+    from ``budget`` (a fresh Budget() if None), memoised scan or not."""
     _check_unitary(n, r, s, p)
-    _check_scan(n, p, budget)
+    (budget or Budget()).spend(p ** (n * (n + 1) // 2), "symmetric matrices scanned")
     hist = {rk: c for rk, c in _square_zero_ranks(n, p) if rk <= min(r, s)}
     return UnitaryCount(sum(hist.values()), tuple(sorted(hist.items())))
-
-
-def _check_scan(n, p, budget):
-    """Raise BudgetExceeded if the p^m symmetric n x n matrices exceed the
-    budget (default _DIRECT_LIMIT)."""
-    m, limit = n * (n + 1) // 2, _DIRECT_LIMIT if budget is None else budget
-    if p**m > limit:
-        raise BudgetExceeded(f"{p}^{m} symmetric matrices exceeds the scan limit {limit}")
 
 
 def _upper_triangles(n, p, chunk):
@@ -108,8 +99,6 @@ def _square_zero_ranks(n, p):
 
 def _isotropic_subspace_count(n, k, p, budget=None):
     """k-dim totally isotropic subspaces for the standard symmetric form."""
-    from .linalg import enumerate_subspaces
-
     field = Field(p)
     count = 0
     for sub in enumerate_subspaces(n, k, field, budget=budget):
@@ -120,10 +109,11 @@ def _isotropic_subspace_count(n, k, p, budget=None):
 
 def _invertible_symmetric_count(k, p, budget=None, chunk=_CHUNK):
     """Invertible symmetric k x k matrices over F_p, by Gaussian
-    elimination mod p on whole chunks at once."""
+    elimination mod p on whole chunks at once; the p^(k(k+1)/2)
+    matrices are spent from the budget (a fresh Budget() if None)."""
     if k == 0:
         return 1
-    _check_scan(k, p, budget)
+    (budget or Budget()).spend(p ** (k * (k + 1) // 2), "symmetric matrices eliminated")
     inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int16)
     count = 0
     for entries in _upper_triangles(k, p, chunk):
@@ -150,6 +140,7 @@ def unitary_points_stratified(n, r, s, p, budget=None) -> UnitaryCount:
     yields exactly one such A.
     """
     _check_unitary(n, r, s, p)
+    budget = budget or Budget()
     hist = {}
     for k in range(min(r, s) + 1):
         c = _isotropic_subspace_count(n, k, p, budget) * _invertible_symmetric_count(k, p, budget)
@@ -196,8 +187,8 @@ def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
 
     'direct' scans all (a, b) pairs; 'linear' enumerates a and counts
     the solution space of the linear condition on b, namely
-    sum_{i+j=e-1} a^i b (a^t)^j = 0.  ``budget`` caps the matrices
-    scanned.
+    sum_{i+j=e-1} a^i b (a^t)^j = 0.  The matrices scanned are spent
+    from ``budget`` (a fresh Budget() if None).
     """
     n = g * e
     Field(p)
@@ -206,8 +197,7 @@ def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
     if strategy not in ("direct", "linear"):
         raise ValueError(f"unknown strategy {strategy!r}")
     scanned = p ** (n * n + (n * (n - 1) // 2 if strategy == "direct" else 0))
-    if budget is not None and scanned > budget:
-        raise BudgetExceeded(f"{scanned} symplectic matrices exceeds budget {budget}")
+    (budget or Budget()).spend(scanned, "symplectic matrices scanned")
     nilpotents = _nilpotent_matrices(n, p, e)
     basis = _alternating_basis(n)
 

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BudgetExceeded, DatumMismatch, InvalidIndex
-
-DOWNSET_MAX_LENGTH = 20
+from .errors import Budget, DatumMismatch, InvalidIndex
 
 
 @dataclass(frozen=True)
@@ -429,22 +427,25 @@ def element_from_word(datum: RootDatum, word, omega_power: int = 0) -> WeylEleme
     return x
 
 
-def downset(y: WeylElement, memo: dict) -> frozenset:
+def downset(y: WeylElement, memo: dict, budget=None) -> frozenset:
     """The Bruhat down-set of y: D(y) = D(ys) | D(ys) s for a right
     descent s of y (lifting property, Bjorner-Brenti).  memo maps
-    elements to their down-sets and may be shared between calls."""
-    if length(y) > DOWNSET_MAX_LENGTH:
-        raise BudgetExceeded(f"length {length(y)} exceeds down-set guard")
+    elements to their down-sets and may be shared between calls; the
+    size of each down-set stored in it is spent from the budget (a
+    fresh Budget() if None)."""
+    budget = budget or Budget()
     chain = []
     while y not in memo:
         s = _right_descent(y)
         if s is None:
             memo[y] = frozenset((y,))
+            budget.spend(1, "down-set elements")
             break
         chain.append((y, s))
         y = y * s
     for z, s in reversed(chain):
         memo[z] = memo[y].union([x * s for x in memo[y]])
+        budget.spend(len(memo[z]), "down-set elements")
         y = z
     return memo[y]
 
@@ -492,49 +493,40 @@ def parahoric_subgroup(spec: ParahoricSpec):
     return frozenset(seen)
 
 
-def coset_min(x: WeylElement, spec: ParahoricSpec, side: str = "double") -> WeylElement:
-    """Minimal-length element of W_I x, x W_I, or W_I x W_I by greedy descent."""
-    if side not in ("left", "right", "double"):
-        raise InvalidIndex(f"unknown side {side!r}")
+def coset_min(x: WeylElement, spec: ParahoricSpec) -> WeylElement:
+    """Minimal-length element of the double coset W_I x W_I by greedy descent."""
     gens = parahoric_generators(spec)
     improved = True
     while improved:
         improved = False
         lx = length(x)
         for s in gens:
-            if side in ("left", "double"):
-                y = s * x
-                if length(y) < lx:
-                    x, lx = y, length(y)
-                    improved = True
-            if side in ("right", "double"):
-                y = x * s
+            for left in (True, False):
+                y = s * x if left else x * s
                 if length(y) < lx:
                     x, lx = y, length(y)
                     improved = True
     return x
 
 
-def elements_of_length_leq(datum: RootDatum, kappa0: int, max_len: int):
+def elements_of_length_leq(datum: RootDatum, kappa0: int, max_len: int, budget=None):
     """All elements x with kappa(x) = kappa0 and length(x) <= max_len.
 
     Returned as {length: set of elements}.  BFS by left multiplication
     with affine simple reflections starting from the length-0 element
     of the component; every element of positive length has a left
-    descent, so the sweep is exhaustive.
+    descent, so the sweep is exhaustive.  Each level's size is spent
+    from the budget (a fresh Budget() if None).
     """
-    base = element_from_word(datum, [], kappa0)
-    levels = {0: {base}}
+    budget = budget or Budget()
+    levels = {0: {element_from_word(datum, [], kappa0)}}
+    budget.spend(1, "elements of bounded length")
     simples = [simple_reflection(datum, j) for j in datum.simple_indices]
     for ln in range(max_len):
-        nxt = set()
-        for x in levels[ln]:
-            for s in simples:
-                y = s * x
-                if length(y) == ln + 1:
-                    nxt.add(y)
+        nxt = {y for x in levels[ln] for s in simples if length(y := s * x) == ln + 1}
         if not nxt:
             break
+        budget.spend(len(nxt), "elements of bounded length")
         levels[ln + 1] = nxt
     return levels
 

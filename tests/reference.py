@@ -11,7 +11,10 @@ computes another way, kept as an oracle for it:
   * ``symmetric_batch``: symmetric matrices decoded from mixed-radix
     digits (the library scans them in chunks of int16 digit tables);
   * ``classify_by_orbits``: the strata of a chain model as orbits of the
-    elementary chain automorphisms (the library matches signatures).
+    elementary chain automorphisms (the library matches signatures);
+  * ``mod_p_map``: a transition map on Lambda tensor F_p built from the
+    slot bases (the library restricts the chain's own maps to the Pi^0
+    coordinates).
 """
 
 import numpy as np
@@ -26,7 +29,6 @@ from locmodel.errors import (
 from locmodel.latmod import ChainModel, ChainPoint, StratumReport, standard_point
 from locmodel.linalg import FieldMatrix, Subspace, _nullspace
 from locmodel.weyl import (
-    DOWNSET_MAX_LENGTH,
     WeylElement,
     element_from_word,
     identity,
@@ -37,6 +39,8 @@ from locmodel.weyl import (
 
 # ---------------------------------------------------------------------------
 # weyl
+
+DOWNSET_MAX_LENGTH = 20  # the subword expansion visits 2^length(y) words
 
 
 def enumerate_below(y: WeylElement) -> set:
@@ -248,3 +252,27 @@ def classify_by_orbits(points, adm, model: ChainModel) -> StratumReport:
             counts[c] = counts.get(c, 0) + 1
     rows = sorted(counts.items(), key=lambda kv: kv[0].min_rep.lam)
     return StratumReport(rows, unmatched)
+
+
+# ---------------------------------------------------------------------------
+# latmod: unramified transition maps
+
+
+def mod_p_map(model: ChainModel, src, dst, extra_pi):
+    """Transition M_src -> M_dst on Lambda tensor F_p (times pi^extra_pi):
+    only exact exponent matches survive."""
+    sb, db = model.slot_basis[src], model.slot_basis[dst]
+    pos = {sym: (m, a) for m, (sym, a) in enumerate(db)}
+    a = np.zeros((model.D, model.D), dtype=np.int64)
+    for m_src, (sym, a_src) in enumerate(sb):
+        m_dst, a_dst = pos[sym]
+        if a_src + extra_pi == a_dst:
+            a[m_dst, m_src] = 1
+    return FieldMatrix(model.field, a)
+
+
+def mod_p_maps(model: ChainModel):
+    """The transition maps between consecutive slots and the wrap map."""
+    slots = model.slots
+    maps = [mod_p_map(model, a, b, 0) for a, b in zip(slots, slots[1:])]
+    return maps + [mod_p_map(model, slots[-1], slots[0], 1)]

@@ -201,9 +201,9 @@ class TestCriterion6Symplectic:
         reason="extended GSp(4) run: set LOCMODEL_EXTENDED=1",
     )
     def test_gsp2_extended(self):
-        from locmodel.errors import BudgetExceeded
+        from locmodel.errors import Budget, BudgetExceeded
 
-        budget = int(os.environ.get("LOCMODEL_BUDGET", 10**7))
+        budget = Budget(int(os.environ.get("LOCMODEL_BUDGET", 10**7)))
         model = build_model("GSp", 2, 2, {0}, 3)
         datum = RootDatum("GSp", 2)
         spec = ParahoricSpec(datum, frozenset({0}))

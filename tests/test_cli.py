@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from locmodel import cli
 from locmodel.cli import main, parse_manifest
-from locmodel.errors import ManifestParseError
+from locmodel.errors import Budget, ManifestParseError
 
 
 def run(argv):
@@ -93,6 +93,27 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("usage error: LOCMODEL_BUDGET must be a positive")
         # a valid --budget takes precedence over the environment
         assert run(adm + ["--budget", "5"])[0] == 0
+
+    def test_budget_is_one_allowance_per_case(self):
+        # adm spends the down-sets it stores: {tau}, then the two of size 2
+        adm = ["adm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"]
+        assert run(adm + ["--budget", "5"])[0] == 0
+        assert run(adm + ["--budget", "4"])[0] == 3
+        # verify matrix: the 5^10 scan, 1 + 156 + 806 isotropic subspaces
+        # and 5 + 5^3 symmetric matrices, within the default 10^7
+        budget = Budget()
+        report = cli.run_verify_matrix({"n": "4", "r": "2", "s": "2", "p": "5"}, budget)
+        assert report["pass"] and budget.spent == 9_766_718 <= budget.limit
+        matrix = ["verify", "matrix", "--n", "4", "--r", "2", "--s", "2", "--p", "5"]
+        assert run(matrix + ["--budget", "9766718"])[0] == 0
+        assert run(matrix + ["--budget", "9766717"])[0] == 3
+
+    def test_each_suite_block_gets_its_own_budget(self, tmp_path):
+        block = "case=adm\ngroup=gl\nd=2\nmu=1,0\niwahori=true\n"
+        manifest = tmp_path / "suite.txt"
+        manifest.write_text(block + "\n" + block)
+        assert run(["run-suite", str(manifest), "--budget", "5"])[0] == 0
+        assert run(["run-suite", str(manifest), "--budget", "4"])[0] == 3
 
     @pytest.mark.parametrize(
         "argv",
@@ -184,11 +205,36 @@ def command_lines(draw):
     return argv + ["--budget", str(draw(st.integers(1, 40)))]
 
 
+_GL_MODEL = ["--group", "gl", "--d", "2", "--e", "2", "--r", "1,1", "--I", "0", "--p", "2"]
+_GL_MU = ["--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"]
+
+
 class TestExitCodeContract:
     @settings(max_examples=200, deadline=None)
     @given(command_lines())
     def test_exit_code_is_documented(self, argv):
         assert main(argv, stream=io.StringIO()) in (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adm", *_GL_MU],
+            ["perm", *_GL_MU],
+            ["compare-adm-perm", *_GL_MU],
+            ["count", *_GL_MU, "--p", "2"],
+            ["enumerate", "naive", *_GL_MODEL],
+            ["enumerate", "naive", "--group", "gsp", "--g", "1", "--e", "2", "--I", "0", "--p", "3"],
+            ["enumerate", "splitting", *_GL_MODEL],
+            ["enumerate", "unramified", *_GL_MODEL, "--l", "1"],
+            ["verify", "strata", *_GL_MODEL],
+            ["verify", "matrix", "--n", "2", "--r", "1", "--s", "1", "--p", "5"],
+            ["verify", "matrix", "--g", "1", "--e", "2", "--p", "2"],
+        ],
+        ids=lambda argv: " ".join(argv[:4]),
+    )
+    def test_every_enumerator_honours_the_budget(self, argv):
+        assert main(argv, stream=io.StringIO()) == 0
+        assert main(argv + ["--budget", "1"], stream=io.StringIO()) == 3
 
 
 class TestReports:

@@ -19,6 +19,7 @@ from locmodel.cli import _mu_from_model
 from locmodel.errors import (
     ArtifactError,
     BadRanks,
+    Budget,
     BudgetExceeded,
     ChainInvariantError,
     IncompatibleElement,
@@ -46,6 +47,7 @@ from reference import (
     apply_chain_automorphism,
     classify_by_orbits,
     meet,
+    mod_p_maps,
     random_chain_automorphism,
     stable_under,
 )
@@ -377,19 +379,17 @@ class TestNaive:
         maps = model.T + [model.T_wrap]
         cands = latmod._slot_candidates(model, None)
         assert [len(c) for c in cands] == [13, 13]
-        pts = list(latmod._points(model, maps, cands, model.gram, budget=13 + 13 * 13))
+        pts = list(latmod._points(model, maps, cands, model.gram, Budget(13 + 13 * 13)))
         assert len(pts) == 25
         with pytest.raises(BudgetExceeded):
-            list(latmod._points(model, maps, cands, model.gram, budget=13 + 13 * 13 - 1))
+            list(latmod._points(model, maps, cands, model.gram, Budget(13 + 13 * 13 - 1)))
 
     @pytest.mark.parametrize(
         "size,e,I,p", [(1, 2, {0, 1}, 3), (2, 1, {0, 1, 2}, 2), (2, 2, {1}, 3)], ids=str
     )
     def test_gsp_unramified_equals_product_loop(self, size, e, I, p):
         model = build_model("GSp", size, e, I, p)
-        slots = model.slots
-        maps = [latmod._mod_p_map(model, a, b, 0) for a, b in zip(slots, slots[1:])]
-        maps.append(latmod._mod_p_map(model, slots[-1], slots[0], 1))
+        maps = mod_p_maps(model)
         gram = latmod._mod_p_gram(model)
         opts = list(linalg.enumerate_subspaces(model.D, size, model.field))
         cands = [[s for s in opts if linalg.perp(s, gram) == s] if i == 0 else opts for i in model.I]
@@ -452,11 +452,11 @@ class TestStableSubspaces:
         # GL(2) e=2 p=2: 3 lines in ker N, then 1 + 3 * 3 planes are
         # examined; no single subspaces_between call goes over 3.
         model = gl2_model(2)
-        assert len(linalg.stable_subspaces(model.N, 2, budget=13)) == 7
+        assert len(linalg.stable_subspaces(model.N, 2, budget=Budget(13))) == 7
         with pytest.raises(BudgetExceeded):
-            linalg.stable_subspaces(model.N, 2, budget=12)
+            linalg.stable_subspaces(model.N, 2, budget=Budget(12))
         with pytest.raises(BudgetExceeded):
-            list(naive_points(model, budget=3))
+            list(naive_points(model, budget=Budget(3)))
 
 
 class TestSplitting:
@@ -485,7 +485,7 @@ class TestSplitting:
         # the surviving point is ker N with the flag forced to F1 = F2
         ker = linalg.preimage(m.N, Subspace.zero(m.field, m.dim))
         assert canon[0].subspaces[0] == ker
-        flags = list(latmod._flag_search(m, canon[0], None, collect=True))
+        flags = list(latmod._flag_search(m, canon[0], Budget()))
         assert flags == [{0: (ker, ker)}]
 
     def test_flag_condition_operator_span_invariance(self):
@@ -543,8 +543,7 @@ class TestUnramified:
     @pytest.mark.parametrize("model", list(gl_models_e2_p2()), ids=repr)
     def test_backtracking_equals_product_filter(self, model):
         slots = model.slots
-        maps = [latmod._mod_p_map(model, a, b, 0) for a, b in zip(slots, slots[1:])]
-        maps.append(latmod._mod_p_map(model, slots[-1], slots[0], 1))
+        maps = mod_p_maps(model)
         for l, r in enumerate(model.r_vec, start=1):
             opts = list(linalg.enumerate_subspaces(model.D, r, model.field))
             expected = list(product_filter(slots, maps, [opts] * len(slots)))
@@ -553,6 +552,21 @@ class TestUnramified:
     def test_bad_level(self):
         with pytest.raises(BadRanks):
             list(unramified_points(gl2_model(2), 3))
+
+    def test_residue_maps_equal_slot_basis_maps(self):
+        # every GL(2..4) and GSp(1..3) chain with e <= 3 and every I
+        checked = 0
+        for kind, sizes in (("GL", (2, 3, 4)), ("GSp", (1, 2, 3))):
+            for size, e in itertools.product(sizes, (1, 2, 3)):
+                labels = range(size) if kind == "GL" else range(size + 1)
+                for k in range(1, len(labels) + 1):
+                    for I in itertools.combinations(labels, k):
+                        r_vec = (1,) * e if kind == "GL" else None
+                        model = build_model(kind, size, e, I, 5, r_vec)
+                        expected = mod_p_maps(model)
+                        assert latmod._residue_maps(model) == expected
+                        checked += len(expected)
+        assert checked == 390
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_torsor_gl2(self, p):

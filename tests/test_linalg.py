@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from locmodel.errors import BudgetExceeded, DimensionMismatch, SingularGram
+from locmodel.errors import Budget, BudgetExceeded, DimensionMismatch, SingularGram
 from locmodel.linalg import (
     Field,
     FieldMatrix,
@@ -198,7 +198,7 @@ class TestEnumeration:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
-            list(enumerate_subspaces(6, 3, F5, budget=10))
+            list(enumerate_subspaces(6, 3, F5, budget=Budget(10)))
 
     def test_deterministic_order(self):
         a = [s._key for s in enumerate_subspaces(4, 2, F3)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from locmodel.errors import BadRanks, BudgetExceeded
+from locmodel.errors import BadRanks, Budget, BudgetExceeded
 from locmodel.matschemes import (
     symplectic_P_points,
     unitary_points_direct,
@@ -187,18 +187,18 @@ class TestKernels:
             assert peak < full // 8
 
     def test_budget_threads_into_both_counts(self):
-        assert unitary_points_direct(3, 1, 1, 3, budget=3**6).total == 9
+        assert unitary_points_direct(3, 1, 1, 3, budget=Budget(3**6)).total == 9
         with pytest.raises(BudgetExceeded):
-            unitary_points_direct(3, 1, 1, 3, budget=3**6 - 1)
+            unitary_points_direct(3, 1, 1, 3, budget=Budget(3**6 - 1))
         # the budget is checked before the memoised histogram is consulted
         unitary_points_direct(2, 1, 1, 5)
         with pytest.raises(BudgetExceeded):
-            unitary_points_direct(2, 1, 1, 5, budget=5**3 - 1)
+            unitary_points_direct(2, 1, 1, 5, budget=Budget(5**3 - 1))
         with pytest.raises(BudgetExceeded):
-            unitary_points_stratified(3, 3, 3, 7, budget=1000)
+            unitary_points_stratified(3, 3, 3, 7, budget=Budget(1000))
         with pytest.raises(BudgetExceeded):
-            symplectic_P_points(1, 2, 3, "direct", budget=3**5 - 1)
-        assert symplectic_P_points(1, 2, 3, "direct", budget=3**5) == 27
+            symplectic_P_points(1, 2, 3, "direct", budget=Budget(3**5 - 1))
+        assert symplectic_P_points(1, 2, 3, "direct", budget=Budget(3**5)) == 27
 
 
 class TestSymplectic:
