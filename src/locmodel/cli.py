@@ -16,8 +16,10 @@ fixed inputs except for the elapsed_ms field.
 --budget N (else LOCMODEL_BUDGET, else 10^7) is one cumulative allowance
 of work per case, and per block of run-suite.  Each stage spends its own
 unit: subspaces enumerated, slot choices tried by the chain backtracker,
-down-set elements stored by adm, elements of bounded length listed by
-perm, and symmetric or symplectic matrices scanned by verify matrix.
+down-set elements stored by adm, displacement candidates listed by perm,
+double-coset members formed by the stratum counts of count and verify
+strata|symplectic, and symmetric or symplectic matrices scanned by
+verify matrix.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ import os
 import sys
 import time
 
-from .errors import ArtifactError, Budget, BudgetExceeded, ManifestParseError, PoolBoundViolation, SignatureCollision
+from .errors import ArtifactError, Budget, BudgetExceeded, ManifestParseError, SignatureCollision
 from .weyl import Coweight, ParahoricSpec, RootDatum, length, reduced_word, translation
-from .admissible import adm_set, perm_set, stratum_count, total_count
+from .admissible import adm_set, perm_set, stratum_count
 from . import latmod, matschemes
 
 
@@ -202,9 +204,9 @@ def run_count(params, budget=None):
     s = adm_set(spec, mu, budget)
     rows = []
     for c in sorted(s.classes, key=_class_sort_key):
-        n = stratum_count(c, q)
+        n = stratum_count(c, q, budget)
         rows.append(_class_row(c, predicted=n, observed=n, source="admissible.stratum_count"))
-    tot = total_count(s, q)
+    tot = sum(row["predicted"] for row in rows)
     return _report("count", params, rows, {"predicted": tot, "observed": tot}, True, t0)
 
 
@@ -258,12 +260,12 @@ def _classify(params, budget):
     rows = []
     ok = rep.unmatched == 0
     for c in sorted(s.classes, key=_class_sort_key):
-        pred = stratum_count(c, q)
+        pred = stratum_count(c, q, budget)
         obs = observed.get(c, 0)
         ok = ok and pred == obs
         rows.append(_class_row(c, predicted=pred, observed=obs, source="latmod.classify_strata"))
     totals = {
-        "predicted": total_count(s, q),
+        "predicted": sum(row["predicted"] for row in rows),
         "observed": len(canonical),
         "naive": len(naive),
         "canonical": len(canonical),
@@ -628,7 +630,7 @@ def main(argv=None, stream=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (PoolBoundViolation, SignatureCollision) as exc:
+    except SignatureCollision as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except ManifestParseError as exc:

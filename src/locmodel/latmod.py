@@ -316,23 +316,6 @@ class FlagPoint:
         return hash(self.as_tuple())
 
 
-def _slot_candidates(model: ChainModel, budget):
-    """Per independent slot label, in order, the N-stable subspaces of the right rank.
-
-    The independent labels are the slots for GL and I for GSp; F_{-i} is
-    the pairing annihilator of F_i (forced by the ranks), and F_0 must
-    annihilate itself.  That is the only way a label enters, so the
-    stable subspaces are generated once and shared by the labels.
-    """
-    stable = linalg.stable_subspaces(model.N, model.rank, budget)
-    if model.kind == "GL":
-        return [stable] * len(model.slots)
-    return [
-        [s for s in stable if linalg.perp(s, model.gram[0]) == s] if i == 0 else stable
-        for i in model.I
-    ]
-
-
 def _chains(maps, slots, labels, choices, budget):
     """Yield {slot: subspace} for every chain, in itertools.product order
     over the labels: labels[s] is the tuple of slots chosen together and
@@ -367,16 +350,19 @@ def _extend(maps, labels, choices, links, images, budget, picked, s):
                 yield {t: c for label, opts, i in zip(labels, choices, picked) for t, c in zip(label, opts[i])}
 
 
-def _points(model: ChainModel, maps, cands, grams, budget):
-    """Chain points, in product order, with the subspaces of the independent
-    labels (slots for GL, I for GSp) drawn from cands.  A GSp F_{-i} is the
-    annihilator of F_i under grams[i], N-stable as N is adjoint for it, and
-    is chosen together with F_i."""
+def _points(model: ChainModel, maps, opts, grams, budget):
+    """Chain points, in product order, with the subspace of every
+    independent label (the slots for GL, I for GSp) drawn from the one
+    list opts.  For GSp, F_0 must annihilate itself under grams[0], and
+    F_{-i} is the annihilator of F_i under grams[i], N-stable as N is
+    adjoint for it, chosen together with F_i."""
     paired = [i for i in model.I if model.kind == "GSp" and i > 0]
     labels = [(i, -i) if i in paired else (i,) for i in model.I]
     choices = [
-        [(c, linalg.perp(c, grams[i])) if i in paired else (c,) for c in opts]
-        for i, opts in zip(model.I, cands)
+        [(c, linalg.perp(c, grams[i])) for c in opts]
+        if i in paired
+        else [(c,) for c in opts if model.kind == "GL" or linalg.perp(c, grams[0]) == c]
+        for i in model.I
     ]
     order = list(model.I) + [-i for i in paired]
     for chain in _chains(maps, model.slots, labels, choices, budget):
@@ -391,8 +377,8 @@ def naive_points(model: ChainModel, budget=None):
     condition is automatic at field points and not re-tested.
     """
     budget = budget or Budget()
-    cands = _slot_candidates(model, budget)
-    yield from _points(model, model.T + [model.T_wrap], cands, model.gram, budget)
+    stable = linalg.stable_subspaces(model.N, model.rank, budget)
+    yield from _points(model, model.T + [model.T_wrap], stable, model.gram, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +519,8 @@ def unramified_points(model: ChainModel, l: int, budget=None):
     r = model.r_vec[l - 1] if model.kind == "GL" else model.n
     maps = _residue_maps(model)
     opts = list(linalg.enumerate_subspaces(model.D, r, model.field, budget=budget))
-    if model.kind == "GL":
-        yield from _points(model, maps, [opts] * len(model.slots), {}, budget)
-        return
-    gram = _mod_p_gram(model)
-    lagrangians = [s for s in opts if linalg.perp(s, gram) == s]
-    cands = [lagrangians if i == 0 else opts for i in model.I]
-    yield from _points(model, maps, cands, dict.fromkeys(model.I, gram), budget)
+    grams = dict.fromkeys(model.I, _mod_p_gram(model)) if model.kind == "GSp" else {}
+    yield from _points(model, maps, opts, grams, budget)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,9 @@ cross-check in the test suite.  The count is memoised per process on
 (x_1 > x_2 > ... > x_d > x_1 - 1 for GL, and the analogous dominant
 small alcove for type C).  Bruhat down-sets come from the lifting
 recursion `downset`; the tests check it against the subword expansion.
+Parahoric subgroups W_I and their generators live here; the minimal
+element of a double coset W_I x W_I is found in admissible by a descent
+test, and nothing here lists elements by length.
 """
 
 from __future__ import annotations
@@ -267,12 +270,6 @@ class WeylElement:
         ui = d.invert_finite(self.u)
         return WeylElement(d, d.negate(d.act_coweight(ui, self.lam)), ui)
 
-    def act_point(self, point):
-        """Affine action lam + u(point) on X tensor Q."""
-        d = self.datum
-        moved = d.act_coweight(self.u, point)
-        return tuple(Fraction(a) + b for a, b in zip(self.lam, moved))
-
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
@@ -315,20 +312,6 @@ def simple_reflection(datum: RootDatum, j: int) -> WeylElement:
         s_theta, theta_v = datum.highest_root_data()
         return WeylElement(datum, theta_v, s_theta)
     return finite(datum, datum.finite_simple(j))
-
-
-@lru_cache(maxsize=None)
-def omega_generator(datum: RootDatum) -> WeylElement:
-    """The length-0 element with kappa = 1 (generates Omega)."""
-    if datum.kind == "GL":
-        lam = (1,) + (0,) * (datum.n - 1)
-    else:
-        lam = (1,) * datum.n + (1,)
-    for u in datum.finite_elements():
-        x = WeylElement(datum, lam, u)
-        if length(x) == 0:
-            return x
-    raise InvalidIndex("no length-0 generator found")  # pragma: no cover
 
 
 # -- basic maps --------------------------------------------------------------
@@ -413,20 +396,6 @@ def reduced_word(x: WeylElement):
     return word, kappa(y)
 
 
-def element_from_word(datum: RootDatum, word, omega_power: int = 0) -> WeylElement:
-    x = identity(datum)
-    for j in word:
-        x = x * simple_reflection(datum, j)
-    if omega_power:
-        tau = omega_generator(datum)
-        t = identity(datum)
-        step = tau if omega_power > 0 else tau.inv()
-        for _ in range(abs(omega_power)):
-            t = t * step
-        x = x * t
-    return x
-
-
 def downset(y: WeylElement, memo: dict, budget=None) -> frozenset:
     """The Bruhat down-set of y: D(y) = D(ys) | D(ys) s for a right
     descent s of y (lifting property, Bjorner-Brenti).  memo maps
@@ -491,44 +460,6 @@ def parahoric_subgroup(spec: ParahoricSpec):
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
-
-
-def coset_min(x: WeylElement, spec: ParahoricSpec) -> WeylElement:
-    """Minimal-length element of the double coset W_I x W_I by greedy descent."""
-    gens = parahoric_generators(spec)
-    improved = True
-    while improved:
-        improved = False
-        lx = length(x)
-        for s in gens:
-            for left in (True, False):
-                y = s * x if left else x * s
-                if length(y) < lx:
-                    x, lx = y, length(y)
-                    improved = True
-    return x
-
-
-def elements_of_length_leq(datum: RootDatum, kappa0: int, max_len: int, budget=None):
-    """All elements x with kappa(x) = kappa0 and length(x) <= max_len.
-
-    Returned as {length: set of elements}.  BFS by left multiplication
-    with affine simple reflections starting from the length-0 element
-    of the component; every element of positive length has a left
-    descent, so the sweep is exhaustive.  Each level's size is spent
-    from the budget (a fresh Budget() if None).
-    """
-    budget = budget or Budget()
-    levels = {0: {element_from_word(datum, [], kappa0)}}
-    budget.spend(1, "elements of bounded length")
-    simples = [simple_reflection(datum, j) for j in datum.simple_indices]
-    for ln in range(max_len):
-        nxt = {y for x in levels[ln] for s in simples if length(y := s * x) == ln + 1}
-        if not nxt:
-            break
-        budget.spend(len(nxt), "elements of bounded length")
-        levels[ln + 1] = nxt
-    return levels
 
 
 # -- alcove vertices ---------------------------------------------------------

@@ -5,6 +5,14 @@ computes another way, kept as an oracle for it:
 
   * ``enumerate_below``: Bruhat down-sets by the subword property
     (the library uses the lifting recursion ``weyl.downset``);
+  * ``coset_min``: the minimal element of a double coset by greedy
+    descent (the library keeps the double-minimal elements it meets);
+  * ``elements_of_length_leq`` and ``pool_perm_set``: the permissible
+    set by filtering every element of length <= l(t_mu) + 1 (the library
+    generates the candidates from the vertex displacements);
+  * ``element_from_word``, ``omega_generator`` and ``act_point``: words,
+    the length-0 generator tau and the affine action on points, which
+    only these oracles and the tests need;
   * ``stable_under`` and ``meet``: subspace predicates and intersections
     by direct elimination (the library generates the N-stable subspaces
     and computes signatures from column ranks);
@@ -17,28 +25,86 @@ computes another way, kept as an oracle for it:
     coordinates).
 """
 
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 
 from locmodel import linalg
+from locmodel.admissible import AdmissibleSet, DoubleCoset, conv_membership
 from locmodel.errors import (
     BudgetExceeded,
     DimensionMismatch,
     IncompatibleElement,
+    InvalidIndex,
     SignatureCollision,
 )
 from locmodel.latmod import ChainModel, ChainPoint, StratumReport, standard_point
 from locmodel.linalg import FieldMatrix, Subspace, _nullspace
 from locmodel.weyl import (
     WeylElement,
-    element_from_word,
+    alcove_vertices,
     identity,
+    kappa,
     length,
+    parahoric_generators,
     reduced_word,
     simple_reflection,
+    translation,
 )
 
 # ---------------------------------------------------------------------------
 # weyl
+
+
+@lru_cache(maxsize=None)
+def omega_generator(datum) -> WeylElement:
+    """The length-0 element with kappa = 1 (generates Omega)."""
+    if datum.kind == "GL":
+        lam = (1,) + (0,) * (datum.n - 1)
+    else:
+        lam = (1,) * datum.n + (1,)
+    for u in datum.finite_elements():
+        x = WeylElement(datum, lam, u)
+        if length(x) == 0:
+            return x
+    raise InvalidIndex("no length-0 generator found")
+
+
+def element_from_word(datum, word, omega_power: int = 0) -> WeylElement:
+    """s_{word[0]} ... s_{word[-1]} * tau^omega_power."""
+    x = identity(datum)
+    for j in word:
+        x = x * simple_reflection(datum, j)
+    if omega_power:
+        tau = omega_generator(datum)
+        step = tau if omega_power > 0 else tau.inv()
+        for _ in range(abs(omega_power)):
+            x = x * step
+    return x
+
+
+def act_point(x: WeylElement, point):
+    """The affine action lam + u(point) of x = t_lam u on X tensor Q."""
+    moved = x.datum.act_coweight(x.u, point)
+    return tuple(Fraction(a) + b for a, b in zip(x.lam, moved))
+
+
+def elements_of_length_leq(datum, kappa0: int, max_len: int):
+    """All elements x with kappa(x) = kappa0 and length(x) <= max_len, as
+    {length: set of elements}.  Breadth-first by left multiplication with
+    the affine simple reflections from the length-0 element of the
+    component; every element of positive length has a left descent, so
+    the sweep is exhaustive."""
+    levels = {0: {element_from_word(datum, [], kappa0)}}
+    simples = [simple_reflection(datum, j) for j in datum.simple_indices]
+    for ln in range(max_len):
+        nxt = {y for x in levels[ln] for s in simples if length(y := s * x) == ln + 1}
+        if not nxt:
+            break
+        levels[ln + 1] = nxt
+    return levels
+
 
 DOWNSET_MAX_LENGTH = 20  # the subword expansion visits 2^length(y) words
 
@@ -59,6 +125,53 @@ def enumerate_below(y: WeylElement) -> set:
                 x = x * s
         out.add(x * tail)
     return out
+
+
+# ---------------------------------------------------------------------------
+# admissible
+
+
+def coset_min(x: WeylElement, spec) -> WeylElement:
+    """Minimal-length element of the double coset W_I x W_I by greedy descent."""
+    gens = parahoric_generators(spec)
+    improved = True
+    while improved:
+        improved = False
+        lx = length(x)
+        for s in gens:
+            for left in (True, False):
+                y = s * x if left else x * s
+                if length(y) < lx:
+                    x, lx = y, length(y)
+                    improved = True
+    return x
+
+
+def double_coset(x: WeylElement, spec) -> DoubleCoset:
+    """The class of x, keyed by coset_min."""
+    return DoubleCoset(spec, coset_min(x, spec))
+
+
+def pool_perm_set(spec, mu) -> AdmissibleSet:
+    """The permissible set by filtering a pool: the I-double-minimal
+    elements of kappa(t_mu) and length <= l(t_mu) + 1 whose displacement
+    x(a_i) - a_i lies in Conv(W_0 mu) for every i in I."""
+    datum = spec.datum
+    t_mu = translation(datum, mu.value)
+    verts = alcove_vertices(datum)
+    gens = parahoric_generators(spec)
+    classes = set()
+    for batch in elements_of_length_leq(datum, kappa(t_mu), length(t_mu) + 1).values():
+        for x in batch:
+            lx = length(x)
+            if any(length(s * x) < lx or length(x * s) < lx for s in gens):
+                continue
+            if all(
+                conv_membership(tuple(p - q for p, q in zip(act_point(x, verts[i]), verts[i])), mu)
+                for i in spec.I
+            ):
+                classes.add(DoubleCoset(spec, x))
+    return AdmissibleSet(spec, mu, frozenset(classes))
 
 
 # ---------------------------------------------------------------------------

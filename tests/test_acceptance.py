@@ -21,12 +21,11 @@ from locmodel.weyl import (
     ParahoricSpec,
     RootDatum,
     bruhat_leq,
-    elements_of_length_leq,
     length,
     translation,
 )
 
-from reference import enumerate_below
+from reference import elements_of_length_leq, enumerate_below
 
 
 def nonempty_subsets(labels):

@@ -1,36 +1,35 @@
 """Tests for admissible/permissible sets and stratum counts."""
 
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locmodel import admissible
 from locmodel.admissible import (
     AdmissibleSet,
-    DoubleCoset,
     adm_set,
     conv_membership,
     perm_set,
     stratum_count,
     total_count,
 )
-from locmodel.errors import InvalidIndex, PoolBoundViolation
+from locmodel.errors import InvalidIndex
 from locmodel.weyl import (
     Coweight,
     ParahoricSpec,
     RootDatum,
+    downset,
     finite,
     identity,
     kappa,
     length,
-    omega_generator,
     solve_exact,
     translation,
 )
 
-from reference import enumerate_below
+from reference import double_coset, enumerate_below, omega_generator, pool_perm_set
 
 GL2 = RootDatum("GL", 2)
 GL3 = RootDatum("GL", 3)
@@ -72,7 +71,7 @@ class TestAdmSet:
         all_min_reps = s.min_reps()
         for c in s.classes:
             below = [
-                DoubleCoset.of(x, s.spec)
+                double_coset(x, s.spec)
                 for x in enumerate_below(c.min_rep)
             ]
             for d in below:
@@ -82,7 +81,7 @@ class TestAdmSet:
         spec = iwahori(GL3)
         mu = Coweight(GL3, (1, 1, 0))
         s = adm_set(spec, mu)
-        expected = {DoubleCoset.of(translation(GL3, lam), spec) for lam in mu.orbit()}
+        expected = {double_coset(translation(GL3, lam), spec) for lam in mu.orbit()}
         assert set(s.maximal_classes()) == expected
 
     def test_grassmannian_case_matches_majorization(self):
@@ -96,7 +95,7 @@ class TestAdmSet:
             if sorted(lam, reverse=True) == list(lam) and sum(lam) == 3
         ]
         expected = {
-            DoubleCoset.of(translation(GL3, lam), spec)
+            double_coset(translation(GL3, lam), spec)
             for lam in dominant
             if conv_membership(lam, mu)
         }
@@ -166,6 +165,14 @@ GSP_MUS = [
     Coweight(GSP3, (2, 2, 1, 2)),
 ]
 
+GL_MUS = [
+    Coweight(GL2, (1, 0)),
+    Coweight(GL2, (3, -1)),
+    Coweight(GL3, (1, 1, 0)),
+    Coweight(GL3, (2, 1, 0)),
+    Coweight(RootDatum("GL", 4), (2, 1, 1, 0)),
+]
+
 _rationals = st.fractions(min_value=-2, max_value=4, max_denominator=4)
 
 
@@ -194,6 +201,23 @@ class TestTypeCHull:
         assert caratheodory_oracle(y, mu)
 
 
+class TestScaledHull:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2, 3]))
+    def test_scaling_both_sides(self, data, D):
+        # y in Conv(W_0 mu) iff D y in Conv(W_0 D mu); y is put on the
+        # level of mu (coordinate sum for GL, similitude for GSp) so the
+        # dominance test itself decides
+        mu = data.draw(st.sampled_from(GSP_MUS + GL_MUS))
+        head = data.draw(st.lists(_rationals, min_size=mu.datum.n, max_size=mu.datum.n))
+        if mu.datum.kind == "GL":
+            y = tuple(head[:-1]) + (sum(mu.value) - sum(head[:-1]),)
+        else:
+            y = tuple(head) + (mu.value[-1],)
+        scaled = Coweight(mu.datum, tuple(D * v for v in mu.value))
+        assert conv_membership(tuple(D * v for v in y), scaled) == conv_membership(y, mu)
+
+
 class TestPermSet:
     def test_frozen_gl2_iwahori(self):
         spec = iwahori(GL2)
@@ -209,7 +233,7 @@ class TestPermSet:
         spec = spec0(GL3)
         mu = Coweight(GL3, (1, 1, 0))
         s = perm_set(spec, mu)
-        assert s.classes == {DoubleCoset.of(translation(GL3, (1, 1, 0)), spec)}
+        assert s.classes == {double_coset(translation(GL3, (1, 1, 0)), spec)}
 
     @pytest.mark.parametrize(
         "datum,mu_value,I",
@@ -227,22 +251,68 @@ class TestPermSet:
         mu = Coweight(datum, mu_value)
         assert adm_set(spec, mu).classes == perm_set(spec, mu).classes
 
-    def test_pool_boundary_raises_typed_error(self, monkeypatch):
-        # With every point declared permissible, the pool's extra length
-        # l(t_mu) + 1 holds permissible classes, which must be reported.
-        monkeypatch.setattr(admissible, "conv_membership", lambda y, mu: True)
-        with pytest.raises(PoolBoundViolation):
-            perm_set(iwahori(GL2), Coweight(GL2, (1, 0)))
+
+def minuscule_sums(datum, max_terms):
+    """omega_{r_1} + ... + omega_{r_k}, k <= max_terms; e * mu_1 for GSp."""
+    if datum.kind == "GSp":
+        return [(e,) * datum.n + (e,) for e in range(1, max_terms + 1)]
+    d = datum.n
+    out = set()
+    for k in range(1, max_terms + 1):
+        for combo in itertools.combinations_with_replacement(range(d + 1), k):
+            out.add(tuple(sum(1 for r in combo if i < r) for i in range(d)))
+    return sorted(out)
+
+
+def every_I(datum):
+    labels = list(datum.vertex_labels)
+    for k in range(1, len(labels) + 1):
+        for I in itertools.combinations(labels, k):
+            yield ParahoricSpec(datum, frozenset(I))
+
+
+_EXTENDED = pytest.mark.skipif(
+    not os.environ.get("LOCMODEL_EXTENDED"), reason="GL(4) and GSp(3): set LOCMODEL_EXTENDED=1"
+)
+
+
+class TestAgainstReference:
+    """perm_set against the pool filter over every element of length
+    <= l(t_mu) + 1, and the classes of adm_set against the greedy
+    coset_min of every down-set element, at every I."""
+
+    @pytest.mark.parametrize(
+        "datum,max_terms",
+        [
+            (GL2, 3),
+            (GL3, 3),
+            (GSP1, 2),
+            (GSP2, 2),
+            pytest.param(RootDatum("GL", 4), 3, marks=_EXTENDED),
+            pytest.param(GSP3, 2, marks=_EXTENDED),
+        ],
+        ids=lambda v: f"{v.kind}{v.n}" if isinstance(v, RootDatum) else str(v),
+    )
+    def test_sets_equal_reference(self, datum, max_terms):
+        for mu_value in minuscule_sums(datum, max_terms):
+            mu = Coweight(datum, mu_value)
+            memo, below = {}, set()
+            for lam in mu.orbit():
+                below |= downset(translation(datum, lam), memo)
+            for spec in every_I(datum):
+                expected = {double_coset(x, spec) for x in below}
+                assert adm_set(spec, mu).classes == expected, (mu_value, spec.I)
+                assert perm_set(spec, mu).classes == pool_perm_set(spec, mu).classes, (mu_value, spec.I)
 
 
 class TestStratumCounts:
     def test_central_class(self):
-        c = DoubleCoset.of(translation(GL2, (1, 1)), spec0(GL2))
+        c = double_coset(translation(GL2, (1, 1)), spec0(GL2))
         assert stratum_count(c, 2) == 1
         assert stratum_count(c, 5) == 1
 
     def test_frozen_2_0_class(self):
-        c = DoubleCoset.of(translation(GL2, (2, 0)), spec0(GL2))
+        c = double_coset(translation(GL2, (2, 0)), spec0(GL2))
         assert c.stratum_lengths() == [1, 2]
         for q in (2, 3, 5):
             assert stratum_count(c, q) == q**2 + q
@@ -250,7 +320,7 @@ class TestStratumCounts:
     def test_iwahori_class_single_cell(self):
         spec = iwahori(GL3)
         x = translation(GL3, (1, 1, 0))
-        c = DoubleCoset.of(x, spec)
+        c = double_coset(x, spec)
         assert stratum_count(c, 3) == 3 ** length(x)
 
     def test_q1_counts_right_minimal_members(self):
@@ -259,7 +329,7 @@ class TestStratumCounts:
             (translation(GL3, (1, 1, 0)), spec0(GL3)),
             (translation(GSP1, (2, 2)), spec0(GSP1)),
         ]:
-            c = DoubleCoset.of(x, spec)
+            c = double_coset(x, spec)
             assert stratum_count(c, 1) == len(c.right_minimal_members())
 
 

@@ -108,6 +108,22 @@ class TestExitCodes:
         assert run(matrix + ["--budget", "9766718"])[0] == 0
         assert run(matrix + ["--budget", "9766717"])[0] == 3
 
+    @pytest.mark.parametrize(
+        "argv,spent",
+        [
+            # 2 finite parts, each with lam in {0, 1}^2
+            (["perm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"], 8),
+            # the 5 down-set elements of adm and the 8 candidates of perm
+            (["compare-adm-perm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"], 13),
+            # 1,011 down-set elements, then |W_I|^2 = 24^2 members per class
+            (["count", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0", "--p", "2"], 1011 + 2 * 24**2),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else str(v),
+    )
+    def test_exact_spend(self, argv, spent):
+        assert run(argv + ["--budget", str(spent)])[0] == 0
+        assert run(argv + ["--budget", str(spent - 1)])[0] == 3
+
     def test_each_suite_block_gets_its_own_budget(self, tmp_path):
         block = "case=adm\ngroup=gl\nd=2\nmu=1,0\niwahori=true\n"
         manifest = tmp_path / "suite.txt"
@@ -374,13 +390,6 @@ class TestParserReuse:
                          "--r", "1,1", "--I", "0", "--p", "2"])
         assert code == 1 and out == ""
         assert capsys.readouterr().err.startswith("verification failed: standard points of")
-
-    def test_pool_bound_violation_exits_one(self, monkeypatch):
-        from locmodel import admissible
-
-        monkeypatch.setattr(admissible, "conv_membership", lambda y, mu: True)
-        code, _ = run(["perm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"])
-        assert code == 1
 
 
 class TestManifest:

@@ -41,13 +41,14 @@ from locmodel.latmod import (
     unramified_points,
 )
 from locmodel.linalg import FieldMatrix, Subspace
-from locmodel.weyl import Coweight, ParahoricSpec, RootDatum, omega_generator, translation
+from locmodel.weyl import Coweight, ParahoricSpec, RootDatum, translation
 
 from reference import (
     apply_chain_automorphism,
     classify_by_orbits,
     meet,
     mod_p_maps,
+    omega_generator,
     random_chain_automorphism,
     stable_under,
 )
@@ -86,12 +87,25 @@ def grassmannian_filter(model, lagrangian, rank=None):
     return cands
 
 
+def label_candidates(model):
+    """Per independent label (the slots for GL, I for GSp), in order, the
+    options that latmod._points keeps from the N-stable subspaces: all of
+    them, except that the GSp F_0 must annihilate itself."""
+    stable = linalg.stable_subspaces(model.N, model.rank)
+    if model.kind == "GL":
+        return [stable] * len(model.slots)
+    return [
+        [s for s in stable if linalg.perp(s, model.gram[0]) == s] if i == 0 else stable
+        for i in model.I
+    ]
+
+
 def gsp_product_filter(model):
     """The former GSp point loop, kept as the reference: F_{-i} completed
     as the annihilator of F_i, every slot tested for N-stability, then
     the transitions and the wrap."""
     maps = model.T + [model.T_wrap]
-    for combo in itertools.product(*latmod._slot_candidates(model, None)):
+    for combo in itertools.product(*label_candidates(model)):
         sub = dict(zip(model.I, combo))
         for i in model.I:
             if i > 0:
@@ -337,7 +351,7 @@ class TestNaive:
     @pytest.mark.parametrize("model", list(gl_models_e2_p2()), ids=repr)
     def test_backtracking_equals_product_filter(self, model):
         # same points in the same order, for one slot (wrap only) and more
-        cands = latmod._slot_candidates(model, None)
+        cands = label_candidates(model)
         expected = list(product_filter(model.slots, model.T + [model.T_wrap], cands))
         got = [pt.subspaces for pt in naive_points(model)]
         assert got == expected
@@ -366,7 +380,7 @@ class TestNaive:
         # at Iwahori level has 59 points among 15 * 35 * 35 products
         model = build_model("GSp", size, e, I, p)
         maps = model.T + [model.T_wrap]
-        cands = latmod._slot_candidates(model, None)
+        cands = label_candidates(model)
         expected = [pt.subspaces for pt in gsp_product_loop(model, maps, cands, model.gram)]
         got = [pt.subspaces for pt in naive_points(model)]
         assert got == expected
@@ -377,12 +391,12 @@ class TestNaive:
         # of F_0 are extended by the 13 choices of F_1
         model = build_model("GSp", 1, 2, {0, 1}, 3)
         maps = model.T + [model.T_wrap]
-        cands = latmod._slot_candidates(model, None)
-        assert [len(c) for c in cands] == [13, 13]
-        pts = list(latmod._points(model, maps, cands, model.gram, Budget(13 + 13 * 13)))
+        assert [len(c) for c in label_candidates(model)] == [13, 13]
+        stable = linalg.stable_subspaces(model.N, model.rank)
+        pts = list(latmod._points(model, maps, stable, model.gram, Budget(13 + 13 * 13)))
         assert len(pts) == 25
         with pytest.raises(BudgetExceeded):
-            list(latmod._points(model, maps, cands, model.gram, Budget(13 + 13 * 13 - 1)))
+            list(latmod._points(model, maps, stable, model.gram, Budget(13 + 13 * 13 - 1)))
 
     @pytest.mark.parametrize(
         "size,e,I,p", [(1, 2, {0, 1}, 3), (2, 1, {0, 1, 2}, 2), (2, 2, {1}, 3)], ids=str
@@ -428,7 +442,8 @@ class TestStableSubspaces:
     )
     def test_slot_candidates_equal_filter(self, kind, size, e, I, p, r_vec):
         model = build_model(kind, size, e, I, p, r_vec)
-        got = latmod._slot_candidates(model, None)
+        got = label_candidates(model)
+        assert linalg.stable_subspaces(model.N, model.rank) == grassmannian_filter(model, False)
         labels = model.slots if kind == "GL" else model.I
         keys = [kind == "GSp" and label == 0 for label in labels]
         assert got == [grassmannian_filter(model, key) for key in keys]
