@@ -122,7 +122,7 @@ def adm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
 
 def conv_membership(y, mu: Coweight) -> bool:
     """Is y in the convex hull of the W_0-orbit of mu?  Exact on integer
-    and Fraction coordinates.
+    and rational coordinates.
 
     GL: equal coordinate sum, and the sorted y is majorized by the
     sorted mu.  GSp: equal similitude c; centred at c/2, W_0 acts by
