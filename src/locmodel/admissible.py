@@ -2,21 +2,23 @@
 
 Both sets are sets of double cosets, each keyed by its minimal element:
 the one member with no left and no right descent in W_I
-(_double_minimal).  Their expected equality is one of the main
-verification targets.
+(_double_minimal, on the descent masks of weyl.descents).  Their
+expected equality is one of the main verification targets.
 
 adm_set takes the union of the Bruhat down-sets of the translations
-t_lam over the finite-Weyl orbit of mu (weyl.downset, memoised within
-one call).  A class's minimal element is Bruhat-below each of its
-members, so the classes that meet the down-set are exactly those of its
-double-minimal elements.
+t_lam over the finite-Weyl orbit of mu (weyl.downset).  The union does
+not depend on I, so it is computed once per (datum, mu) and process,
+each element with its descent masks, and kept with the budget units it
+spent (_translation_downsets).  A class's minimal element is
+Bruhat-below each of its members, so the classes that meet the
+down-set are exactly those of its double-minimal elements.
 
 perm_set generates the classes whose members satisfy the vertex
 displacement condition x(a_i) - a_i in Conv(W_0 mu) for every i in I.
-For x = t_lam u the hull bounds each coordinate of the displacement at
-one vertex, hence each coordinate of lam, so the candidates are listed
-directly and no length bound is assumed.  The vertices are scaled by
-their common denominator, so the hull test (conv_membership, a closed
+The vertices are scaled by their common denominator D, the integer
+points of D * Conv(W_0 mu) are listed once per (mu, D), and each of
+them, with each finite part u, gives at most one candidate t_lam u; no
+length bound is assumed.  The hull test (conv_membership, a closed
 dominance criterion in both types) runs on integers.
 
 stratum_count evaluates sum q^{l(z)} over the right-I-minimal members
@@ -29,6 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import add, sub
 
 from .errors import Budget, KindMismatch
 from .weyl import (
@@ -37,9 +41,10 @@ from .weyl import (
     WeylElement,
     alcove_vertices,
     bruhat_leq,
+    descent_masks,
+    descents,
     downset,
     length,
-    parahoric_generators,
     parahoric_subgroup,
     translation,
 )
@@ -58,13 +63,8 @@ class DoubleCoset:
 
     def right_minimal_members(self):
         """Members with no right descent by a generator of W_I."""
-        gens = parahoric_generators(self.spec)
-        out = []
-        for z in self.members():
-            lz = length(z)
-            if all(length(z * s) > lz for s in gens):
-                out.append(z)
-        return out
+        gens = self.spec.generator_mask
+        return [z for z in self.members() if not descents(z)[1] & gens]
 
     def stratum_lengths(self):
         return sorted(length(z) for z in self.right_minimal_members())
@@ -99,24 +99,47 @@ def _check_mu(spec: ParahoricSpec, mu: Coweight):
         raise KindMismatch("coweight belongs to a different datum")
 
 
-def _double_minimal(x: WeylElement, gens) -> bool:
-    """Has x no left and no right descent by the generators gens of W_I?
-    Exactly then x is the minimal element of W_I x W_I."""
-    lx = length(x)
-    return all(length(s * x) > lx and length(x * s) > lx for s in gens)
+def _double_minimal(left: int, right: int, gens: int) -> bool:
+    """Given the descent masks of x: has x no left and no right descent
+    among the generators gens (a bitmask) of W_I?  Exactly then x is the
+    minimal element of W_I x W_I."""
+    return not (left | right) & gens
+
+
+# (datum, mu.value) -> (((x, left, right), ...), units): the union of the
+# Bruhat down-sets of the t_lam, lam in W_0 mu, each element with its
+# descent masks, and the budget units the computation spent.
+_DOWNSETS = {}
+
+
+def _translation_downsets(mu: Coweight, budget: Budget):
+    """The memo entry of mu, computed (and spent as it goes) on a miss;
+    on a hit the recorded units are spent at once, so the budget's
+    outcome does not depend on what ran before.  An entry is stored only
+    once the computation completes."""
+    key = (mu.datum, mu.value)
+    entry = _DOWNSETS.get(key)
+    if entry is not None:
+        budget.spend(entry[1], "down-set elements")
+        return entry[0]
+    start = budget.spent
+    memo, below = {}, set()
+    for lam in mu.orbit():
+        below |= downset(translation(mu.datum, lam), memo, budget)
+    elements = tuple((x, *descents(x)) for x in below)
+    _DOWNSETS[key] = (elements, budget.spent - start)
+    return elements
 
 
 def adm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     """{ [x] : x <= t_lam for some lam in W_0 mu }, as double cosets.
     The down-sets are spent from one budget (a fresh Budget() if None)."""
     _check_mu(spec, mu)
-    budget = budget or Budget()
-    memo = {}
-    below = set()
-    for lam in mu.orbit():
-        below |= downset(translation(spec.datum, lam), memo, budget)
-    gens = parahoric_generators(spec)
-    classes = frozenset(DoubleCoset(spec, x) for x in below if _double_minimal(x, gens))
+    gens = spec.generator_mask
+    elements = _translation_downsets(mu, budget or Budget())
+    classes = frozenset(
+        DoubleCoset(spec, x) for x, left, right in elements if _double_minimal(left, right, gens)
+    )
     return AdmissibleSet(spec, mu, classes)
 
 
@@ -162,6 +185,39 @@ def _coordinate_bounds(mu: Coweight, D: int):
     return -((reach - D * c) // 2), (D * c + reach) // 2
 
 
+@lru_cache(maxsize=None)
+def _hull_points(mu: Coweight, D: int):
+    """(points, by_residue): the integer points of D * Conv(W_0 mu), as a
+    set and grouped by their residues mod D.  Every coordinate but the
+    similitude lies in _coordinate_bounds.  For GL the coordinate sum is
+    D * sum(mu), so the points are generated with that sum and only the
+    dominance test filters them; for GSp the similitude is D c."""
+    datum = mu.datum
+    lo, hi = _coordinate_bounds(mu, D)
+    if datum.kind == "GL":
+        box = _with_sum(datum.n, D * sum(mu.value), lo, hi)
+    else:
+        tail = (D * mu.value[-1],)
+        box = (head + tail for head in itertools.product(range(lo, hi + 1), repeat=datum.n))
+    scaled_mu = Coweight(datum, tuple(D * v for v in mu.value))
+    points = frozenset(y for y in box if conv_membership(y, scaled_mu))
+    by_residue = {}
+    for y in sorted(points):
+        by_residue.setdefault(tuple(v % D for v in y), []).append(y)
+    return points, by_residue
+
+
+def _with_sum(n: int, total: int, lo: int, hi: int):
+    """Every n-tuple of integers in lo..hi with the given sum."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for v in range(max(lo, total - (n - 1) * hi), min(hi, total - (n - 1) * lo) + 1):
+        for rest in _with_sum(n - 1, total - v, lo, hi):
+            yield (v,) + rest
+
+
 def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     """Classes whose members satisfy the vertex displacement condition.
 
@@ -169,40 +225,34 @@ def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     vertex a_i with i in I, and the hull is W_0-stable), so only the
     double-minimal elements are kept.  With D the common denominator of
     the vertices and A_i = D a_i, the scaled displacement of x = t_lam u
-    at a_i is D lam + u(A_i) - A_i.  At i0 = min I each of its
-    coordinates lies in _coordinate_bounds, which leaves finitely many
-    integers for each lam_j (the similitude of lam is that of mu); every
-    lam so listed is one displacement candidate, spent from the budget
-    (a fresh Budget() if None).  The hull test also forces
-    kappa(x) = kappa(t_mu), so the candidates are complete with no
-    length bound.
+    at a_i is D lam + u(A_i) - A_i.  At i0 = min I it is a point y of
+    D * Conv(W_0 mu) (_hull_points), so lam = (y - u(A_i0) + A_i0) / D
+    wherever that is integral; every lam so found is one displacement
+    candidate, spent from the budget (a fresh Budget() if None), and the
+    other vertices of I are tested by membership in the same points.
+    The hull test also forces kappa(x) = kappa(t_mu), so the candidates
+    are complete with no length bound.
     """
     _check_mu(spec, mu)
     budget = budget or Budget()
     datum = spec.datum
-    n = datum.n
     verts = alcove_vertices(datum)
     D = math.lcm(*(v.denominator for a in verts.values() for v in a))
     scaled = [tuple(int(D * v) for v in verts[i]) for i in sorted(spec.I)]
-    scaled_mu = Coweight(datum, tuple(D * v for v in mu.value))
-    lo, hi = _coordinate_bounds(mu, D)
-    tail = (mu.value[-1],) if datum.kind == "GSp" else ()
-    gens = parahoric_generators(spec)
+    points, by_residue = _hull_points(mu, D)
+    gens = spec.generator_mask
     classes = set()
     for u in datum.finite_elements():
-        shifts = [tuple(b - a for a, b in zip(A, datum.act_coweight(u, A))) for A in scaled]
-        ranges = [range(-((s - lo) // D), (hi - s) // D + 1) for s in shifts[0][:n]]
-        for head in itertools.product(*ranges):
-            budget.spend(1, "displacement candidates")
-            lam = head + tail
-            if not all(
-                conv_membership(tuple(D * l + s for l, s in zip(lam, shift)), scaled_mu)
-                for shift in shifts
-            ):
+        first, *rest = [tuple(map(sub, datum.act_coweight(u, A), A)) for A in scaled]
+        candidates = by_residue.get(tuple(v % D for v in first), ())
+        budget.spend(len(candidates), "displacement candidates")
+        for y in candidates:
+            moved = tuple(map(sub, y, first))  # D lam
+            if not all(tuple(map(add, moved, shift)) in points for shift in rest):
                 continue
-            x = WeylElement(datum, lam, u)
-            if _double_minimal(x, gens):
-                classes.add(DoubleCoset(spec, x))
+            lam = tuple(v // D for v in moved)
+            if _double_minimal(*descent_masks(datum, lam, u), gens):
+                classes.add(DoubleCoset(spec, WeylElement(datum, lam, u)))
     return AdmissibleSet(spec, mu, frozenset(classes))
 
 
@@ -212,7 +262,3 @@ def stratum_count(c: DoubleCoset, q: int, budget=None) -> int:
     Budget() if None)."""
     (budget or Budget()).spend(len(parahoric_subgroup(c.spec)) ** 2, "double-coset members")
     return sum(q**ln for ln in c.stratum_lengths())
-
-
-def total_count(s: AdmissibleSet, q: int) -> int:
-    return sum(stratum_count(c, q) for c in s.classes)

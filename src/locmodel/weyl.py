@@ -13,11 +13,16 @@ closed translation-length formula <lam+, 2rho> is used only as a
 cross-check in the test suite.  The count is memoised per process on
 (datum, lam, u).  The base alcove is the standard one
 (x_1 > x_2 > ... > x_d > x_1 - 1 for GL, and the analogous dominant
-small alcove for type C).  Bruhat down-sets come from the lifting
-recursion `downset`; the tests check it against the subword expansion.
-Parahoric subgroups W_I and their generators live here; the minimal
-element of a double coset W_I x W_I is found in admissible by a descent
-test, and nothing here lists elements by length.
+small alcove for type C).  Descents are found by root signs: the
+simple affine root beta_j that s_j inverts is derived once per datum
+from simple_reflection, and s_j is a right (left) descent of x exactly
+when x(beta_j) (x^-1(beta_j)) is negative, so no product and no length
+is formed; Bruhat comparison, reduced words and the down-sets use
+them.  Bruhat down-sets come from the lifting recursion `downset`; the
+tests check it against the subword expansion.  Parahoric subgroups W_I
+and their generators live here; the minimal element of a double coset
+W_I x W_I is the member with no descent among the generators, and
+nothing here lists elements by length.
 """
 
 from __future__ import annotations
@@ -247,7 +252,7 @@ class Coweight:
 class WeylElement:
     """Immutable element t_lam * u of the extended affine Weyl group."""
 
-    __slots__ = ("datum", "lam", "u", "_len", "_hash")
+    __slots__ = ("datum", "lam", "u", "_len", "_desc", "_hash")
 
     def __init__(self, datum: RootDatum, lam, u):
         self.datum = datum
@@ -256,6 +261,7 @@ class WeylElement:
         if len(self.lam) != datum.coord_len:
             raise InvalidIndex("coweight has wrong length")
         self._len = None
+        self._desc = None
         self._hash = hash((datum, self.lam, self.u))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
@@ -350,16 +356,108 @@ def _inversions(d: RootDatum, lam, u) -> int:
     return total
 
 
+# -- descents ---------------------------------------------------------------
+
+
+def _is_negative(beta, k) -> bool:
+    """Is the affine root (beta, k) negative: k < 0, or k = 0 and beta < 0?"""
+    return k < 0 or (k == 0 and not RootDatum.is_positive_root(beta))
+
+
+@lru_cache(maxsize=None)
+def simple_affine_roots(datum: RootDatum):
+    """((j, beta_j), ...): for each affine simple reflection s_j the one
+    positive affine root beta_j = (alpha, k) that s_j sends to a negative
+    one.  Derived from simple_reflection: for s_j = t_lam u the image of
+    (alpha, k) is (u(alpha), k - <lam, u(alpha)>), so only the k between
+    0 (1 for negative alpha) and <lam, u(alpha)> can be inverted."""
+    out = []
+    for j in datum.simple_indices:
+        s = simple_reflection(datum, j)
+        inverted = []
+        for alpha in datum.roots():
+            beta = datum.act_root(s.u, alpha)
+            m = datum.pairing(s.lam, beta)
+            k_min = 0 if datum.is_positive_root(alpha) else 1
+            inverted += [(alpha, k) for k in range(k_min, m + 1) if _is_negative(beta, k - m)]
+        if len(inverted) != 1:  # pragma: no cover
+            raise AssertionError(f"s_{j} inverts {len(inverted)} positive affine roots")
+        out.append((j, inverted[0]))
+    return tuple(out)
+
+
+def descents(x: WeylElement):
+    """(left, right): bitmasks of the j with l(s_j x) < l(x), and of the
+    j with l(x s_j) < l(x), found by root signs and stored on x.
+
+    s_j is a right descent iff x(beta_j) < 0 and a left descent iff
+    x^-1(beta_j) < 0 (beta_j = (alpha, k) from simple_affine_roots).  For
+    x = t_lam u, x(alpha, k) = (u(alpha), k - <lam, u(alpha)>) and
+    x^-1(alpha, k) = (u^-1(alpha), k + <lam, alpha>); no product and no
+    length is formed.
+    """
+    if x._desc is None:
+        x._desc = descent_masks(x.datum, x.lam, x.u)
+    return x._desc
+
+
+def descent_masks(d: RootDatum, lam, u):
+    """descents of t_lam u, without forming the element."""
+    c = lam[-1]
+    left = right = 0
+    for bit, k, beta, beta_pos, alpha, alpha_pos in _descent_table(d, u):
+        (t1, b1), (t2, b2), h = beta
+        m = k - b1 * lam[t1] - b2 * lam[t2] + c * h
+        if m < 0 or (m == 0 and not beta_pos):
+            right |= bit
+        (t1, b1), (t2, b2), h = alpha
+        m = k + b1 * lam[t1] + b2 * lam[t2] - c * h
+        if m < 0 or (m == 0 and not alpha_pos):
+            left |= bit
+    return left, right
+
+
+@lru_cache(maxsize=None)
+def _descent_table(d: RootDatum, u):
+    """Per simple affine root (alpha, k): its bit, k, u(alpha) and alpha as
+    sparse pairings, and whether u(alpha) and u^-1(alpha) are positive.
+
+    A root of type A or C has at most two nonzero coordinates, so
+    <lam, beta> = b1 lam_t1 + b2 lam_t2 - c h, with h = sum(beta) / 2
+    for GSp (c the similitude) and h = 0 for GL."""
+
+    def sparse(beta):
+        terms = [(t, b) for t, b in enumerate(beta) if b] + [(0, 0)]
+        return terms[0], terms[1], sum(beta) // 2
+
+    ui = d.invert_finite(u)
+    rows = []
+    for j, (alpha, k) in simple_affine_roots(d):
+        beta = d.act_root(u, alpha)
+        rows.append(
+            (
+                1 << j,
+                k,
+                sparse(beta),
+                d.is_positive_root(beta),
+                sparse(alpha),
+                d.is_positive_root(d.act_root(ui, alpha)),
+            )
+        )
+    return tuple(rows)
+
+
+def _lowest(mask: int) -> int:
+    """The smallest j in a nonzero bitmask."""
+    return (mask & -mask).bit_length() - 1
+
+
 # -- Bruhat order ------------------------------------------------------------
 
 
 def _right_descent(y: WeylElement):
-    ly = length(y)
-    for j in y.datum.simple_indices:
-        s = simple_reflection(y.datum, j)
-        if length(y * s) < ly:
-            return s
-    return None
+    right = descents(y)[1]
+    return simple_reflection(y.datum, _lowest(right)) if right else None
 
 
 def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
@@ -368,31 +466,28 @@ def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
         raise DatumMismatch("cannot compare across data")
     if kappa(x) != kappa(y):
         return False
+    lx, ly = length(x), length(y)
     while True:
-        if length(x) > length(y):
+        if lx > ly:
             return False
-        if length(y) == 0:
+        if ly == 0:
             return x == y
-        s = _right_descent(y)
-        ys = y * s
-        if length(x * s) < length(x):
-            x = x * s
-        y = ys
+        j = _lowest(descents(y)[1])
+        s = simple_reflection(y.datum, j)
+        if descents(x)[1] >> j & 1:
+            x, lx = x * s, lx - 1
+        y, ly = y * s, ly - 1
 
 
 def reduced_word(x: WeylElement):
-    """Return (word, omega_power) with x = s_{w_0}...s_{w_k} * tau^omega_power."""
+    """Return (word, omega_power) with x = s_{w_0}...s_{w_k} * tau^omega_power;
+    each letter is the smallest left descent of what remains."""
     word = []
     y = x
-    while length(y) > 0:
-        for j in y.datum.simple_indices:
-            s = simple_reflection(y.datum, j)
-            if length(s * y) < length(y):
-                word.append(j)
-                y = s * y
-                break
-        else:  # pragma: no cover
-            raise AssertionError("positive length without a left descent")
+    while left := descents(y)[0]:
+        j = _lowest(left)
+        word.append(j)
+        y = simple_reflection(y.datum, j) * y
     return word, kappa(y)
 
 
@@ -438,6 +533,11 @@ class ParahoricSpec:
     @property
     def generator_indices(self):
         return [j for j in self.datum.simple_indices if j not in self.I]
+
+    @property
+    def generator_mask(self) -> int:
+        """The generators of W_I as a bitmask, as descents reports them."""
+        return sum(1 << j for j in self.generator_indices)
 
 
 def parahoric_generators(spec: ParahoricSpec):

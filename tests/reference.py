@@ -5,8 +5,13 @@ computes another way, kept as an oracle for it:
 
   * ``enumerate_below``: Bruhat down-sets by the subword property
     (the library uses the lifting recursion ``weyl.downset``);
+  * ``length_descents``: descents by comparing l(s x) and l(x s) with
+    l(x) (the library reads them off the signs of x(beta_j) and
+    x^-1(beta_j));
   * ``coset_min``: the minimal element of a double coset by greedy
     descent (the library keeps the double-minimal elements it meets);
+  * ``total_count``: the point count of a whole admissible set, the sum
+    of its strata;
   * ``elements_of_length_leq`` and ``pool_perm_set``: the permissible
     set by filtering every element of length <= l(t_mu) + 1 (the library
     generates the candidates from the vertex displacements);
@@ -31,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from locmodel import linalg
-from locmodel.admissible import AdmissibleSet, DoubleCoset, conv_membership
+from locmodel.admissible import AdmissibleSet, DoubleCoset, conv_membership, stratum_count
 from locmodel.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -106,6 +111,18 @@ def elements_of_length_leq(datum, kappa0: int, max_len: int):
     return levels
 
 
+def length_descents(x: WeylElement):
+    """(left, right): bitmasks of the j with l(s_j x) < l(x), and of the
+    j with l(x s_j) < l(x), by comparing lengths of the products."""
+    left = right = 0
+    lx = length(x)
+    for j in x.datum.simple_indices:
+        s = simple_reflection(x.datum, j)
+        left |= (length(s * x) < lx) << j
+        right |= (length(x * s) < lx) << j
+    return left, right
+
+
 DOWNSET_MAX_LENGTH = 20  # the subword expansion visits 2^length(y) words
 
 
@@ -150,6 +167,11 @@ def coset_min(x: WeylElement, spec) -> WeylElement:
 def double_coset(x: WeylElement, spec) -> DoubleCoset:
     """The class of x, keyed by coset_min."""
     return DoubleCoset(spec, coset_min(x, spec))
+
+
+def total_count(s: AdmissibleSet, q: int) -> int:
+    """Points of the whole special fibre over F_q: the sum of the strata."""
+    return sum(stratum_count(c, q) for c in s.classes)
 
 
 def pool_perm_set(spec, mu) -> AdmissibleSet:

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from locmodel.admissible import adm_set, perm_set, stratum_count, total_count
+from locmodel.admissible import adm_set, perm_set, stratum_count
 from locmodel import latmod
 from locmodel.latmod import build_model, canonical_points, classify_strata, naive_points, torsor_check
 from locmodel.matschemes import symplectic_P_points, unitary_points_direct, unitary_points_stratified
@@ -25,7 +25,7 @@ from locmodel.weyl import (
     translation,
 )
 
-from reference import elements_of_length_leq, enumerate_below
+from reference import elements_of_length_leq, enumerate_below, total_count
 
 
 def nonempty_subsets(labels):
@@ -59,7 +59,21 @@ class TestCriterion1AdmEqualsPerm:
         yield
         cls.elapsed.append(time.monotonic() - t0)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "d",
+        [
+            2,
+            3,
+            4,
+            pytest.param(
+                5,
+                marks=pytest.mark.skipif(
+                    not os.environ.get("LOCMODEL_EXTENDED"),
+                    reason="GL(5) sweep, 31 I (about 2 min): set LOCMODEL_EXTENDED=1",
+                ),
+            ),
+        ],
+    )
     def test_gl_sweep(self, d):
         with self.timed():
             self.run_gl(d)

@@ -7,15 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from locmodel import admissible
 from locmodel.admissible import (
     AdmissibleSet,
     adm_set,
     conv_membership,
     perm_set,
     stratum_count,
-    total_count,
 )
-from locmodel.errors import InvalidIndex
+from locmodel.errors import Budget, BudgetExceeded, InvalidIndex
 from locmodel.weyl import (
     Coweight,
     ParahoricSpec,
@@ -29,10 +29,11 @@ from locmodel.weyl import (
     translation,
 )
 
-from reference import double_coset, enumerate_below, omega_generator, pool_perm_set
+from reference import double_coset, enumerate_below, omega_generator, pool_perm_set, total_count
 
 GL2 = RootDatum("GL", 2)
 GL3 = RootDatum("GL", 3)
+GL4 = RootDatum("GL", 4)
 GSP1 = RootDatum("GSp", 1)
 GSP2 = RootDatum("GSp", 2)
 GSP3 = RootDatum("GSp", 3)
@@ -170,7 +171,7 @@ GL_MUS = [
     Coweight(GL2, (3, -1)),
     Coweight(GL3, (1, 1, 0)),
     Coweight(GL3, (2, 1, 0)),
-    Coweight(RootDatum("GL", 4), (2, 1, 1, 0)),
+    Coweight(GL4, (2, 1, 1, 0)),
 ]
 
 _rationals = st.fractions(min_value=-2, max_value=4, max_denominator=4)
@@ -252,6 +253,72 @@ class TestPermSet:
         assert adm_set(spec, mu).classes == perm_set(spec, mu).classes
 
 
+    @pytest.mark.parametrize(
+        "datum,mu_value",
+        [(GL2, (1, 0)), (GL3, (2, 1, 0)), (GL4, (2, 2, 0, 0)), (GL4, (3, 1, 0, -1)),
+         (GSP1, (2, 2)), (GSP2, (1, 1, 1)), (GSP3, (2, 2, 2, 2))],
+    )
+    def test_hull_points_equal_box_filter(self, datum, mu_value):
+        mu = Coweight(datum, mu_value)
+        for D in (1, 2):
+            lo, hi = admissible._coordinate_bounds(mu, D)
+            tail = (D * mu_value[-1],) if datum.kind == "GSp" else ()
+            scaled = Coweight(datum, tuple(D * v for v in mu_value))
+            box = {
+                head + tail
+                for head in itertools.product(range(lo, hi + 1), repeat=datum.n)
+                if conv_membership(head + tail, scaled)
+            }
+            points, by_residue = admissible._hull_points(mu, D)
+            assert points == box
+            assert sorted(y for group in by_residue.values() for y in group) == sorted(box)
+
+    def test_spends_hull_points_per_finite_part(self):
+        # the 19 integer points of Conv(S_4 (2, 2, 0, 0)), once for each u
+        budget = Budget()
+        perm_set(iwahori(GL4), Coweight(GL4, (2, 2, 0, 0)), budget)
+        assert budget.spent == 19 * 24
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty down-set memo for this test alone."""
+    memo = {}
+    monkeypatch.setattr(admissible, "_DOWNSETS", memo)
+    return memo
+
+
+class TestDownsetMemo:
+    def test_spend_does_not_depend_on_history(self, cold_memo):
+        mu = Coweight(GL3, (2, 1, 0))
+        spent = []
+        for spec in (spec0(GL3), iwahori(GL3), spec0(GL3)):
+            budget = Budget()
+            adm_set(spec, mu, budget)
+            spent.append(budget.spent)
+        assert list(cold_memo) == [(GL3, (2, 1, 0))]
+        assert spent[0] > 0 and spent == [spent[0]] * 3
+
+    def test_warm_classes_equal_cold(self, cold_memo):
+        mu = Coweight(GSP2, (2, 2, 2))
+        warm = {spec.I: adm_set(spec, mu).classes for spec in every_I(GSP2)}
+        for spec in every_I(GSP2):
+            cold_memo.clear()
+            assert adm_set(spec, mu).classes == warm[spec.I]
+
+    def test_budget_exceeded_leaves_no_entry(self, cold_memo):
+        mu = Coweight(GL3, (2, 1, 0))
+        with pytest.raises(BudgetExceeded):
+            adm_set(spec0(GL3), mu, Budget(10))
+        assert not cold_memo
+        budget = Budget()
+        adm_set(spec0(GL3), mu, budget)
+        assert cold_memo
+        adm_set(iwahori(GL3), mu, Budget(budget.spent))
+        with pytest.raises(BudgetExceeded):
+            adm_set(iwahori(GL3), mu, Budget(budget.spent - 1))
+
+
 def minuscule_sums(datum, max_terms):
     """omega_{r_1} + ... + omega_{r_k}, k <= max_terms; e * mu_1 for GSp."""
     if datum.kind == "GSp":
@@ -288,7 +355,7 @@ class TestAgainstReference:
             (GL3, 3),
             (GSP1, 2),
             (GSP2, 2),
-            pytest.param(RootDatum("GL", 4), 3, marks=_EXTENDED),
+            pytest.param(GL4, 3, marks=_EXTENDED),
             pytest.param(GSP3, 2, marks=_EXTENDED),
         ],
         ids=lambda v: f"{v.kind}{v.n}" if isinstance(v, RootDatum) else str(v),

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locmodel import cli
+from locmodel import admissible, cli
 from locmodel.cli import main, parse_manifest
 from locmodel.errors import Budget, ManifestParseError
 
@@ -16,6 +16,18 @@ def run(argv):
     buf = io.StringIO()
     code = main(argv, stream=buf)
     return code, buf.getvalue()
+
+
+_EXACT_SPEND = [
+    # 2 finite parts, each with the 2 hull points (1, 0) and (0, 1)
+    (["perm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"], 4),
+    # the 5 down-set elements of adm and the 4 candidates of perm
+    (["compare-adm-perm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"], 9),
+    # 1,011 down-set elements, then |W_I|^2 = 24^2 members per class
+    (["count", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0", "--p", "2"], 1011 + 2 * 24**2),
+    # the same 1,011 down-set elements, once more after count has stored them
+    (["adm", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0,2"], 1011),
+]
 
 
 class TestExitCodes:
@@ -108,21 +120,18 @@ class TestExitCodes:
         assert run(matrix + ["--budget", "9766718"])[0] == 0
         assert run(matrix + ["--budget", "9766717"])[0] == 3
 
-    @pytest.mark.parametrize(
-        "argv,spent",
-        [
-            # 2 finite parts, each with lam in {0, 1}^2
-            (["perm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"], 8),
-            # the 5 down-set elements of adm and the 8 candidates of perm
-            (["compare-adm-perm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"], 13),
-            # 1,011 down-set elements, then |W_I|^2 = 24^2 members per class
-            (["count", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0", "--p", "2"], 1011 + 2 * 24**2),
-        ],
-        ids=lambda v: v[0] if isinstance(v, list) else str(v),
-    )
+    @pytest.mark.parametrize("argv,spent", _EXACT_SPEND, ids=lambda v: v[0] if isinstance(v, list) else str(v))
     def test_exact_spend(self, argv, spent):
         assert run(argv + ["--budget", str(spent)])[0] == 0
         assert run(argv + ["--budget", str(spent - 1)])[0] == 3
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_exact_spend_in_either_order(self, order, monkeypatch):
+        # the down-set memo starts cold and is warm for every later case
+        monkeypatch.setattr(admissible, "_DOWNSETS", {})
+        for argv, spent in _EXACT_SPEND[::order]:
+            assert run(argv + ["--budget", str(spent - 1)])[0] == 3
+            assert run(argv + ["--budget", str(spent)])[0] == 0
 
     def test_each_suite_block_gets_its_own_budget(self, tmp_path):
         block = "case=adm\ngroup=gl\nd=2\nmu=1,0\niwahori=true\n"
@@ -412,6 +421,28 @@ class TestManifest:
         code, out = run(["run-suite", str(mf)])
         assert code == 0
         assert json.loads(out) == {"cases": [], "pass": True}
+
+    def test_suite_reports_equal_fresh_calls(self, tmp_path, monkeypatch):
+        # one mu at several I: later blocks find the down-sets stored
+        cases = [("compare-adm-perm", "0"), ("adm", "0,1"), ("count", "1,2"), ("perm", "0,1,2")]
+        mf = tmp_path / "suite.txt"
+        mf.write_text("\n".join(
+            f"case={case}\ngroup=gl\nd=3\nmu=2,1,0\nI={I}\np=2\n" for case, I in cases
+        ))
+        monkeypatch.setattr(admissible, "_DOWNSETS", {})
+        code, out = run(["run-suite", str(mf), "--budget", "100000"])
+        suite = json.loads(out)["cases"]
+        assert code == 0 and len(suite) == len(cases)
+        for (case, I), report in zip(cases, suite):
+            monkeypatch.setattr(admissible, "_DOWNSETS", {})
+            argv = [case, "--group", "gl", "--d", "3", "--mu", "2,1,0", "--I", I, "--format", "json"]
+            code, out = run(argv + (["--p", "2"] if case == "count" else []) + ["--budget", "100000"])
+            fresh = json.loads(out)
+            assert code == 0
+            # params echo the manifest's strings or the parsed options
+            for key in ("elapsed_ms", "params"):
+                report.pop(key), fresh.pop(key)
+            assert report == fresh, (case, I)
 
     def test_suite_pass_and_csv(self, tmp_path):
         mf = tmp_path / "suite.txt"

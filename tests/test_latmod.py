@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from locmodel import latmod, linalg
-from locmodel.admissible import DoubleCoset, adm_set, stratum_count, total_count
+from locmodel.admissible import DoubleCoset, adm_set, stratum_count
 from locmodel.cli import _mu_from_model
 from locmodel.errors import (
     ArtifactError,
@@ -51,6 +51,7 @@ from reference import (
     omega_generator,
     random_chain_automorphism,
     stable_under,
+    total_count,
 )
 
 GL2 = RootDatum("GL", 2)

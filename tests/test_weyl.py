@@ -10,7 +10,9 @@ Independent oracles used here:
   * the affine hyperplanes separating a base-alcove point from its
     image, counted from scratch, for the memoised length;
   * the subword down-set enumerate_below, for the lifting recursion
-    downset.
+    downset;
+  * descents by comparing lengths of products (length_descents), for
+    the root-sign descents.
 """
 
 import itertools
@@ -29,6 +31,7 @@ from locmodel.weyl import (
     WeylElement,
     alcove_vertices,
     bruhat_leq,
+    descents,
     downset,
     finite,
     identity,
@@ -36,6 +39,7 @@ from locmodel.weyl import (
     length,
     parahoric_subgroup,
     reduced_word,
+    simple_affine_roots,
     simple_reflection,
     translation,
 )
@@ -46,6 +50,7 @@ from reference import (
     element_from_word,
     elements_of_length_leq,
     enumerate_below,
+    length_descents,
     omega_generator,
 )
 
@@ -54,6 +59,7 @@ GL3 = RootDatum("GL", 3)
 GL4 = RootDatum("GL", 4)
 GSP1 = RootDatum("GSp", 1)
 GSP2 = RootDatum("GSp", 2)
+GSP3 = RootDatum("GSp", 3)
 
 
 def dominant_length_oracle(datum, lam):
@@ -292,6 +298,50 @@ class TestWords:
                 word, om = reduced_word(x)
                 assert len(word) == length(x)
                 assert element_from_word(datum, word, om) == x
+
+
+def small_elements(datum, spread):
+    """Every t_lam u with lam in [-spread, spread]^n (similitude 1 for GSp)."""
+    tail = (1,) if datum.kind == "GSp" else ()
+    for head in itertools.product(range(-spread, spread + 1), repeat=datum.n):
+        for u in datum.finite_elements():
+            yield WeylElement(datum, head + tail, u)
+
+
+_DESCENT_DATA = [GL2, GL3, GL4, GSP1, GSP2, GSP3]
+_IDS = lambda v: f"{v.kind}{v.n}"
+
+
+class TestDescents:
+    @pytest.mark.parametrize("datum", _DESCENT_DATA, ids=_IDS)
+    def test_match_length_oracle(self, datum):
+        for x in small_elements(datum, 2):
+            assert descents(x) == length_descents(x), x
+
+    @pytest.mark.parametrize("datum", _DESCENT_DATA, ids=_IDS)
+    def test_simple_root_is_the_only_inversion(self, datum):
+        # (alpha, k) is positive for k >= 1, and for k = 0 when alpha > 0;
+        # s_j = t_lam u inverts none with k > |<lam, u(alpha)>| <= 2
+        for j, beta in simple_affine_roots(datum):
+            s = simple_reflection(datum, j)
+            inverted = []
+            for alpha in datum.roots():
+                image = datum.act_root(s.u, alpha)
+                for k in range(0 if datum.is_positive_root(alpha) else 1, 5):
+                    k_image = k - datum.pairing(s.lam, image)
+                    if k_image < 0 or (k_image == 0 and not datum.is_positive_root(image)):
+                        inverted.append((alpha, k))
+            assert inverted == [beta], j
+
+    @pytest.mark.parametrize("datum", [GL3, GSP2], ids=_IDS)
+    def test_reduced_word_takes_smallest_length_descent(self, datum):
+        for x in small_elements(datum, 1):
+            expected, y = [], x
+            while left := length_descents(y)[0]:
+                j = min(i for i in datum.simple_indices if left >> i & 1)
+                expected.append(j)
+                y = simple_reflection(datum, j) * y
+            assert reduced_word(x) == (expected, kappa(x)), x
 
 
 class TestBruhat:
