@@ -39,9 +39,9 @@ from .weyl import (
     Coweight,
     ParahoricSpec,
     WeylElement,
+    _descent_masks,
     alcove_vertices,
     bruhat_leq,
-    descent_masks,
     descents,
     downset,
     length,
@@ -251,7 +251,7 @@ def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
             if not all(tuple(map(add, moved, shift)) in points for shift in rest):
                 continue
             lam = tuple(v // D for v in moved)
-            if _double_minimal(*descent_masks(datum, lam, u), gens):
+            if _double_minimal(*_descent_masks(datum, lam, u), gens):
                 classes.add(DoubleCoset(spec, WeylElement(datum, lam, u)))
     return AdmissibleSet(spec, mu, frozenset(classes))
 

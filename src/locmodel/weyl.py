@@ -397,11 +397,11 @@ def descents(x: WeylElement):
     length is formed.
     """
     if x._desc is None:
-        x._desc = descent_masks(x.datum, x.lam, x.u)
+        x._desc = _descent_masks(x.datum, x.lam, x.u)
     return x._desc
 
 
-def descent_masks(d: RootDatum, lam, u):
+def _descent_masks(d: RootDatum, lam, u):
     """descents of t_lam u, without forming the element."""
     c = lam[-1]
     left = right = 0

@@ -299,13 +299,6 @@ class TestDownsetMemo:
         assert list(cold_memo) == [(GL3, (2, 1, 0))]
         assert spent[0] > 0 and spent == [spent[0]] * 3
 
-    def test_warm_classes_equal_cold(self, cold_memo):
-        mu = Coweight(GSP2, (2, 2, 2))
-        warm = {spec.I: adm_set(spec, mu).classes for spec in every_I(GSP2)}
-        for spec in every_I(GSP2):
-            cold_memo.clear()
-            assert adm_set(spec, mu).classes == warm[spec.I]
-
     def test_budget_exceeded_leaves_no_entry(self, cold_memo):
         mu = Coweight(GL3, (2, 1, 0))
         with pytest.raises(BudgetExceeded):
