@@ -211,7 +211,7 @@ def run_count(params, budget=None):
 
 
 def _subspace_dump(sub):
-    return [[int(x) for x in row] for row in sub.basis]
+    return [list(row) for row in sub.rows]
 
 
 def run_enumerate(params, budget=None):

@@ -152,6 +152,12 @@ class ChainModel:
         """The options of _level_options, keyed on (F^{j+1}, j)."""
         return {}
 
+    @cached_property
+    def level_maps(self):
+        """_level_ok's maps: N^(e-j) for each level j, and each pairing's transpose."""
+        powers = [FieldMatrix(self.field, np.linalg.matrix_power(self.N.array, k)) for k in range(self.e + 1)]
+        return powers[::-1], {i: g.transpose() for i, g in self.gram.items()}
+
     def _pi_matrix(self):
         a = np.zeros((self.dim, self.dim), dtype=np.int64)
         for m in range(self.D):
@@ -412,17 +418,15 @@ def _level_ok(model: ChainModel, j, level):
     """The GSp conditions on level j < e: F_i and F_{-i} are mutually
     isotropic, and N^(e-j) maps the annihilator of each into the other.
     _chains has checked the chain conditions."""
-    npow = FieldMatrix(model.field, np.linalg.matrix_power(model.N.array, model.e - j))
+    powers, transposed = model.level_maps
     for i in model.I:
         a, b = level[i], level[-i]
-        g = model.gram[i]
-        prod = (a.basis @ g.array % model.field.p) @ b.basis.T % model.field.p
-        if prod.any():  # mutual isotropy under the chain pairing
+        # perp(a, g) lives in the negative slot and contains b iff a and b
+        # are mutually isotropic; perp(b, g^T) lives in the positive slot
+        ann = linalg.perp(a, model.gram[i])
+        if not (b.leq(ann) and linalg.image(powers[j], ann).leq(b)):
             return False
-        # perp(b, g^T) lives in the positive slot, perp(a, g) in the negative
-        if not linalg.image(npow, linalg.perp(b, g.transpose())).leq(a):
-            return False
-        if not linalg.image(npow, linalg.perp(a, g)).leq(b):
+        if not linalg.image(powers[j], linalg.perp(b, transposed[i])).leq(a):
             return False
     return True
 
@@ -607,10 +611,9 @@ def standard_point(w: WeylElement, model: ChainModel) -> ChainPoint:
             if k < 0:
                 raise IncompatibleElement("w^{-1} lattice escapes the chain lattice")
             for j in range(k, e):
-                v = np.zeros(model.dim, dtype=np.int64)
-                v[model.coord(m_dst, j)] = 1
-                rows.append(v)
-        sub = Subspace.from_rows(model.field, model.dim, np.asarray(rows))
+                rows.append([0] * model.dim)
+                rows[-1][model.coord(m_dst, j)] = 1
+        sub = Subspace.from_rows(model.field, model.dim, rows)
         if sub.dim != model.rank:
             raise IncompatibleElement(
                 f"standard chain has rank {sub.dim}, model expects {model.rank}"
@@ -634,13 +637,14 @@ def signature(pt: ChainPoint):
     model = pt.model
     out = []
     for t, plan in zip(model.slots, model.signature_plan):
-        basis = pt.subspaces[t].basis
-        ranks = {(): 0, tuple(range(model.dim)): len(basis)}
+        rows = pt.subspaces[t].rows
+        ranks = {(): 0, tuple(range(model.dim)): len(rows)}
         for cols, offset in plan:
             r = ranks.get(cols)
             if r is None:
-                r = ranks[cols] = linalg.rank(FieldMatrix(model.field, basis[:, cols]))
-            out.append(len(basis) + offset - r)
+                sliced = [[row[c] for c in cols] for row in rows]
+                r = ranks[cols] = len(linalg._rref_rows(sliced, model.field.p)[1])
+            out.append(len(rows) + offset - r)
     return tuple(out)
 
 

@@ -1,12 +1,16 @@
 """Exact linear algebra and subspace enumeration over prime fields F_p.
 
-Matrices are dense numpy integer arrays with entries reduced mod p.
-Subspaces are row spaces canonicalized to reduced row echelon form
-(RREF), so equality and hashing are structural and O(1)-comparable.
-``enumerate_subspaces`` streams every k-dimensional subspace of F_p^n
-exactly once, ordered lexicographically by pivot-column set and then
-by free entries; ``stable_subspaces`` generates the subspaces stable
-under a nilpotent operator and returns them in that same order.
+Matrices are dense numpy integer arrays with entries reduced mod p; each
+caches its nonzero entries column by column for its products with
+vectors.  A subspace is stored as its reduced row echelon form (RREF):
+the nonzero rows as tuples of Python ints, and their pivot columns.
+Equality and hashing are structural, containment reduces each row by
+the other space's pivot rows, and images are summed over the nonzero
+coordinates, all on Python ints.  ``enumerate_subspaces`` streams every
+k-dimensional subspace of F_p^n exactly once, ordered lexicographically
+by pivot-column set and then by free entries; ``stable_subspaces``
+generates the subspaces stable under a nilpotent operator and returns
+them in that same order.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class Field:
 class FieldMatrix:
     """A dense matrix over F_p.  Immutable by convention."""
 
-    __slots__ = ("field", "array")
+    __slots__ = ("field", "array", "_columns")
 
     def __init__(self, field: Field, entries):
         self.field = field
@@ -54,6 +58,7 @@ class FieldMatrix:
             raise DimensionMismatch("matrix must be 2-dimensional")
         a.setflags(write=False)
         self.array = a
+        self._columns = None
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
@@ -71,15 +76,17 @@ class FieldMatrix:
     def cols(self) -> int:
         return self.array.shape[1]
 
+    @property
+    def columns(self) -> list:
+        """Per column, its nonzero entries as (row, value) pairs."""
+        if self._columns is None:
+            self._columns = [[(r, x) for r, x in enumerate(col) if x] for col in self.array.T.tolist()]
+        return self._columns
+
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matmul shape mismatch")
         return FieldMatrix(self.field, (self.array @ other.array) % self.field.p)
-
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.array.shape != other.array.shape:
-            raise DimensionMismatch("addition shape mismatch")
-        return FieldMatrix(self.field, self.array + other.array)
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.field, self.array.T)
@@ -99,18 +106,12 @@ class FieldMatrix:
         return f"FieldMatrix(p={self.field.p}, {self.array.tolist()})"
 
 
-def _rref(a: np.ndarray, p: int):
-    """Return (R, pivot_cols) with R the RREF of a over F_p, zero rows last.
-
-    Eliminates on Python lists: on tiny matrices numpy indexing costs more."""
-    a = np.asarray(a, dtype=np.int64)
-    m, n = a.shape
-    rows = (a % p).tolist()
-    pivots: list[int] = []
-    for col in range(n):
-        top = len(pivots)
-        if top == m:
-            break
+def _rref_rows(rows, p):
+    """Gauss-Jordan elimination over F_p of a list of int sequences of one
+    length: (the nonzero RREF rows as int tuples, their pivot columns)."""
+    rows = [[x % p for x in r] for r in rows]
+    m, top, pivots = len(rows), 0, []
+    for col in range(len(rows[0]) if m else 0):
         for found in range(top, m):
             if rows[found][col]:
                 break
@@ -118,8 +119,8 @@ def _rref(a: np.ndarray, p: int):
             continue
         piv = rows[found]
         rows[found] = rows[top]
-        inv = pow(piv[col], p - 2, p)
-        if inv != 1:
+        if piv[col] != 1:
+            inv = pow(piv[col], p - 2, p)
             piv = [x * inv % p for x in piv]
         rows[top] = piv
         for r in range(m):
@@ -127,74 +128,107 @@ def _rref(a: np.ndarray, p: int):
             if c and r != top:
                 rows[r] = [(x - c * y) % p for x, y in zip(rows[r], piv)]
         pivots.append(col)
-    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
+        top += 1
+        if top == m:
+            break
+    return tuple(map(tuple, rows[:top])), tuple(pivots)
 
 
-def _nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows, RREF-derived) of {x : a @ x = 0} over F_p."""
-    R, pivots = _rref(a, p)
-    free = [c for c in range(R.shape[1]) if c not in pivots]
-    basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
-    basis[range(len(free)), free] = 1
-    basis[:, pivots] = -R[: len(pivots), free].T % p
-    return basis
+def _rref(a: np.ndarray, p: int):
+    """Return (R, pivot_cols) with R the int64 RREF of a over F_p, zero rows last."""
+    a = np.asarray(a, dtype=np.int64)
+    rows, pivots = _rref_rows(a.tolist(), p)
+    R = np.zeros(a.shape, dtype=np.int64)
+    R[: len(rows)] = np.reshape(rows, (len(rows), a.shape[1]))
+    return R, list(pivots)
+
+
+def _nullspace(rows, n: int, p: int) -> list:
+    """Basis rows of {x : a x = 0} over F_p, for a with the given rows and
+    n columns: one per free column of the RREF of a."""
+    R, pivots = _rref_rows(rows, p)
+    row_of = dict(zip(pivots, R))
+    return [
+        [-row_of[c][free] % p if c in row_of else int(c == free) for c in range(n)]
+        for free in range(n)
+        if free not in row_of
+    ]
+
+
+def _times(rows, f: FieldMatrix) -> list:
+    """The row vectors v·f (unreduced) for v in rows, from f's columns."""
+    return [[sum(v[r] * x for r, x in col) for col in f.columns] for v in rows]
 
 
 def rank(m: FieldMatrix) -> int:
     """Row rank of m over its field."""
-    _, pivots = _rref(m.array, m.field.p)
-    return len(pivots)
+    return len(_rref_rows(m.array.tolist(), m.field.p)[1])
 
 
 class Subspace:
-    """A subspace of F_p^n, stored as a full-row-rank RREF basis.
+    """A subspace of F_p^n, stored as its RREF rows (int tuples, no zero
+    rows) and their pivot columns.
 
-    Two subspaces are equal iff their RREF matrices are identical, so
+    Two subspaces are equal iff their RREF rows are identical, so
     instances are usable as set members and dict keys.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "_key")
+    __slots__ = ("field", "ambient_dim", "rows", "piv", "dim", "_key", "_basis")
 
-    def __init__(self, field: Field, ambient_dim: int, rref_rows: np.ndarray):
-        # Internal constructor: rows must already be RREF without zero rows.
+    def __init__(self, field: Field, ambient_dim: int, rows: tuple, piv: tuple):
+        # Internal constructor: rows must already be RREF, reduced mod p,
+        # without zero rows, with pivot columns piv.
         self.field = field
         self.ambient_dim = ambient_dim
-        b = np.asarray(rref_rows, dtype=np.int64) % field.p
-        b.setflags(write=False)
-        self.basis = b
-        self._key = (field.p, ambient_dim, b.tobytes())
+        self.rows = rows
+        self.piv = piv
+        self.dim = len(rows)
+        self._key = (field.p, ambient_dim, rows)
+        self._basis = None
 
     @classmethod
     def from_rows(cls, field: Field, ambient_dim: int, rows) -> "Subspace":
-        a = np.asarray(rows, dtype=np.int64).reshape(-1, ambient_dim)
-        R, pivots = _rref(a, field.p)
-        return cls(field, ambient_dim, R[: len(pivots)])
+        """The span of rows: an integer array or a sequence of int sequences."""
+        if isinstance(rows, np.ndarray):
+            rows = rows.astype(np.int64).reshape(-1, ambient_dim).tolist()
+        return cls(field, ambient_dim, *_rref_rows(rows, field.p))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64))
+        return cls(field, ambient_dim, (), ())
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, np.eye(ambient_dim, dtype=np.int64))
+        return cls.from_rows(field, ambient_dim, np.eye(ambient_dim, dtype=np.int64))
 
     @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+    def basis(self) -> np.ndarray:
+        """The RREF rows as a read-only int64 array of shape (dim, ambient_dim)."""
+        if self._basis is None:
+            self._basis = np.array(self.rows, dtype=np.int64).reshape(self.dim, self.ambient_dim)
+            self._basis.setflags(write=False)
+        return self._basis
 
     def leq(self, other: "Subspace") -> bool:
-        """True iff self is contained in other."""
+        """True iff self is contained in other.
+
+        A vector v lies in other iff v = sum of v[c] times the RREF row of
+        other with pivot c, over other's pivots c."""
         self._check(other)
-        if self.dim > other.dim:
-            return False
-        if self.dim == other.dim:  # containment is equality of RREF bases
-            return self._key == other._key
-        stacked = np.vstack([other.basis, self.basis])
-        _, pivots = _rref(stacked, self.field.p)
-        return len(pivots) == other.dim
+        if self.dim >= other.dim:  # at equal dimensions, equality of RREF rows
+            return self.dim == other.dim and self._key == other._key
+        p, pivot_rows = self.field.p, list(zip(other.piv, other.rows))
+        for v in self.rows:
+            w = v
+            for c, row in pivot_rows:
+                if v[c]:
+                    w = [x - v[c] * y for x, y in zip(w, row)]
+            if any(x % p for x in w):
+                return False
+        return True
 
     def _check(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim or self.field != other.field:
+        if self.ambient_dim != other.ambient_dim or self.field.p != other.field.p:
             raise DimensionMismatch("subspaces live in different ambients")
 
     def __eq__(self, other):
@@ -207,18 +241,20 @@ class Subspace:
         return f"Subspace(p={self.field.p}, n={self.ambient_dim}, dim={self.dim})"
 
 
-def join(a: Subspace, b: Subspace) -> Subspace:
-    """Sum of two subspaces."""
-    a._check(b)
-    return Subspace.from_rows(a.field, a.ambient_dim, np.vstack([a.basis, b.basis]))
-
-
 def image(f: FieldMatrix, a: Subspace) -> Subspace:
-    """Image {f(v) : v in a}, with vectors acted on as columns."""
+    """Image {f(v) : v in a}, with vectors acted on as columns: each f(v)
+    is summed from the columns of f at the nonzero coordinates of v."""
     if f.cols != a.ambient_dim:
         raise DimensionMismatch("map domain does not match ambient")
-    rows = (a.basis @ f.array.T) % a.field.p
-    return Subspace.from_rows(a.field, f.rows, rows)
+    columns, m, out = f.columns, f.rows, []
+    for v in a.rows:
+        w = [0] * m
+        for c, x in enumerate(v):
+            if x:
+                for r, y in columns[c]:
+                    w[r] += x * y
+        out.append(w)
+    return Subspace.from_rows(a.field, m, out)
 
 
 def preimage(f: FieldMatrix, b: Subspace) -> Subspace:
@@ -226,9 +262,9 @@ def preimage(f: FieldMatrix, b: Subspace) -> Subspace:
     if f.rows != b.ambient_dim:
         raise DimensionMismatch("map codomain does not match ambient")
     # x in preimage  iff  C f x = 0 for C spanning the annihilator of b.
-    comp = _nullspace(b.basis, b.field.p)
-    cond = (comp @ f.array) % b.field.p
-    return Subspace.from_rows(b.field, f.cols, _nullspace(cond, b.field.p))
+    p = b.field.p
+    cond = _times(_nullspace(b.rows, b.ambient_dim, p), f)
+    return Subspace.from_rows(b.field, f.cols, _nullspace(cond, f.cols, p))
 
 
 @lru_cache(maxsize=64)
@@ -244,8 +280,8 @@ def perp(a: Subspace, gram: FieldMatrix) -> Subspace:
         raise DimensionMismatch("gram shape does not match ambient")
     if not _invertible(gram):
         raise SingularGram("gram matrix is not invertible")
-    cond = (a.basis @ gram.array) % a.field.p
-    return Subspace.from_rows(a.field, a.ambient_dim, _nullspace(cond, a.field.p))
+    null = _nullspace(_times(a.rows, gram), a.ambient_dim, a.field.p)
+    return Subspace.from_rows(a.field, a.ambient_dim, null)
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -272,23 +308,13 @@ def enumerate_subspaces(n, k, field, budget=None):
     p = field.p
     (budget or Budget()).spend(gaussian_binomial(n, k, p), f"subspaces of dim {k} in F_{p}^{n}")
     for piv in itertools.combinations(range(n), k):
-        base = np.zeros((k, n), dtype=np.int64)
-        for i, c in enumerate(piv):
-            base[i, c] = 1
-        free = [
-            (i, c)
-            for i in range(k)
-            for c in range(piv[i] + 1, n)
-            if c not in piv
-        ]
-        if not free:
-            yield Subspace(field, n, base.copy())
-            continue
+        base = [[int(c == pc) for c in range(n)] for pc in piv]
+        free = [(i, c) for i in range(k) for c in range(piv[i] + 1, n) if c not in piv]
         for values in itertools.product(range(p), repeat=len(free)):
-            m = base.copy()
+            rows = [r[:] for r in base]
             for (i, c), v in zip(free, values):
-                m[i, c] = v
-            yield Subspace(field, n, m)
+                rows[i][c] = v
+            yield Subspace(field, n, tuple(map(tuple, rows)), piv)
 
 
 def subspaces_between(a: Subspace, b: Subspace, k: int, budget=None):
@@ -299,28 +325,22 @@ def subspaces_between(a: Subspace, b: Subspace, k: int, budget=None):
     if k < a.dim or k > b.dim:
         return
     # Complement of a inside b, picked greedily from b's basis rows.
-    comp_rows = []
-    current = a.basis
-    cur_rank = a.dim
-    for row in b.basis:
-        cand = np.vstack([current, row.reshape(1, -1)])
-        _, pivots = _rref(cand, a.field.p)
-        if len(pivots) > cur_rank:
-            comp_rows.append(row)
-            current = cand
-            cur_rank += 1
-    comp = np.asarray(comp_rows, dtype=np.int64).reshape(-1, a.ambient_dim)
-    qdim = b.dim - a.dim
-    for w in enumerate_subspaces(qdim, k - a.dim, a.field, budget=budget):
-        lifted = (w.basis @ comp) % a.field.p
-        rows = np.vstack([a.basis, lifted.reshape(-1, a.ambient_dim)])
-        yield Subspace.from_rows(a.field, a.ambient_dim, rows)
+    p, comp, current = a.field.p, [], a.rows
+    for row in b.rows:
+        grown = _rref_rows(current + (row,), p)[0]
+        if len(grown) > len(current):
+            comp.append(row)
+            current = grown
+    for w in enumerate_subspaces(len(comp), k - a.dim, a.field, budget=budget):
+        # w's rows are nonzero, so each lifted row sums at least one scaled row of comp
+        lifted = [list(map(sum, zip(*[[x * y for y in r] for x, r in zip(c, comp) if x]))) for c in w.rows]
+        yield Subspace.from_rows(a.field, a.ambient_dim, a.rows + tuple(lifted))
 
 
 def _order_key(s: Subspace):
     """Sort key of the enumerate_subspaces order: the pivot columns, then
-    the free entries, which the RREF bytes compare in row-major order."""
-    return tuple((s.basis != 0).argmax(axis=1).tolist()), s.basis.tobytes()
+    the free entries, which the RREF rows compare in row-major order."""
+    return s.piv, s.rows
 
 
 def stable_subspaces(N: FieldMatrix, k: int, budget=None) -> list:

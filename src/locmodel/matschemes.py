@@ -99,12 +99,8 @@ def _square_zero_ranks(n, p):
 
 def _isotropic_subspace_count(n, k, p, budget=None):
     """k-dim totally isotropic subspaces for the standard symmetric form."""
-    field = Field(p)
-    count = 0
-    for sub in enumerate_subspaces(n, k, field, budget=budget):
-        if not (sub.basis @ sub.basis.T % p).any():
-            count += 1
-    return count
+    subs = enumerate_subspaces(n, k, Field(p), budget=budget)
+    return sum(not any(sum(x * y for x, y in zip(u, v)) % p for u in s.rows for v in s.rows) for s in subs)
 
 
 def _invertible_symmetric_count(k, p, budget=None, chunk=_CHUNK):

@@ -18,9 +18,9 @@ computes another way, kept as an oracle for it:
   * ``element_from_word``, ``omega_generator`` and ``act_point``: words,
     the length-0 generator tau and the affine action on points, which
     only these oracles and the tests need;
-  * ``stable_under`` and ``meet``: subspace predicates and intersections
-    by direct elimination (the library generates the N-stable subspaces
-    and computes signatures from column ranks);
+  * ``stable_under``, ``meet`` and ``join``: subspace predicates, sums
+    and intersections by direct elimination (the library generates the
+    N-stable subspaces and computes signatures from column ranks);
   * ``symmetric_batch``: symmetric matrices decoded from mixed-radix
     digits (the library scans them in chunks of int16 digit tables);
   * ``classify_by_orbits``: the strata of a chain model as orbits of the
@@ -207,9 +207,16 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
         return Subspace.zero(a.field, a.ambient_dim)
     stacked = np.vstack([a.basis, b.basis])
     # (u, v) with u·A + v·B = 0  =>  u·A lies in both row spaces.
-    relations = _nullspace(stacked.T, a.field.p)
+    relations = np.array(_nullspace(stacked.T.tolist(), len(stacked), a.field.p), dtype=np.int64)
+    relations = relations.reshape(-1, len(stacked))
     gens = (relations[:, : a.dim] @ a.basis) % a.field.p
     return Subspace.from_rows(a.field, a.ambient_dim, gens)
+
+
+def join(a: Subspace, b: Subspace) -> Subspace:
+    """Sum of two subspaces."""
+    a._check(b)
+    return Subspace.from_rows(a.field, a.ambient_dim, np.vstack([a.basis, b.basis]))
 
 
 def stable_under(a: Subspace, f: FieldMatrix) -> bool:

@@ -239,6 +239,18 @@ def meet_signature(pt):
     )
 
 
+def column_rank_signature(pt):
+    """The former column-rank signature, kept as the reference: each rank
+    taken with linalg.rank of the int64 basis restricted to the columns."""
+    model = pt.model
+    out = []
+    for t, plan in zip(model.slots, model.signature_plan):
+        basis = pt.subspaces[t].basis
+        for cols, offset in plan:
+            out.append(len(basis) + offset - linalg.rank(FieldMatrix(model.field, basis[:, cols])))
+    return tuple(out)
+
+
 def standard_signatures(model):
     """{signature: [classes]} over the standard points of adm(mu) that fit
     the model, mu the coweight verify strata uses."""
@@ -508,7 +520,7 @@ class TestSplitting:
         # replacing N by N + N^2 changes no splitting flag
         m = build_model("GL", 2, 3, {0}, 2, (1, 1, 1))
         m2 = copy.copy(m)
-        m2.N = m.N + m.N @ m.N
+        m2.N = FieldMatrix(m.field, m.N.array + (m.N @ m.N).array)
         a = {fp.as_tuple() for fp in splitting_points(m)}
         b = {fp.as_tuple() for fp in splitting_points(m2)}
         assert a == b
@@ -743,6 +755,36 @@ class TestSignatures:
         assert pts
         for pt in pts:
             assert signature(pt) == meet_signature(pt)
+
+    @pytest.mark.parametrize(
+        "kind,size,e,I,p,r_vec,naive",
+        [
+            ("GL", 3, 2, {0, 1, 2}, 2, (1, 1), 400),
+            ("GL", 4, 2, {0}, 2, (1, 1), 400),
+            ("GL", 2, 3, {0}, 2, (1, 1, 1), 400),
+            ("GSp", 1, 2, {0, 1}, 3, None, 400),
+            ("GSp", 2, 2, {0}, 3, None, 0),  # its naive points take seconds
+        ],
+        ids=str,
+    )
+    def test_row_slice_ranks_equal_array_ranks(self, kind, size, e, I, p, r_vec, naive):
+        # every standard point of the model, its images under eight random
+        # chain automorphisms and the first few naive points
+        model = build_model(kind, size, e, I, p, r_vec)
+        mu = _mu_from_model(model)
+        std = []
+        for c in adm_set(ParahoricSpec(mu.datum, frozenset(model.I)), mu).classes:
+            try:
+                std.append(standard_point(c.min_rep, model))
+            except IncompatibleElement:
+                continue
+        rng = np.random.default_rng(11)
+        autos = [random_chain_automorphism(model, rng) for _ in range(8)]
+        pts = std + [apply_chain_automorphism(g, pt) for g in autos for pt in std]
+        pts += itertools.islice(naive_points(model), naive)
+        assert len(std) > 1
+        for pt in pts:
+            assert signature(pt) == column_rank_signature(pt)
 
     # (kind, size, e values, models): every I and every multiset of ranks
     SWEEP = [

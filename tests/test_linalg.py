@@ -4,6 +4,8 @@ The enumeration counts are checked against an independent oracle: the
 Gaussian binomial product formula, written out here from scratch.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,15 +18,16 @@ from locmodel.linalg import (
     enumerate_subspaces,
     gaussian_binomial,
     image,
-    join,
     perp,
     preimage,
     rank,
     subspaces_between,
+    _nullspace,
+    _order_key,
     _rref,
 )
 
-from reference import meet, stable_under
+from reference import join, meet, stable_under
 
 F2 = Field(2)
 F3 = Field(3)
@@ -91,6 +94,33 @@ def random_matrix(rng, p, rows, cols):
     return np.asarray(rng.integers(0, p, size=(rows, cols)), dtype=np.int64)
 
 
+def bytes_order_key(s):
+    """The former sort key: the pivots found by argmax, then the bytes of
+    the int64 RREF basis."""
+    return tuple((s.basis != 0).argmax(axis=1).tolist()), s.basis.tobytes()
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(a, b, p) in F_p^n, n <= 8: each of a, b the zero space, the full
+    space or a random span, and b also drawn above or below a."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = Field(p)
+    spaces = {
+        "zero": Subspace.zero(field, n),
+        "full": Subspace.full(field, n),
+        "random": Subspace.from_rows(field, n, random_matrix(rng, p, rng.integers(0, n + 1), n)),
+    }
+    a = spaces[draw(st.sampled_from(sorted(spaces)))]
+    extra = random_matrix(rng, p, rng.integers(0, n + 1), n)
+    spaces["above"] = Subspace.from_rows(field, n, np.vstack([a.basis, extra]))
+    mix = random_matrix(rng, p, rng.integers(0, a.dim + 1), a.dim)
+    spaces["below"] = Subspace.from_rows(field, n, mix @ a.basis)
+    return a, spaces[draw(st.sampled_from(sorted(spaces)))], p
+
+
 class TestRank:
     def test_identity(self):
         assert rank(FieldMatrix.identity(F2, 3)) == 3
@@ -139,6 +169,95 @@ class TestRref:
         assume(a.dim == b.dim)
         _, pivots = oracle_rref(np.vstack([b.basis, a.basis]), p)
         assert a.leq(b) == (len(pivots) == b.dim) == (a == b)
+
+
+class TestRowRepresentation:
+    @given(subspace_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_leq_matches_stacked_rank(self, case):
+        a, b, p = case
+        for x, y in ((a, b), (b, a)):
+            _, pivots = oracle_rref(np.vstack([y.basis, x.basis]), p)
+            assert x.leq(y) == (len(pivots) == y.dim)
+
+    def test_leq_does_no_elimination(self, monkeypatch):
+        # containment reduces by the pivot rows; it never stacks and row-reduces
+        from locmodel import linalg
+
+        line = Subspace.from_rows(F3, 4, [[1, 2, 0, 1]])
+        plane = Subspace.from_rows(F3, 4, [[1, 2, 0, 0], [0, 0, 0, 1]])
+        other = Subspace.from_rows(F3, 4, [[0, 1, 0, 0], [0, 0, 1, 0]])
+        cases = [
+            (line, plane, True),
+            (line, other, False),
+            (plane, line, False),
+            (plane, other, False),
+            (Subspace.zero(F3, 4), other, True),
+            (other, Subspace.full(F3, 4), True),
+        ]
+        calls = []
+        for name in ("_rref_rows", "_rref"):
+            fn = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+        assert [a.leq(b) for a, b, _ in cases] == [want for _, _, want in cases]
+        assert calls == []
+
+    @given(
+        st.integers(0, 10**9),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_image_equals_dense_product(self, seed, p, n, m, sparse):
+        rng = np.random.default_rng(seed)
+        field = Field(p)
+        entries = random_matrix(rng, p, m, n)
+        if sparse:  # at most one nonzero entry per column, as for N and the transitions
+            entries *= np.eye(m, n, k=int(rng.integers(-m + 1, n)), dtype=np.int64)
+        f = FieldMatrix(field, entries)
+        a = Subspace.from_rows(field, n, random_matrix(rng, p, rng.integers(0, n + 1), n))
+        assert image(f, a) == Subspace.from_rows(field, m, (a.basis @ f.array.T) % p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_order_key_orders_like_bytes_key(self, p):
+        field = Field(p)
+        for n in range(1, 6):
+            subs = []
+            for k in range(n + 1):
+                level = list(enumerate_subspaces(n, k, field))
+                assert level == sorted(level, key=_order_key)
+                subs += level
+            random.Random(n).shuffle(subs)
+            assert sorted(subs, key=_order_key) == sorted(subs, key=bytes_order_key)
+
+    def test_from_rows_array_and_lists(self):
+        rng = np.random.default_rng(5)
+        for p in (2, 3, 5, 7):
+            field = Field(p)
+            for n in range(1, 7):
+                a = rng.integers(-p, 2 * p, size=(int(rng.integers(0, n + 2)), n))
+                s = Subspace.from_rows(field, n, a)
+                for rows in (a.tolist(), [tuple(r) for r in a.tolist()]):
+                    assert Subspace.from_rows(field, n, rows)._key == s._key
+                assert all(type(x) is int for row in s.rows for x in row)
+                b = s.basis
+                assert b.dtype == np.int64 and b.shape == (s.dim, n)
+                assert b.tolist() == [list(row) for row in s.rows]
+                assert not b.flags.writeable
+                with pytest.raises(ValueError):
+                    b[...] = 0
+
+    @given(rref_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_nullspace_rows(self, case):
+        a, p = case
+        rows = _nullspace(a.tolist(), a.shape[1], p)
+        null = np.array(rows, dtype=np.int64).reshape(len(rows), a.shape[1])
+        assert not (a @ null.T % p).any()
+        assert len(null) == a.shape[1] - len(oracle_rref(a, p)[1])
+        assert len(oracle_rref(null, p)[1]) == len(null)
 
 
 class TestSubspaceCanonicity:
