@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRanks, Budget, BudgetExceeded
-from .linalg import Field, _rref, enumerate_subspaces
+from .linalg import Field, _rref, _rref_rows, enumerate_subspaces
 
 _CHUNK = 1 << 17
 
@@ -85,7 +85,7 @@ def _square_zero_scan(n, p, chunk=_CHUNK):
             entries = [e[keep] if isinstance(e, np.ndarray) else e for e in entries]
         else:
             for a in _assemble(n, entries):
-                rk = len(_rref(a, p)[1])
+                rk = len(_rref_rows(a.tolist(), p)[1])
                 hist[rk] = hist.get(rk, 0) + 1
     return tuple(sorted(hist.items())), tested
 
