@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRanks, Budget, BudgetExceeded
-from .linalg import Field, _rref, _rref_rows, enumerate_subspaces
+from .linalg import Field, _rref_rows, enumerate_subspaces
 
 _CHUNK = 1 << 17
 
@@ -225,6 +225,6 @@ def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
             continue
         cols = [block_condition(a, bb).reshape(-1) % p for bb in basis]
         mat = np.stack(cols, axis=1)
-        _, pivots = _rref(mat, p)
+        pivots = _rref_rows(mat.tolist(), p)[1]
         total += p ** (len(basis) - len(pivots))
     return total
