@@ -2,8 +2,9 @@
 
 Both sets are sets of double cosets, each keyed by its minimal element:
 the one member with no left and no right descent in W_I
-(_double_minimal, on the descent masks of weyl.descents).  Their
-expected equality is one of the main verification targets.
+(_double_minimal, on the descent masks of weyl.descents; perm_set tests
+each candidate's window with weyl._no_descent_in before forming it).
+Their expected equality is one of the main verification targets.
 
 adm_set takes the union of the Bruhat down-sets of the translations
 t_lam over the finite-Weyl orbit of mu (weyl.downset).  The union does
@@ -34,12 +35,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, sub
 
-from .errors import Budget, KindMismatch
+from .errors import ArtifactError, Budget, KindMismatch
 from .weyl import (
     Coweight,
     ParahoricSpec,
     WeylElement,
-    _descent_masks,
+    _no_descent_in,
+    _window,
     alcove_vertices,
     bruhat_leq,
     descents,
@@ -82,9 +84,6 @@ class AdmissibleSet:
 
     def __len__(self):
         return len(self.classes)
-
-    def min_reps(self):
-        return {c.min_rep for c in self.classes}
 
     def maximal_classes(self):
         out = []
@@ -250,15 +249,17 @@ def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
             moved = tuple(map(sub, y, first))  # D lam
             if not all(tuple(map(add, moved, shift)) in points for shift in rest):
                 continue
-            lam = tuple(v // D for v in moved)
-            if _double_minimal(*_descent_masks(datum, lam, u), gens):
-                classes.add(DoubleCoset(spec, WeylElement(datum, lam, u)))
+            w = _window(datum, tuple(v // D for v in moved), u)
+            if _no_descent_in(datum, w, gens):
+                classes.add(DoubleCoset(spec, WeylElement.of_window(datum, w)))
     return AdmissibleSet(spec, mu, frozenset(classes))
 
 
 def stratum_count(c: DoubleCoset, q: int, budget=None) -> int:
     """Points of the stratum of c over F_q: sum q^{l(z)} over right-minimal
     z.  The |W_I|^2 members it forms are spent from the budget (a fresh
-    Budget() if None)."""
+    Budget() if None).  A q below 2 is no field size: ArtifactError."""
+    if q < 2:
+        raise ArtifactError(f"q must be a field size, at least 2, got {q}")
     (budget or Budget()).spend(len(parahoric_subgroup(c.spec)) ** 2, "double-coset members")
     return sum(q**ln for ln in c.stratum_lengths())

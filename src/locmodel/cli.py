@@ -98,7 +98,7 @@ def _cycle_notation(w) -> str:
     else:
         imgs = {}
         for j in range(1, datum.n + 1):
-            imgs[j] = datum._apply_signed(w.u, j)
+            imgs[j] = w.u[j - 1]
             imgs[-j] = -imgs[j]
     cycles = []
     seen = set()

@@ -554,36 +554,36 @@ def torsor_check(model: ChainModel, budget=None) -> TorsorReport:
 def _act_on_lattice_vector(w: WeylElement, sym, a, fshift=0):
     """Image of pi^a * sym under the monomial representation of w.
 
-    Translations act by t_lam: e_i -> pi^{lam_i} e_i (and for GSp
-    f_i -> pi^{c - lam_i} f_i); the finite part permutes symbols.  GSp
-    reflections swap e_i with the rescaled f~_i = delta f_i, so the
-    f-exponents are shifted to the delta basis (fshift = 1 - e) before
-    acting and shifted back after.
+    The symbols are the window positions: e_m is m and, for GSp, f_m is
+    N+1-m.  w(i) = r + kN with 1 <= r <= N sends the symbol at i to the
+    symbol at r times pi^k: translations act by t_lam: e_i -> pi^{lam_i}
+    e_i (and for GSp f_i -> pi^{c - lam_i} f_i), the finite part permutes
+    symbols.  GSp reflections swap e_i with the rescaled f~_i = delta
+    f_i, so the f-exponents are shifted to the delta basis (fshift =
+    1 - e) before acting and shifted back after.
     """
-    datum = w.datum
-    kind, m = sym[0], sym[1]
-    if datum.kind == "GL":
-        j = w.u[m - 1]
-        return ("e", j + 1), a + w.lam[j]
+    kind, m = sym
+    N = len(w.w)
     if kind == "f":
         a -= fshift
-    j = datum._apply_signed(w.u, m if kind == "e" else -m)
-    # +-j > 0 means the image is an e-symbol with that index
-    c = w.lam[-1]
-    if j > 0:
-        return ("e", j), a + w.lam[j - 1]
-    return ("f", -j), a + c - w.lam[-j - 1] + fshift
+        m = N + 1 - m
+    k, r = divmod(w.w[m - 1] - 1, N)
+    if r < w.datum.n:
+        return ("e", r + 1), a + k
+    return ("f", N - r), a + k + fshift
 
 
 def _geometric(w: WeylElement) -> WeylElement:
-    """w with the translation part negated.
+    """w with the translation part negated: each w(i) = r + kN becomes
+    r - kN.
 
     The monomial representation of the negated element is the action
     under which the parahoric of I stabilizes every slot lattice, so it
     is the one used to place standard points and to check the chain
     rotation by the length-zero generator.
     """
-    return WeylElement(w.datum, w.datum.negate(w.lam), w.u)
+    N = len(w.w)
+    return WeylElement.of_window(w.datum, tuple(2 * ((v - 1) % N + 1) - v for v in w.w))
 
 
 def standard_point(w: WeylElement, model: ChainModel) -> ChainPoint:

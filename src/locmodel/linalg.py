@@ -134,15 +134,6 @@ def _rref_rows(rows, p):
     return tuple(map(tuple, rows[:top])), tuple(pivots)
 
 
-def _rref(a: np.ndarray, p: int):
-    """Return (R, pivot_cols) with R the int64 RREF of a over F_p, zero rows last."""
-    a = np.asarray(a, dtype=np.int64)
-    rows, pivots = _rref_rows(a.tolist(), p)
-    R = np.zeros(a.shape, dtype=np.int64)
-    R[: len(rows)] = np.reshape(rows, (len(rows), a.shape[1]))
-    return R, list(pivots)
-
-
 def _nullspace(rows, n: int, p: int) -> list:
     """Basis rows of {x : a x = 0} over F_p, for a with the given rows and
     n columns: one per free column of the RREF of a."""

@@ -188,6 +188,8 @@ def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
     """
     n = g * e
     Field(p)
+    if g < 1 or e < 1:
+        raise BadRanks("need g >= 1 and e >= 1")
     if n > 2 or p > 3:
         raise BudgetExceeded("symplectic scan restricted to ge <= 2, p <= 3")
     if strategy not in ("direct", "linear"):

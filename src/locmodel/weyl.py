@@ -1,28 +1,36 @@
-"""Extended affine Weyl groups for GL_d and GSp_2g.
+"""Extended affine Weyl groups for GL_d and GSp_2g, as affine permutations.
 
-An element is a pair (lam, u) representing t_lam * u in X_* >< W_0,
-with composition (t_lam u)(t_mu v) = t_{lam + u(mu)} (uv).
+An element is stored as one window (w(1), ..., w(N)) of a bijection w of
+Z with w(i + kN) = w(i) + kN (Bjorner-Brenti ch. 8); composition is
+(w v)(i) = w(v(i)).  The pair (lam, u) of t_lam * u in X_* >< W_0,
+with (t_lam u)(t_mu v) = t_{lam + u(mu)} (uv), is kept only at the
+boundary: WeylElement(datum, lam, u) encodes it and .lam, .u decode it.
 
-For GL(d) the coweight lattice is Z^d and W_0 = S_d.  For GSp(g) the
-lattice is {(v; c) : v_i + v_{2g+1-i} = c}, stored as
-(v_1, ..., v_g, c), and W_0 is the group of signed permutations of
-rank g acting by v_i -> v_j or v_i -> c - v_j.
+For GL(d), N = d, the coweight lattice is Z^d, W_0 = S_d permutes the
+coordinates, and w(i) = u(i) + d lam_{u(i)} (u(i) 1-based).  For
+GSp(g), N = 2g, the lattice is {(v; c) : v_i + v_{2g+1-i} = c}, stored as
+(v_1, ..., v_g, c), and W_0 is the group of signed permutations of rank
+g acting by v_i -> v_j or v_i -> c - v_j.  (v; c) embeds as
+(v_1, ..., v_g, c - v_g, ..., c - v_1) and the signed u as the
+permutation of 1..N sending i -> j, N+1-i -> N+1-j for an entry +j at i
+and i -> N+1-j, N+1-i -> j for -j; then the GL formula applies, and
+w(N+1-i) = N+1+Nc - w(i).  The GSp elements are thus the affine
+permutations commuting with i -> N+1-i up to the similitude shift, and
+one kernel serves both groups.  Read as a monomial matrix, w(i) = r + kN
+sends the basis vector at position i to pi^k times the one at r.
 
-Length is computed by counting affine-root inversions directly; the
-closed translation-length formula <lam+, 2rho> is used only as a
-cross-check in the test suite.  The count is memoised per process on
-(datum, lam, u).  The base alcove is the standard one
-(x_1 > x_2 > ... > x_d > x_1 - 1 for GL, and the analogous dominant
-small alcove for type C).  Descents are found by root signs: the
-simple affine root beta_j that s_j inverts is derived once per datum
-from simple_reflection, and s_j is a right (left) descent of x exactly
-when x(beta_j) (x^-1(beta_j)) is negative, so no product and no length
-is formed; Bruhat comparison, reduced words and the down-sets use
-them.  Bruhat down-sets come from the lifting recursion `downset`; the
-tests check it against the subword expansion.  Parahoric subgroups W_I
-and their generators live here; the minimal element of a double coset
-W_I x W_I is the member with no descent among the generators, and
-nothing here lists elements by length.
+The base alcove is the standard one (x_1 > ... > x_d > x_1 - 1 for GL,
+the analogous small dominant alcove for type C).  s_j is a right
+descent of w iff w(j) > w(j+1), with w(0) = w(N) - N, and a left
+descent iff it is a right descent of w^-1.  Length is Shi's inversion
+count l(w) = sum_{i<j<=N} |floor((w(j) - w(i)) / N)|; for GSp the
+sigma-fixed inversions are added once more and the sum halved.  Both
+are stored on the element.  Bruhat comparison, reduced words and the
+down-sets use the descents.  Bruhat down-sets come from the lifting
+recursion `downset`; the tests check it against the subword expansion.
+Parahoric subgroups W_I and their generators live here; the minimal
+element of a double coset W_I x W_I is the member with no descent among
+the generators, and nothing here lists elements by length.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import Budget, DatumMismatch, InvalidIndex
 
@@ -53,7 +61,7 @@ class RootDatum:
         """Length of the stored coweight tuple."""
         return self.n if self.kind == "GL" else self.n + 1
 
-    @property
+    @cached_property
     def simple_indices(self):
         """Affine simple reflection indices, 0 included."""
         if self.kind == "GL":
@@ -68,28 +76,6 @@ class RootDatum:
 
     def zero(self):
         return (0,) * self.coord_len
-
-    # -- roots ---------------------------------------------------------------
-
-    def roots(self):
-        return _roots(self.kind, self.n)
-
-    @staticmethod
-    def is_positive_root(alpha) -> bool:
-        for a in alpha:
-            if a:
-                return a > 0
-        return False
-
-    def pairing(self, lam, alpha) -> int:
-        """<lam, alpha> for a coweight lam and root vector alpha."""
-        if self.kind == "GL":
-            return sum(l * a for l, a in zip(lam, alpha))
-        c = lam[-1]
-        s = sum(l * a for l, a in zip(lam[:-1], alpha))
-        total = sum(alpha)
-        # total is always even for type C root vectors
-        return s - c * (total // 2)
 
     # -- finite Weyl group ---------------------------------------------------
 
@@ -108,29 +94,6 @@ class RootDatum:
                 out.append(tuple(s * v for s, v in zip(signs, p)))
         return out
 
-    def compose_finite(self, u, v):
-        if self.kind == "GL":
-            return tuple(u[v[i]] for i in range(self.n))
-        return tuple(self._apply_signed(u, v[i]) for i in range(self.n))
-
-    def invert_finite(self, u):
-        if self.kind == "GL":
-            inv = [0] * self.n
-            for i, j in enumerate(u):
-                inv[j] = i
-            return tuple(inv)
-        inv = [0] * self.n
-        for i, j in enumerate(u):
-            if j > 0:
-                inv[j - 1] = i + 1
-            else:
-                inv[-j - 1] = -(i + 1)
-        return tuple(inv)
-
-    @staticmethod
-    def _apply_signed(u, j):
-        return u[j - 1] if j > 0 else -u[-j - 1]
-
     def act_coweight(self, u, lam):
         """u(lam), exact also on Fraction coordinates."""
         if self.kind == "GL":
@@ -147,87 +110,6 @@ class RootDatum:
             else:
                 out[-j - 1] = c - lam[i]
         return tuple(out) + (c,)
-
-    def act_root(self, u, alpha):
-        if self.kind == "GL":
-            out = [0] * self.n
-            for i in range(self.n):
-                out[u[i]] = alpha[i]
-            return tuple(out)
-        out = [0] * self.n
-        for i in range(self.n):
-            j = u[i]
-            if j > 0:
-                out[j - 1] = alpha[i]
-            else:
-                out[-j - 1] = -alpha[i]
-        return tuple(out)
-
-    def negate(self, lam):
-        return tuple(-x for x in lam)
-
-    def add(self, lam, mu):
-        return tuple(a + b for a, b in zip(lam, mu))
-
-    # -- simple reflections --------------------------------------------------
-
-    def finite_simple(self, j):
-        """The finite reflection s_j, 1 <= j <= rank."""
-        u = list(self.finite_identity())
-        if self.kind == "GL":
-            if not 1 <= j <= self.n - 1:
-                raise InvalidIndex(f"no finite simple reflection {j}")
-            u[j - 1], u[j] = u[j], u[j - 1]
-        else:
-            if not 1 <= j <= self.n:
-                raise InvalidIndex(f"no finite simple reflection {j}")
-            if j < self.n:
-                u[j - 1], u[j] = u[j], u[j - 1]
-            else:
-                u[self.n - 1] = -self.n
-        return tuple(u)
-
-    def highest_root_data(self):
-        """(s_theta, theta_coweight) for the affine reflection s_0."""
-        if self.kind == "GL":
-            if self.n < 2:
-                raise InvalidIndex("GL(1) has no affine simple reflections")
-            u = list(self.finite_identity())
-            u[0], u[-1] = u[-1], u[0]
-            theta_v = (1,) + (0,) * (self.n - 2) + (-1,)
-            return tuple(u), theta_v
-        u = list(self.finite_identity())
-        u[0] = -1
-        theta_v = (1,) + (0,) * (self.n - 1) + (0,)
-        return tuple(u), theta_v
-
-
-@lru_cache(maxsize=None)
-def _roots(kind, n):
-    roots = []
-    if kind == "GL":
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                a = [0] * n
-                a[i], a[j] = 1, -1
-                roots.append(tuple(a))
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si, sj in ((1, -1), (1, 1), (-1, 1), (-1, -1)):
-                    a = [0] * n
-                    a[i], a[j] = si, sj
-                    roots.append(tuple(a))
-        for i in range(n):
-            a = [0] * n
-            a[i] = 2
-            roots.append(tuple(a))
-            a = [0] * n
-            a[i] = -2
-            roots.append(tuple(a))
-    return tuple(roots)
 
 
 @dataclass(frozen=True)
@@ -249,40 +131,99 @@ class Coweight:
         )
 
 
-class WeylElement:
-    """Immutable element t_lam * u of the extended affine Weyl group."""
+def _window(d: RootDatum, lam, u):
+    """The window of t_lam u (see the module docstring)."""
+    if d.kind == "GL":
+        n = d.n
+        return tuple(j + 1 + n * lam[j] for j in u)
+    N, c = 2 * d.n, lam[-1]
+    head = [j + N * lam[j - 1] if j > 0 else N + 1 + j + N * (c - lam[-j - 1]) for j in u]
+    return (*head, *[N + 1 + N * c - v for v in reversed(head)])
 
-    __slots__ = ("datum", "lam", "u", "_len", "_desc", "_hash")
+
+def _inverse(w):
+    """The window of w^-1: w(i) = r + kN gives w^-1(r) = i - kN."""
+    N = len(w)
+    out = [0] * N
+    for i, v in enumerate(w):
+        r = (v - 1) % N
+        out[r] = i + r + 2 - v
+    return tuple(out)
+
+
+class WeylElement:
+    """Immutable element t_lam * u of the extended affine Weyl group,
+    stored as its window w; lam and u are derived from it on demand."""
+
+    __slots__ = ("datum", "w", "_len", "_desc", "_lam_u", "_hash")
 
     def __init__(self, datum: RootDatum, lam, u):
-        self.datum = datum
-        self.lam = tuple(lam)
-        self.u = tuple(u)
-        if len(self.lam) != datum.coord_len:
+        lam = tuple(lam)
+        if len(lam) != datum.coord_len:
             raise InvalidIndex("coweight has wrong length")
-        self._len = None
-        self._desc = None
-        self._hash = hash((datum, self.lam, self.u))
+        self._set(datum, _window(datum, lam, u))
+
+    @classmethod
+    def of_window(cls, datum: RootDatum, w) -> "WeylElement":
+        """The element whose window is the tuple w (not checked)."""
+        x = cls.__new__(cls)
+        x._set(datum, w)
+        return x
+
+    def _set(self, datum, w):
+        self.datum = datum
+        self.w = w
+        self._len = self._desc = self._lam_u = None
+        self._hash = hash(w)
+
+    def _decode(self):
+        """(lam, u): each w(i) = r + kN with 1 <= r <= N is the image r of
+        i under the finite part, and k the coordinate of the translation
+        at r."""
+        if self._lam_u is None:
+            d, w = self.datum, self.w
+            N = len(w)
+            if d.kind == "GL":
+                lam, u = [0] * N, []
+                for v in w:
+                    k, r = divmod(v - 1, N)
+                    lam[r] = k
+                    u.append(r)
+                self._lam_u = tuple(lam), tuple(u)
+            else:
+                g, c = d.n, (w[0] + w[-1] - N - 1) // N
+                lam, u = [0] * g, []
+                for v in w[:g]:
+                    k, r = divmod(v - 1, N)
+                    if r < g:
+                        lam[r] = k
+                        u.append(r + 1)
+                    else:
+                        lam[N - 1 - r] = c - k
+                        u.append(r - N)
+                self._lam_u = (*lam, c), tuple(u)
+        return self._lam_u
+
+    @property
+    def lam(self):
+        return self._decode()[0]
+
+    @property
+    def u(self):
+        return self._decode()[1]
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.datum != other.datum:
             raise DatumMismatch("cannot multiply across data")
-        d = self.datum
-        lam = d.add(self.lam, d.act_coweight(self.u, other.lam))
-        return WeylElement(d, lam, d.compose_finite(self.u, other.u))
+        w = self.w
+        N = len(w)
+        return WeylElement.of_window(self.datum, tuple(w[(v - 1) % N] + (v - 1) // N * N for v in other.w))
 
     def inv(self) -> "WeylElement":
-        d = self.datum
-        ui = d.invert_finite(self.u)
-        return WeylElement(d, d.negate(d.act_coweight(ui, self.lam)), ui)
+        return WeylElement.of_window(self.datum, _inverse(self.w))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.datum == other.datum
-            and self.lam == other.lam
-            and self.u == other.u
-        )
+        return isinstance(other, WeylElement) and self.w == other.w and self.datum == other.datum
 
     def __hash__(self):
         return self._hash
@@ -312,12 +253,19 @@ def finite(datum: RootDatum, u) -> WeylElement:
 
 @lru_cache(maxsize=None)
 def simple_reflection(datum: RootDatum, j: int) -> WeylElement:
+    """s_j swaps the positions j and j+1 (0 and 1 meaning w(0) = w(N) - N),
+    and for GSp also their mirrors N-j and N+1-j."""
     if j not in datum.simple_indices:
         raise InvalidIndex(f"no affine simple reflection {j} for {datum}")
-    if j == 0:
-        s_theta, theta_v = datum.highest_root_data()
-        return WeylElement(datum, theta_v, s_theta)
-    return finite(datum, datum.finite_simple(j))
+    gsp = datum.kind == "GSp"
+    N = 2 * datum.n if gsp else datum.n
+    w = list(range(1, N + 1))
+    for a in {j, (N - j) % N} if gsp else {j}:
+        if a == 0:
+            w[0], w[-1] = 0, N + 1
+        else:
+            w[a - 1], w[a] = w[a], w[a - 1]
+    return WeylElement.of_window(datum, tuple(w))
 
 
 # -- basic maps --------------------------------------------------------------
@@ -325,126 +273,62 @@ def simple_reflection(datum: RootDatum, j: int) -> WeylElement:
 
 def kappa(x: WeylElement) -> int:
     """Component homomorphism: coordinate sum for GL, similitude for GSp."""
+    w = x.w
+    N = len(w)
     if x.datum.kind == "GL":
-        return sum(x.lam)
-    return x.lam[-1]
+        return (sum(w) - N * (N + 1) // 2) // N
+    return (w[0] + w[-1] - N - 1) // N
 
 
 def length(x: WeylElement) -> int:
-    """Number of positive affine roots sent to negative ones by x.
-
-    The image of (alpha, k) under t_lam u is (u(alpha), k - <lam, u(alpha)>);
-    counting k >= 0 (k >= 1 for negative alpha) with negative image gives
-    the length, with no reference to a closed formula.
-    """
+    """Shi's count sum_{i<j<=N} |floor((w(j) - w(i)) / N)| of the affine
+    inversions of the window.  For GSp this counts every inversion of
+    type C twice except the sigma-fixed ones; those are the i with
+    floor((2 w(i) - 2 - Nc) / N) >= k0(i), k0 = 1 on the first half of
+    the window and 2 on the second, each counted that floor - k0 + 1
+    times, so the sum of both halves is twice the length."""
     if x._len is None:
-        x._len = _inversions(x.datum, x.lam, x.u)
+        w = x.w
+        N = len(w)
+        total = sum(abs((b - a) // N) for i, a in enumerate(w) for b in w[i + 1 :])
+        if x.datum.kind == "GSp":
+            shift = 2 + N * kappa(x)
+            g = x.datum.n
+            total += sum(max(0, (2 * v - shift) // N + (i < g) - 1) for i, v in enumerate(w))
+            total //= 2
+        x._len = total
     return x._len
-
-
-@lru_cache(maxsize=None)
-def _inversions(d: RootDatum, lam, u) -> int:
-    total = 0
-    for alpha in d.roots():
-        k_min = 0 if d.is_positive_root(alpha) else 1
-        beta = d.act_root(u, alpha)
-        m = d.pairing(lam, beta)
-        cnt = max(0, m - k_min)
-        if not d.is_positive_root(beta) and m >= k_min:
-            cnt += 1
-        total += cnt
-    return total
 
 
 # -- descents ---------------------------------------------------------------
 
 
-def _is_negative(beta, k) -> bool:
-    """Is the affine root (beta, k) negative: k < 0, or k = 0 and beta < 0?"""
-    return k < 0 or (k == 0 and not RootDatum.is_positive_root(beta))
-
-
-@lru_cache(maxsize=None)
-def simple_affine_roots(datum: RootDatum):
-    """((j, beta_j), ...): for each affine simple reflection s_j the one
-    positive affine root beta_j = (alpha, k) that s_j sends to a negative
-    one.  Derived from simple_reflection: for s_j = t_lam u the image of
-    (alpha, k) is (u(alpha), k - <lam, u(alpha)>), so only the k between
-    0 (1 for negative alpha) and <lam, u(alpha)> can be inverted."""
-    out = []
-    for j in datum.simple_indices:
-        s = simple_reflection(datum, j)
-        inverted = []
-        for alpha in datum.roots():
-            beta = datum.act_root(s.u, alpha)
-            m = datum.pairing(s.lam, beta)
-            k_min = 0 if datum.is_positive_root(alpha) else 1
-            inverted += [(alpha, k) for k in range(k_min, m + 1) if _is_negative(beta, k - m)]
-        if len(inverted) != 1:  # pragma: no cover
-            raise AssertionError(f"s_{j} inverts {len(inverted)} positive affine roots")
-        out.append((j, inverted[0]))
-    return tuple(out)
+def _right_mask(w, top) -> int:
+    """The bitmask of the j < top with w(j) > w(j+1), where
+    w(0) = w(N) - N."""
+    mask = int(w[-1] - len(w) > w[0])
+    for j in range(1, top):
+        if w[j - 1] > w[j]:
+            mask |= 1 << j
+    return mask
 
 
 def descents(x: WeylElement):
     """(left, right): bitmasks of the j with l(s_j x) < l(x), and of the
-    j with l(x s_j) < l(x), found by root signs and stored on x.
-
-    s_j is a right descent iff x(beta_j) < 0 and a left descent iff
-    x^-1(beta_j) < 0 (beta_j = (alpha, k) from simple_affine_roots).  For
-    x = t_lam u, x(alpha, k) = (u(alpha), k - <lam, u(alpha)>) and
-    x^-1(alpha, k) = (u^-1(alpha), k + <lam, alpha>); no product and no
-    length is formed.
-    """
+    j with l(x s_j) < l(x), read off the windows of x^-1 and x and stored
+    on x; no product and no length is formed."""
     if x._desc is None:
-        x._desc = _descent_masks(x.datum, x.lam, x.u)
+        top = len(x.datum.simple_indices)
+        x._desc = _right_mask(_inverse(x.w), top), _right_mask(x.w, top)
     return x._desc
 
 
-def _descent_masks(d: RootDatum, lam, u):
-    """descents of t_lam u, without forming the element."""
-    c = lam[-1]
-    left = right = 0
-    for bit, k, beta, beta_pos, alpha, alpha_pos in _descent_table(d, u):
-        (t1, b1), (t2, b2), h = beta
-        m = k - b1 * lam[t1] - b2 * lam[t2] + c * h
-        if m < 0 or (m == 0 and not beta_pos):
-            right |= bit
-        (t1, b1), (t2, b2), h = alpha
-        m = k + b1 * lam[t1] + b2 * lam[t2] - c * h
-        if m < 0 or (m == 0 and not alpha_pos):
-            left |= bit
-    return left, right
-
-
-@lru_cache(maxsize=None)
-def _descent_table(d: RootDatum, u):
-    """Per simple affine root (alpha, k): its bit, k, u(alpha) and alpha as
-    sparse pairings, and whether u(alpha) and u^-1(alpha) are positive.
-
-    A root of type A or C has at most two nonzero coordinates, so
-    <lam, beta> = b1 lam_t1 + b2 lam_t2 - c h, with h = sum(beta) / 2
-    for GSp (c the similitude) and h = 0 for GL."""
-
-    def sparse(beta):
-        terms = [(t, b) for t, b in enumerate(beta) if b] + [(0, 0)]
-        return terms[0], terms[1], sum(beta) // 2
-
-    ui = d.invert_finite(u)
-    rows = []
-    for j, (alpha, k) in simple_affine_roots(d):
-        beta = d.act_root(u, alpha)
-        rows.append(
-            (
-                1 << j,
-                k,
-                sparse(beta),
-                d.is_positive_root(beta),
-                sparse(alpha),
-                d.is_positive_root(d.act_root(ui, alpha)),
-            )
-        )
-    return tuple(rows)
+def _no_descent_in(datum: RootDatum, w, gens: int) -> bool:
+    """Has the window w no left and no right descent in the bitmask gens?
+    The right descents are read first, and w^-1 is formed only when none
+    of them is in gens."""
+    top = len(datum.simple_indices)
+    return not (_right_mask(w, top) & gens or _right_mask(_inverse(w), top) & gens)
 
 
 def _lowest(mask: int) -> int:

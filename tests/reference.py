@@ -5,9 +5,13 @@ computes another way, kept as an oracle for it:
 
   * ``enumerate_below``: Bruhat down-sets by the subword property
     (the library uses the lifting recursion ``weyl.downset``);
+  * ``root_inversions``: the length as the number of positive affine
+    roots sent to negative ones, on the (lam, u) pair (the library counts
+    inversions of the window);
+  * ``semidirect_product`` and ``semidirect_inverse``: the group law on
+    (lam, u) pairs (the library composes and inverts windows);
   * ``length_descents``: descents by comparing l(s x) and l(x s) with
-    l(x) (the library reads them off the signs of x(beta_j) and
-    x^-1(beta_j));
+    l(x) (the library compares adjacent window entries);
   * ``coset_min``: the minimal element of a double coset by greedy
     descent (the library keeps the double-minimal elements it meets);
   * ``total_count``: the point count of a whole admissible set, the sum
@@ -18,6 +22,8 @@ computes another way, kept as an oracle for it:
   * ``element_from_word``, ``omega_generator`` and ``act_point``: words,
     the length-0 generator tau and the affine action on points, which
     only these oracles and the tests need;
+  * ``rref``: reduced row echelon form of an array (the library
+    eliminates on lists with ``_rref_rows``);
   * ``stable_under``, ``meet`` and ``join``: subspace predicates, sums
     and intersections by direct elimination (the library generates the
     N-stable subspaces and computes signatures from column ranks);
@@ -59,7 +65,115 @@ from locmodel.weyl import (
 )
 
 # ---------------------------------------------------------------------------
-# weyl
+# weyl: the affine-root model
+#
+# Roots are integer vectors: e_i - e_j for GL(d), +-e_i +-e_j and +-2 e_i
+# for GSp(g).  The affine root (alpha, k) is positive when k > 0, or k = 0
+# and alpha > 0; t_lam u sends it to (u(alpha), k - <lam, u(alpha)>).
+
+
+@lru_cache(maxsize=None)
+def roots(datum):
+    n, out = datum.n, []
+    if datum.kind == "GL":
+        pairs = [(i, j, 1, -1) for i in range(n) for j in range(n) if i != j]
+    else:
+        signs = ((1, -1), (1, 1), (-1, 1), (-1, -1))
+        pairs = [(i, j, a, b) for i in range(n) for j in range(i + 1, n) for a, b in signs]
+        pairs += [(i, i, a, a) for i in range(n) for a in (1, -1)]
+    for i, j, a, b in pairs:
+        alpha = [0] * n
+        alpha[i] += a
+        alpha[j] += b
+        out.append(tuple(alpha))
+    return tuple(out)
+
+
+def is_positive_root(alpha) -> bool:
+    return next((a > 0 for a in alpha if a), False)
+
+
+def pairing(datum, lam, alpha):
+    """<lam, alpha> for a coweight lam (for GSp, (v; c) pairs with a root
+    of coordinate sum 2h as <v, alpha> - c h)."""
+    s = sum(l * a for l, a in zip(lam, alpha))
+    return s if datum.kind == "GL" else s - lam[-1] * (sum(alpha) // 2)
+
+
+def _signed(u, j):
+    """The signed permutation u at the signed index j."""
+    return u[j - 1] if j > 0 else -u[-j - 1]
+
+
+def act_root(datum, u, alpha):
+    out = [0] * datum.n
+    for i, j in enumerate(u):
+        if datum.kind == "GL":
+            out[j] = alpha[i]
+        else:
+            out[abs(j) - 1] = alpha[i] if j > 0 else -alpha[i]
+    return tuple(out)
+
+
+def compose_finite(datum, u, v):
+    if datum.kind == "GL":
+        return tuple(u[j] for j in v)
+    return tuple(_signed(u, j) for j in v)
+
+
+def invert_finite(datum, u):
+    out = [0] * datum.n
+    for i, j in enumerate(u):
+        if datum.kind == "GL":
+            out[j] = i
+        else:
+            out[abs(j) - 1] = i + 1 if j > 0 else -(i + 1)
+    return tuple(out)
+
+
+def semidirect_product(x: WeylElement, y: WeylElement):
+    """(lam, u) of (t_lam u)(t_mu v) = t_{lam + u(mu)} (uv)."""
+    d = x.datum
+    lam = tuple(a + b for a, b in zip(x.lam, d.act_coweight(x.u, y.lam)))
+    return lam, compose_finite(d, x.u, y.u)
+
+
+def semidirect_inverse(x: WeylElement):
+    """(lam, u) of (t_lam u)^-1 = t_{-u^-1(lam)} u^-1."""
+    d = x.datum
+    ui = invert_finite(d, x.u)
+    return tuple(-v for v in d.act_coweight(ui, x.lam)), ui
+
+
+def inverted_roots(x: WeylElement, k_max: int):
+    """The positive affine roots (alpha, k), k <= k_max, that x sends to
+    negative ones."""
+    d, out = x.datum, []
+    for alpha in roots(d):
+        beta = act_root(d, x.u, alpha)
+        m = pairing(d, x.lam, beta)
+        for k in range(0 if is_positive_root(alpha) else 1, k_max + 1):
+            if k - m < 0 or (k == m and not is_positive_root(beta)):
+                out.append((alpha, k))
+    return out
+
+
+def root_inversions(x: WeylElement) -> int:
+    """The length of x as the number of positive affine roots it sends to
+    negative ones: for each root alpha, the k >= k_min (0 for alpha > 0,
+    else 1) with k < <lam, u(alpha)>, and k = <lam, u(alpha)> too when
+    u(alpha) < 0."""
+    d, total = x.datum, 0
+    for alpha in roots(d):
+        k_min = 0 if is_positive_root(alpha) else 1
+        beta = act_root(d, x.u, alpha)
+        m = pairing(d, x.lam, beta)
+        total += max(0, m - k_min) + (not is_positive_root(beta) and m >= k_min)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# weyl: words, descents and down-sets
 
 
 @lru_cache(maxsize=None)
@@ -198,6 +312,15 @@ def pool_perm_set(spec, mu) -> AdmissibleSet:
 
 # ---------------------------------------------------------------------------
 # linalg
+
+
+def rref(a, p: int):
+    """Return (R, pivot_cols) with R the int64 RREF of a over F_p, zero rows last."""
+    a = np.asarray(a, dtype=np.int64)
+    rows, pivots = linalg._rref_rows(a.tolist(), p)
+    R = np.zeros(a.shape, dtype=np.int64)
+    R[: len(rows)] = np.reshape(rows, (len(rows), a.shape[1]))
+    return R, list(pivots)
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:

@@ -15,7 +15,7 @@ from locmodel.admissible import (
     perm_set,
     stratum_count,
 )
-from locmodel.errors import Budget, BudgetExceeded, InvalidIndex
+from locmodel.errors import ArtifactError, Budget, BudgetExceeded, InvalidIndex
 from locmodel.weyl import (
     Coweight,
     ParahoricSpec,
@@ -50,7 +50,7 @@ def spec0(datum):
 class TestAdmSet:
     def test_frozen_gl2_iwahori(self):
         s = adm_set(iwahori(GL2), Coweight(GL2, (1, 0)))
-        assert s.min_reps() == {
+        assert {c.min_rep for c in s.classes} == {
             translation(GL2, (1, 0)),
             translation(GL2, (0, 1)),
             omega_generator(GL2),
@@ -69,7 +69,7 @@ class TestAdmSet:
 
     def test_downward_closed(self):
         s = adm_set(iwahori(GL3), Coweight(GL3, (1, 1, 0)))
-        all_min_reps = s.min_reps()
+        all_min_reps = {c.min_rep for c in s.classes}
         for c in s.classes:
             below = [
                 double_coset(x, s.spec)
@@ -228,7 +228,7 @@ class TestPermSet:
     def test_central(self):
         spec = spec0(GL2)
         s = perm_set(spec, Coweight(GL2, (1, 1)))
-        assert s.min_reps() == {translation(GL2, (1, 1))}
+        assert {c.min_rep for c in s.classes} == {translation(GL2, (1, 1))}
 
     def test_gl3_grassmannian(self):
         spec = spec0(GL3)
@@ -383,14 +383,23 @@ class TestStratumCounts:
         c = double_coset(x, spec)
         assert stratum_count(c, 3) == 3 ** length(x)
 
-    def test_q1_counts_right_minimal_members(self):
+    def test_one_term_per_right_minimal_member(self):
         for x, spec in [
             (translation(GL2, (2, 0)), spec0(GL2)),
             (translation(GL3, (1, 1, 0)), spec0(GL3)),
             (translation(GSP1, (2, 2)), spec0(GSP1)),
         ]:
             c = double_coset(x, spec)
-            assert stratum_count(c, 1) == len(c.right_minimal_members())
+            lengths = c.stratum_lengths()
+            assert len(lengths) == len(c.right_minimal_members())
+            assert stratum_count(c, 2) == sum(2**ln for ln in lengths)
+
+    @pytest.mark.parametrize("q", [1, 0, -3])
+    def test_q_below_2_is_rejected(self, q):
+        # sum q^l is a point count only over a field, so q >= 2
+        c = double_coset(translation(GL2, (1, 0)), spec0(GL2))
+        with pytest.raises(ArtifactError):
+            stratum_count(c, q)
 
 
 class TestTotalCount:

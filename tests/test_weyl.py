@@ -1,9 +1,11 @@
 """Tests for the extended affine Weyl groups.
 
 Independent oracles used here:
-  * the closed translation-length formula <lam+, 2rho> (the library
-    itself counts affine-root inversions, so the formula is a genuine
-    cross-check);
+  * the closed translation-length formula <lam+, 2rho> and the
+    affine-root inversion count root_inversions (the library itself
+    counts inversions of the window, so both are genuine cross-checks);
+  * the semidirect-product law on (lam, u) pairs, for the composition
+    and inversion of windows;
   * a subword-based Bruhat comparison built from scratch on reduced
     words;
   * brute-force double-coset enumeration for the reference coset_min;
@@ -12,7 +14,7 @@ Independent oracles used here:
   * the subword down-set enumerate_below, for the lifting recursion
     downset;
   * descents by comparing lengths of products (length_descents), for
-    the root-sign descents.
+    the descents read off the windows.
 """
 
 import itertools
@@ -39,7 +41,6 @@ from locmodel.weyl import (
     length,
     parahoric_subgroup,
     reduced_word,
-    simple_affine_roots,
     simple_reflection,
     translation,
 )
@@ -50,16 +51,29 @@ from reference import (
     element_from_word,
     elements_of_length_leq,
     enumerate_below,
+    inverted_roots,
+    is_positive_root,
     length_descents,
     omega_generator,
+    pairing,
+    root_inversions,
+    roots,
+    semidirect_inverse,
+    semidirect_product,
 )
 
+GL1 = RootDatum("GL", 1)
 GL2 = RootDatum("GL", 2)
 GL3 = RootDatum("GL", 3)
 GL4 = RootDatum("GL", 4)
+GL5 = RootDatum("GL", 5)
 GSP1 = RootDatum("GSp", 1)
 GSP2 = RootDatum("GSp", 2)
 GSP3 = RootDatum("GSp", 3)
+
+# every datum the window kernel is checked on against the (lam, u) formulas
+_KERNEL_DATA = [GL1, GL2, GL3, GL4, GL5, GSP1, GSP2, GSP3]
+_IDS = lambda v: f"{v.kind}{v.n}"
 
 
 def dominant_length_oracle(datum, lam):
@@ -107,8 +121,26 @@ class TestGroupLaw:
 
     def test_invert_formula(self):
         x = translation(GL3, (2, 0, 1)) * finite(GL3, (2, 0, 1))
-        ui = GL3.invert_finite(x.u)
-        assert x.inv().lam == GL3.negate(GL3.act_coweight(ui, x.lam))
+        assert (x.inv().lam, x.inv().u) == semidirect_inverse(x)
+
+    @pytest.mark.parametrize("datum", _KERNEL_DATA, ids=_IDS)
+    def test_window_round_trip(self, datum):
+        rng = random.Random(31)
+        for _ in range(60):
+            lam, u = random_pair(rng, datum, spread=3)
+            x = WeylElement(datum, lam, u)
+            assert (x.lam, x.u) == (lam, u)
+            y = WeylElement.of_window(datum, x.w)
+            assert y == x and (y.lam, y.u) == (lam, u)
+
+    @pytest.mark.parametrize("datum", _KERNEL_DATA, ids=_IDS)
+    def test_window_law_matches_semidirect_formulas(self, datum):
+        rng = random.Random(37)
+        for _ in range(60):
+            x, y = random_element(rng, datum, spread=3), random_element(rng, datum, spread=3)
+            assert ((x * y).lam, (x * y).u) == semidirect_product(x, y)
+            assert (x.inv().lam, x.inv().u) == semidirect_inverse(x)
+            assert kappa(x) == (sum(x.lam) if datum.kind == "GL" else x.lam[-1])
 
     def test_datum_mismatch(self):
         with pytest.raises(DatumMismatch):
@@ -119,14 +151,17 @@ class TestGroupLaw:
             simple_reflection(GL2, 5)
 
 
-def random_element(rng, datum, spread=2):
+def random_pair(rng, datum, spread=2):
     if datum.kind == "GL":
         lam = tuple(rng.randint(-spread, spread) for _ in range(datum.n))
     else:
         c = rng.randint(-spread, spread)
         lam = tuple(rng.randint(-spread, spread) for _ in range(datum.n)) + (c,)
-    u = rng.choice(datum.finite_elements())
-    return WeylElement(datum, lam, u)
+    return lam, rng.choice(datum.finite_elements())
+
+
+def random_element(rng, datum, spread=2):
+    return WeylElement(datum, *random_pair(rng, datum, spread))
 
 
 class TestLength:
@@ -171,21 +206,21 @@ def separating_hyperplanes(x):
     p0 = tuple(sum(v[i] for v in verts) / len(verts) for i in range(d.coord_len))
     p1 = act_point(x, p0)
     total = 0
-    for alpha in d.roots():
-        if d.is_positive_root(alpha):
-            a, b = d.pairing(p0, alpha), d.pairing(p1, alpha)
+    for alpha in roots(d):
+        if is_positive_root(alpha):
+            a, b = pairing(d, p0, alpha), pairing(d, p1, alpha)
             assert a.denominator != 1 and b.denominator != 1  # generic point
             total += abs(math.floor(b) - math.floor(a))
     return total
 
 
 class TestLengthMemo:
-    @pytest.mark.parametrize("datum", [GL2, GL3, GL4, GSP1, GSP2, RootDatum("GSp", 3)])
+    @pytest.mark.parametrize("datum", _KERNEL_DATA, ids=_IDS)
     def test_matches_separating_hyperplanes(self, datum):
         rng = random.Random(23)
         for _ in range(60):
             x = random_element(rng, datum, spread=3)
-            assert length(x) == separating_hyperplanes(x)
+            assert length(x) == separating_hyperplanes(x) == root_inversions(x)
 
     @pytest.mark.parametrize("datum", [GL3, GSP2])
     def test_equal_elements_built_independently(self, datum):
@@ -201,7 +236,7 @@ class TestLengthMemo:
                 z = z * simple_reflection(datum, j)
             z = z * element_from_word(datum, [], kappa(x))
             assert x == y == z and x is not y
-            assert length(y) == length(z) == length(x) == separating_hyperplanes(x)
+            assert length(y) == length(z) == length(x) == separating_hyperplanes(x) == root_inversions(x)
 
 
 class TestDownset:
@@ -308,8 +343,7 @@ def small_elements(datum, spread):
             yield WeylElement(datum, head + tail, u)
 
 
-_DESCENT_DATA = [GL2, GL3, GL4, GSP1, GSP2, GSP3]
-_IDS = lambda v: f"{v.kind}{v.n}"
+_DESCENT_DATA = [GL1, GL2, GL3, GL4, GSP1, GSP2, GSP3]
 
 
 class TestDescents:
@@ -320,18 +354,32 @@ class TestDescents:
 
     @pytest.mark.parametrize("datum", _DESCENT_DATA, ids=_IDS)
     def test_simple_root_is_the_only_inversion(self, datum):
-        # (alpha, k) is positive for k >= 1, and for k = 0 when alpha > 0;
-        # s_j = t_lam u inverts none with k > |<lam, u(alpha)>| <= 2
-        for j, beta in simple_affine_roots(datum):
-            s = simple_reflection(datum, j)
-            inverted = []
-            for alpha in datum.roots():
-                image = datum.act_root(s.u, alpha)
-                for k in range(0 if datum.is_positive_root(alpha) else 1, 5):
-                    k_image = k - datum.pairing(s.lam, image)
-                    if k_image < 0 or (k_image == 0 and not datum.is_positive_root(image)):
-                        inverted.append((alpha, k))
-            assert inverted == [beta], j
+        # s_j = t_lam u inverts no (alpha, k) with k > |<lam, u(alpha)>| <= 2;
+        # the one it inverts is the simple affine root of the base alcove:
+        # (e_j - e_j+1, 0), (2 e_g, 0) for GSp, and (-theta, 1) for j = 0
+        n = datum.n
+
+        def root(*entries):
+            alpha = [0] * n
+            for i, a in entries:
+                alpha[i] += a
+            return tuple(alpha)
+
+        for j in datum.simple_indices:
+            if j == 0:
+                beta = (root((0, -1), (n - 1, 1)) if datum.kind == "GL" else root((0, -2)), 1)
+            elif j < n:
+                beta = (root((j - 1, 1), (j, -1)), 0)
+            else:
+                beta = (root((n - 1, 2)), 0)
+            assert inverted_roots(simple_reflection(datum, j), 4) == [beta], j
+
+    @pytest.mark.parametrize("datum", _KERNEL_DATA, ids=_IDS)
+    def test_random_elements_match_length_oracle(self, datum):
+        rng = random.Random(41)
+        for _ in range(60):
+            x = random_element(rng, datum, spread=3)
+            assert descents(x) == length_descents(x), x
 
     @pytest.mark.parametrize("datum", [GL3, GSP2], ids=_IDS)
     def test_reduced_word_takes_smallest_length_descent(self, datum):
