@@ -6,13 +6,14 @@ the one member with no left and no right descent in W_I
 each candidate's window with weyl._no_descent_in before forming it).
 Their expected equality is one of the main verification targets.
 
-adm_set takes the union of the Bruhat down-sets of the translations
-t_lam over the finite-Weyl orbit of mu (weyl.downset).  The union does
-not depend on I, so it is computed once per (datum, mu) and process,
-each element with its descent masks, and kept with the budget units it
-spent (_translation_downsets).  A class's minimal element is
-Bruhat-below each of its members, so the classes that meet the
-down-set are exactly those of its double-minimal elements.
+adm_set takes the Bruhat ideal generated by the translations t_lam over
+the finite-Weyl orbit of mu, the union of their down-sets
+(weyl.bruhat_ideal).  It does not depend on I, so it is computed once per
+(datum, mu) and process and kept, each element with its descent masks;
+every call spends one budget unit per element (_translation_downsets).
+A class's minimal element is Bruhat-below each of its members, so the
+classes that meet the ideal are exactly those of its double-minimal
+elements.
 
 perm_set generates the classes whose members satisfy the vertex
 displacement condition x(a_i) - a_i in Conv(W_0 mu) for every i in I.
@@ -24,7 +25,7 @@ dominance criterion in both types) runs on integers.
 
 stratum_count evaluates sum q^{l(z)} over the right-I-minimal members
 of a double coset, the point count of the corresponding stratum over
-F_q.
+F_q; q must be a prime power.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from .weyl import (
     _no_descent_in,
     _window,
     alcove_vertices,
+    bruhat_ideal,
     bruhat_leq,
     descents,
-    downset,
     length,
     parahoric_subgroup,
     translation,
@@ -105,34 +106,30 @@ def _double_minimal(left: int, right: int, gens: int) -> bool:
     return not (left | right) & gens
 
 
-# (datum, mu.value) -> (((x, left, right), ...), units): the union of the
-# Bruhat down-sets of the t_lam, lam in W_0 mu, each element with its
-# descent masks, and the budget units the computation spent.
+# (datum, mu.value) -> ((x, left, right), ...): the Bruhat ideal of the
+# t_lam, lam in W_0 mu, each element with its descent masks.
 _DOWNSETS = {}
 
 
 def _translation_downsets(mu: Coweight, budget: Budget):
     """The memo entry of mu, computed (and spent as it goes) on a miss;
-    on a hit the recorded units are spent at once, so the budget's
+    on a hit its one unit per element is spent at once, so the budget's
     outcome does not depend on what ran before.  An entry is stored only
     once the computation completes."""
     key = (mu.datum, mu.value)
     entry = _DOWNSETS.get(key)
     if entry is not None:
-        budget.spend(entry[1], "down-set elements")
-        return entry[0]
-    start = budget.spent
-    memo, below = {}, set()
-    for lam in mu.orbit():
-        below |= downset(translation(mu.datum, lam), memo, budget)
-    elements = tuple((x, *descents(x)) for x in below)
-    _DOWNSETS[key] = (elements, budget.spent - start)
-    return elements
+        budget.spend(len(entry), "ideal elements")
+        return entry
+    below = bruhat_ideal([translation(mu.datum, lam) for lam in mu.orbit()], budget)
+    _DOWNSETS[key] = tuple((x, *descents(x)) for x in below)
+    return _DOWNSETS[key]
 
 
 def adm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     """{ [x] : x <= t_lam for some lam in W_0 mu }, as double cosets.
-    The down-sets are spent from one budget (a fresh Budget() if None)."""
+    The ideal's elements are spent from one budget (a fresh Budget() if
+    None)."""
     _check_mu(spec, mu)
     gens = spec.generator_mask
     elements = _translation_downsets(mu, budget or Budget())
@@ -255,11 +252,22 @@ def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     return AdmissibleSet(spec, mu, frozenset(classes))
 
 
+def _prime_power(q: int) -> bool:
+    """Is q = p^k for a prime p and k >= 1?  p is the least factor >= 2."""
+    if q < 2:
+        return False
+    p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 def stratum_count(c: DoubleCoset, q: int, budget=None) -> int:
     """Points of the stratum of c over F_q: sum q^{l(z)} over right-minimal
     z.  The |W_I|^2 members it forms are spent from the budget (a fresh
-    Budget() if None).  A q below 2 is no field size: ArtifactError."""
-    if q < 2:
-        raise ArtifactError(f"q must be a field size, at least 2, got {q}")
+    Budget() if None).  A q that is not a prime power is no field size:
+    ArtifactError."""
+    if not _prime_power(q):
+        raise ArtifactError(f"q must be a field size, a prime power, got {q}")
     (budget or Budget()).spend(len(parahoric_subgroup(c.spec)) ** 2, "double-coset members")
     return sum(q**ln for ln in c.stratum_lengths())

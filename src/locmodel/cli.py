@@ -498,7 +498,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"usage error: {message}\n")
 
 
-# the options each case requires; _missing checks the rest
+# the options each case requires; _missing checks them, and the rest,
+# on the command line and in manifest blocks alike
 _REQUIRED = {
     **dict.fromkeys(("adm", "perm", "compare-adm-perm"), ("mu",)),
     "count": ("mu", "p"),
@@ -517,12 +518,12 @@ def _add_common(sp, case):
     sp.add_argument("--format", default="text", choices=["json", "csv", "text"])
     sp.add_argument("--budget", type=int)
     if "e" in need:
-        sp.add_argument("--e", type=int, required=True)
+        sp.add_argument("--e", type=int)
         sp.add_argument("--r")
     if "mu" in need:
-        sp.add_argument("--mu", required=True)
+        sp.add_argument("--mu")
     if "p" in need:
-        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--p", type=int)
 
 
 def build_parser():

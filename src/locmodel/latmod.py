@@ -394,22 +394,17 @@ def naive_points(model: ChainModel, budget=None):
 def _level_options(model: ChainModel, upper, j, budget):
     """The candidates for F^j under F^{j+1} = upper, as the 1-tuples that
     _chains chooses from: the subspaces of rank level_rank(j) between
-    N(upper) and upper with dim N(F^j) <= level_rank(j-1), and N(F^1) = 0
-    at the bottom.  They depend on no slot, so they are memoised per model
-    on (upper, j)."""
+    N(upper) and upper with dim N(F^j) <= level_rank(j-1), so N(F^1) = 0
+    at the bottom (level_rank(0) = 0).  They depend on no slot, so they
+    are memoised per model on (upper, j)."""
     opts = model.level_memo.get((upper, j))
     if opts is None:
         lower = linalg.image(model.N, upper)
-        target = model.level_rank(j)
-        opts = []
-        if lower.dim <= target:
-            for cand in linalg.subspaces_between(lower, upper, target, budget=budget):
-                img = linalg.image(model.N, cand)
-                if img.dim > model.level_rank(j - 1):
-                    continue  # pruning: N(F^j) must fit in F^{j-1}
-                if j == 1 and img.dim > 0:
-                    continue
-                opts.append((cand,))
+        opts = [
+            (cand,)
+            for cand in linalg.subspaces_between(lower, upper, model.level_rank(j), budget=budget)
+            if linalg.image(model.N, cand).dim <= model.level_rank(j - 1)
+        ]
         model.level_memo[(upper, j)] = opts
     return opts
 

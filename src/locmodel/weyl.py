@@ -25,9 +25,13 @@ descent of w iff w(j) > w(j+1), with w(0) = w(N) - N, and a left
 descent iff it is a right descent of w^-1.  Length is Shi's inversion
 count l(w) = sum_{i<j<=N} |floor((w(j) - w(i)) / N)|; for GSp the
 sigma-fixed inversions are added once more and the sum halved.  Both
-are stored on the element.  Bruhat comparison, reduced words and the
-down-sets use the descents.  Bruhat down-sets come from the lifting
-recursion `downset`; the tests check it against the subword expansion.
+are stored on the element.  Bruhat comparison and reduced words use the
+descents.  The Bruhat ideal generated by elements of one length is grown
+level by level (`bruhat_ideal`): intervals are graded, so each level is
+the set of lower covers y r of the level above, r a reflection swapping
+the values at an inversion of y's window (and their mirrors for GSp);
+the tests check it against the lifting recursion and the subword
+expansion.  The base-alcove vertices have a closed form.
 Parahoric subgroups W_I and their generators live here; the minimal
 element of a double coset W_I x W_I is the member with no descent among
 the generators, and nothing here lists elements by length.
@@ -339,11 +343,6 @@ def _lowest(mask: int) -> int:
 # -- Bruhat order ------------------------------------------------------------
 
 
-def _right_descent(y: WeylElement):
-    right = descents(y)[1]
-    return simple_reflection(y.datum, _lowest(right)) if right else None
-
-
 def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
     """x <= y in Bruhat order (false across distinct kappa components)."""
     if x.datum != y.datum:
@@ -375,27 +374,48 @@ def reduced_word(x: WeylElement):
     return word, kappa(y)
 
 
-def downset(y: WeylElement, memo: dict, budget=None) -> frozenset:
-    """The Bruhat down-set of y: D(y) = D(ys) | D(ys) s for a right
-    descent s of y (lifting property, Bjorner-Brenti).  memo maps
-    elements to their down-sets and may be shared between calls; the
-    size of each down-set stored in it is spent from the budget (a
-    fresh Budget() if None)."""
+def _lower_covers(y: WeylElement, below: set):
+    """Add to below the lower covers of y: the z = y r, r a reflection,
+    with l(z) = l(y) - 1 (Bjorner-Brenti ch. 2).  A reflection r with
+    l(y r) < l(y) swaps the values at an inversion (a, b) of the window,
+    1 <= a <= N, b = a' + kN > a, y(a) > y(b); for GSp it also swaps the
+    mirrored positions N+1-a and N+1-a', each set to C minus its mirror,
+    C = w(1) + w(N) (which changes nothing when a + b = 1 mod N, where the
+    swap is its own mirror).  A z already in below is not measured again."""
+    w, datum = y.w, y.datum
+    N, top = len(w), length(y) - 1
+    gsp, C = datum.kind == "GSp", w[0] + w[-1]
+    for i, vi in enumerate(w):
+        for j, vj in enumerate(w):
+            k = int(j <= i)
+            while vj + k * N < vi:
+                z = list(w)
+                z[i], z[j] = vj + k * N, vi - k * N
+                if gsp:
+                    z[N - 1 - i], z[N - 1 - j] = C - z[i], C - z[j]
+                x = WeylElement.of_window(datum, tuple(z))
+                if x not in below and length(x) == top:
+                    below.add(x)
+                k += 1
+
+
+def bruhat_ideal(tops, budget=None) -> set:
+    """The Bruhat order ideal generated by tops, elements of one length.
+    Bruhat intervals are graded, so level L - 1 of the ideal is the set
+    of lower covers of its level L; one budget unit (a fresh Budget() if
+    None) is spent per element."""
     budget = budget or Budget()
-    chain = []
-    while y not in memo:
-        s = _right_descent(y)
-        if s is None:
-            memo[y] = frozenset((y,))
-            budget.spend(1, "down-set elements")
-            break
-        chain.append((y, s))
-        y = y * s
-    for z, s in reversed(chain):
-        memo[z] = memo[y].union([x * s for x in memo[y]])
-        budget.spend(len(memo[z]), "down-set elements")
-        y = z
-    return memo[y]
+    level, ideal = set(tops), set()
+    if len({length(y) for y in level}) > 1:
+        raise InvalidIndex("the generators of a Bruhat ideal must have one length")
+    while level:
+        budget.spend(len(level), "ideal elements")
+        ideal |= level
+        below = set()
+        for y in level:
+            _lower_covers(y, below)
+        level = below
+    return ideal
 
 
 # -- parahoric machinery -----------------------------------------------------
@@ -449,78 +469,11 @@ def parahoric_subgroup(spec: ParahoricSpec):
 # -- alcove vertices ---------------------------------------------------------
 
 
-def _affine_map_of(x: WeylElement):
-    """(A, b) with x acting as p -> A p + b on Q^coord_len."""
-    d = x.datum
-    m = d.coord_len
-    cols = []
-    for k in range(m):
-        e = tuple(Fraction(int(i == k)) for i in range(m))
-        cols.append(d.act_coweight(x.u, e))
-    A = [[cols[k][r] for k in range(m)] for r in range(m)]
-    b = [Fraction(v) for v in x.lam]
-    return A, b
-
-
-def solve_exact(rows, rhs):
-    """Solve the linear system rows . x = rhs over Q; require a unique solution."""
-    m = len(rows[0])
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        pr = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        inv = Fraction(1, 1) / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, len(aug)):
-        if aug[r][m] != 0:
-            raise InvalidIndex("inconsistent vertex system")
-    if len(pivots) != m:
-        raise InvalidIndex("vertex system is underdetermined")
-    sol = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][m]
-    return tuple(sol)
-
-
 @lru_cache(maxsize=None)
 def alcove_vertices(datum: RootDatum):
-    """Base-alcove vertex representatives a_i, one per vertex label.
-
-    For GL the standard representatives a_0 = 0, a_i = omega_i are used
-    (the test suite verifies they are fixed by every s_j, j != i).  For
-    GSp the vertex a_i is derived as the fixed point of all implemented
-    reflections s_j with j != i, normalized to similitude coordinate 0;
-    nothing is hard-coded.
-    """
-    out = {}
-    if datum.kind == "GL":
-        d = datum.n
-        for i in datum.vertex_labels:
-            out[i] = tuple(Fraction(int(k < i)) for k in range(d))
-        return out
-    m = datum.coord_len
-    for i in datum.vertex_labels:
-        rows, rhs = [], []
-        for j in datum.simple_indices:
-            if j == i:
-                continue
-            A, b = _affine_map_of(simple_reflection(datum, j))
-            for r in range(m):
-                row = [A[r][k] - Fraction(int(r == k)) for k in range(m)]
-                rows.append(row)
-                rhs.append(-b[r])
-        # normalize along the central line: similitude coordinate 0
-        rows.append([Fraction(int(k == m - 1)) for k in range(m)])
-        rhs.append(Fraction(0))
-        out[i] = solve_exact(rows, rhs)
-    return out
+    """Base-alcove vertex representatives, one per vertex label:
+    a_i = (1/D)(1, ..., 1, 0, ..., 0) with i ones, D = 1 for GL and 2 for
+    GSp, where the similitude coordinate is 0.  a_i is fixed by every
+    s_j with j != i (the tests check it with the affine action)."""
+    D, tail = (1, ()) if datum.kind == "GL" else (2, (Fraction(0),))
+    return {i: tuple(Fraction(int(k < i), D) for k in range(datum.n)) + tail for i in datum.vertex_labels}

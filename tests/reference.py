@@ -3,8 +3,9 @@
 Each one is an independent, slower path to something the library
 computes another way, kept as an oracle for it:
 
-  * ``enumerate_below``: Bruhat down-sets by the subword property
-    (the library uses the lifting recursion ``weyl.downset``);
+  * ``enumerate_below`` and ``downset``: Bruhat down-sets by the
+    subword property and by the lifting recursion (the library grows the
+    ideal level by level from lower covers, ``weyl.bruhat_ideal``);
   * ``root_inversions``: the length as the number of positive affine
     roots sent to negative ones, on the (lam, u) pair (the library counts
     inversions of the window);
@@ -22,6 +23,8 @@ computes another way, kept as an oracle for it:
   * ``element_from_word``, ``omega_generator`` and ``act_point``: words,
     the length-0 generator tau and the affine action on points, which
     only these oracles and the tests need;
+  * ``solve_exact``: a linear system over Q, for the Caratheodory hull
+    oracle (the library tests hull membership by dominance);
   * ``rref``: reduced row echelon form of an array (the library
     eliminates on lists with ``_rref_rows``);
   * ``stable_under``, ``meet`` and ``join``: subspace predicates, sums
@@ -55,6 +58,7 @@ from locmodel.linalg import FieldMatrix, Subspace, _nullspace
 from locmodel.weyl import (
     WeylElement,
     alcove_vertices,
+    descents,
     identity,
     kappa,
     length,
@@ -256,6 +260,55 @@ def enumerate_below(y: WeylElement) -> set:
                 x = x * s
         out.add(x * tail)
     return out
+
+
+def downset(y: WeylElement, memo: dict) -> frozenset:
+    """The Bruhat down-set of y by the lifting property (Bjorner-Brenti):
+    D(y) = D(ys) | D(ys) s for a right descent s of y.  memo maps
+    elements to their down-sets and may be shared between calls."""
+    chain = []
+    while y not in memo:
+        right = descents(y)[1]
+        if not right:
+            memo[y] = frozenset((y,))
+            break
+        s = simple_reflection(y.datum, (right & -right).bit_length() - 1)
+        chain.append((y, s))
+        y = y * s
+    for z, s in reversed(chain):
+        memo[z] = memo[y].union([x * s for x in memo[y]])
+        y = z
+    return memo[y]
+
+
+def solve_exact(rows, rhs):
+    """Solve the linear system rows . x = rhs over Q; require a unique solution."""
+    m = len(rows[0])
+    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    pivots = []
+    row = 0
+    for col in range(m):
+        pr = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
+        if pr is None:
+            continue
+        aug[row], aug[pr] = aug[pr], aug[row]
+        inv = Fraction(1, 1) / aug[row][col]
+        aug[row] = [v * inv for v in aug[row]]
+        for r in range(len(aug)):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+    for r in range(row, len(aug)):
+        if aug[r][m] != 0:
+            raise InvalidIndex("inconsistent linear system")
+    if len(pivots) != m:
+        raise InvalidIndex("linear system is underdetermined")
+    sol = [Fraction(0)] * m
+    for r, col in enumerate(pivots):
+        sol[col] = aug[r][m]
+    return tuple(sol)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Each test states its runtime bound where one is part of the contract
 and enforces it with a wall-clock assertion.
 """
 
+import io
 import itertools
+import json
 import os
 import random
 import time
@@ -13,6 +15,7 @@ from contextlib import contextmanager
 import pytest
 
 from locmodel.admissible import adm_set, perm_set, stratum_count
+from locmodel.cli import main
 from locmodel import latmod
 from locmodel.latmod import build_model, canonical_points, classify_strata, naive_points, torsor_check
 from locmodel.matschemes import symplectic_P_points, unitary_points_direct, unitary_points_stratified
@@ -69,7 +72,7 @@ class TestCriterion1AdmEqualsPerm:
                 5,
                 marks=pytest.mark.skipif(
                     not os.environ.get("LOCMODEL_EXTENDED"),
-                    reason="GL(5) sweep, 31 I (about 2 min): set LOCMODEL_EXTENDED=1",
+                    reason="GL(5) sweep, 31 I (about 20 s): set LOCMODEL_EXTENDED=1",
                 ),
             ),
         ],
@@ -103,6 +106,35 @@ class TestCriterion1AdmEqualsPerm:
 
     def test_runtime_bound(self):
         assert sum(self.elapsed) < 600
+
+
+def _compare(argv):
+    """The exit code and JSON report of one compare-adm-perm line."""
+    buf = io.StringIO()
+    code = main(["compare-adm-perm", *argv, "--format", "json"], stream=buf)
+    return code, json.loads(buf.getvalue())
+
+
+class TestAdmPermBeyondMinuscule:
+    def test_type_c4_perm_exceeds_adm(self):
+        # GSp(8), mu = (3,2,2,2; 3): Perm has 128 classes that Adm lacks,
+        # and Adm has none that Perm lacks (Adm is inside Perm)
+        code, report = _compare(["--group", "gsp", "--g", "4", "--mu", "3,2,2,2,3", "--iwahori"])
+        assert code == 1 and not report["pass"]
+        assert report["totals"] == {"predicted": 8351, "observed": 8479}
+        rows = report["rows"]
+        assert not [row for row in rows if row["predicted"] == 1 and row["observed"] == 0]
+        extra = [row for row in rows if row["predicted"] == 0]
+        assert len(extra) == 128
+        assert (extra[0]["w"]["translation"], extra[0]["length"]) == ("1,1,2,2,3", 11)
+
+    @pytest.mark.skipif(
+        not os.environ.get("LOCMODEL_EXTENDED"),
+        reason="GL(6) Iwahori compare (about 6 s): set LOCMODEL_EXTENDED=1",
+    )
+    def test_gl6_iwahori(self):
+        code, report = _compare(["--group", "gl", "--d", "6", "--mu", "3,2,1,0,0,0", "--iwahori"])
+        assert code == 0 and report["totals"] == {"predicted": 53665, "observed": 53665}
 
 
 class TestCriterion2Drinfeld:

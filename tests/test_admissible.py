@@ -20,16 +20,22 @@ from locmodel.weyl import (
     Coweight,
     ParahoricSpec,
     RootDatum,
-    downset,
     finite,
     identity,
     kappa,
     length,
-    solve_exact,
     translation,
 )
 
-from reference import double_coset, enumerate_below, omega_generator, pool_perm_set, total_count
+from reference import (
+    double_coset,
+    downset,
+    enumerate_below,
+    omega_generator,
+    pool_perm_set,
+    solve_exact,
+    total_count,
+)
 
 GL2 = RootDatum("GL", 2)
 GL3 = RootDatum("GL", 3)
@@ -282,7 +288,7 @@ class TestPermSet:
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """An empty down-set memo for this test alone."""
+    """An empty ideal memo for this test alone."""
     memo = {}
     monkeypatch.setattr(admissible, "_DOWNSETS", memo)
     return memo
@@ -400,6 +406,18 @@ class TestStratumCounts:
         c = double_coset(translation(GL2, (1, 0)), spec0(GL2))
         with pytest.raises(ArtifactError):
             stratum_count(c, q)
+
+    @pytest.mark.parametrize("q", [6, 10, 12, 100])
+    def test_q_not_a_prime_power_is_rejected(self, q):
+        # nor is it one when q is not a prime power
+        c = double_coset(translation(GL2, (1, 0)), spec0(GL2))
+        with pytest.raises(ArtifactError):
+            stratum_count(c, q)
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27])
+    def test_prime_powers_are_fields(self, q):
+        c = double_coset(translation(GL2, (2, 0)), spec0(GL2))
+        assert stratum_count(c, q) == q**2 + q
 
 
 class TestTotalCount:

@@ -24,14 +24,16 @@ def run(argv):
 
 
 _EXACT_SPEND = [
+    # the 3 ideal elements t_(1,0), t_(0,1) and tau
+    (["adm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"], 3),
     # 2 finite parts, each with the 2 hull points (1, 0) and (0, 1)
     (["perm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"], 4),
-    # the 5 down-set elements of adm and the 4 candidates of perm
-    (["compare-adm-perm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"], 9),
-    # 1,011 down-set elements, then |W_I|^2 = 24^2 members per class
-    (["count", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0", "--p", "2"], 1011 + 2 * 24**2),
-    # the same 1,011 down-set elements, once more after count has stored them
-    (["adm", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0,2"], 1011),
+    # the 3 ideal elements of adm and the 4 candidates of perm
+    (["compare-adm-perm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"], 7),
+    # 105 ideal elements, then |W_I|^2 = 24^2 members per class
+    (["count", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0", "--p", "2"], 105 + 2 * 24**2),
+    # the same 105 ideal elements, once more after count has stored them
+    (["adm", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0,2"], 105),
 ]
 
 
@@ -46,6 +48,12 @@ class TestExitCodes:
              "--r", "1,1", "--I", "0", "--p", "1"]
         )
         assert code == 2
+
+    def test_count_over_a_prime_power_field(self):
+        # P^1 over F_4: the point and the affine line
+        code, out = run(["count", "--group", "gl", "--d", "2", "--mu", "1,0", "--I", "0", "--p", "4",
+                         "--format", "json"])
+        assert code == 0 and json.loads(out)["totals"] == {"predicted": 5, "observed": 5}
 
     def test_missing_flags_is_two(self):
         code, _ = run(["count", "--group", "gl", "--d", "2", "--mu", "1,0"])
@@ -75,6 +83,8 @@ class TestExitCodes:
         [
             (["count", "--group", "gl", "--d", "2", "--mu", "1,0", "--I", "0", "--p", "-3"], "got -3"),
             (["count", "--group", "gl", "--d", "2", "--mu", "1,0", "--I", "0", "--p", "0"], "got 0"),
+            (["count", "--group", "gl", "--d", "2", "--mu", "1,0", "--I", "0", "--p", "6"], "prime power, got 6"),
+            (["count", "--group", "gl", "--d", "2", "--mu", "1,0", "--I", "0", "--p", "12"], "prime power, got 12"),
             (["verify", "matrix", "--g", "0", "--e", "1", "--p", "2"], "need g >= 1 and e >= 1"),
             (["verify", "matrix", "--g", "1", "--e", "0", "--p", "2"], "need g >= 1 and e >= 1"),
             (["verify", "matrix", "--g", "1", "--e", "-2", "--p", "2"], "need g >= 1 and e >= 1"),
@@ -128,10 +138,10 @@ class TestExitCodes:
         assert run(adm + ["--budget", "5"])[0] == 0
 
     def test_budget_is_one_allowance_per_case(self):
-        # adm spends the down-sets it stores: {tau}, then the two of size 2
+        # adm spends one unit per ideal element: t_(1,0), t_(0,1) and tau
         adm = ["adm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"]
-        assert run(adm + ["--budget", "5"])[0] == 0
-        assert run(adm + ["--budget", "4"])[0] == 3
+        assert run(adm + ["--budget", "3"])[0] == 0
+        assert run(adm + ["--budget", "2"])[0] == 3
         # verify matrix: the 5^10 scan, 1 + 156 + 806 isotropic subspaces
         # and 5 + 5^3 symmetric matrices, within the default 10^7
         budget = Budget()
@@ -148,7 +158,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
     def test_exact_spend_in_either_order(self, order, monkeypatch):
-        # the down-set memo starts cold and is warm for every later case
+        # the ideal memo starts cold and is warm for every later case
         monkeypatch.setattr(admissible, "_DOWNSETS", {})
         for argv, spent in _EXACT_SPEND[::order]:
             assert run(argv + ["--budget", str(spent - 1)])[0] == 3
@@ -158,8 +168,8 @@ class TestExitCodes:
         block = "case=adm\ngroup=gl\nd=2\nmu=1,0\niwahori=true\n"
         manifest = tmp_path / "suite.txt"
         manifest.write_text(block + "\n" + block)
-        assert run(["run-suite", str(manifest), "--budget", "5"])[0] == 0
-        assert run(["run-suite", str(manifest), "--budget", "4"])[0] == 3
+        assert run(["run-suite", str(manifest), "--budget", "3"])[0] == 0
+        assert run(["run-suite", str(manifest), "--budget", "2"])[0] == 3
 
     @pytest.mark.parametrize(
         "argv",
@@ -444,7 +454,7 @@ class TestManifest:
         assert json.loads(out) == {"cases": [], "pass": True}
 
     def test_suite_reports_equal_fresh_calls(self, tmp_path, monkeypatch):
-        # one mu at several I: later blocks find the down-sets stored
+        # one mu at several I: later blocks find the ideal stored
         cases = [("compare-adm-perm", "0"), ("adm", "0,1"), ("count", "1,2"), ("perm", "0,1,2")]
         mf = tmp_path / "suite.txt"
         mf.write_text("\n".join(

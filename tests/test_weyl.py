@@ -11,8 +11,8 @@ Independent oracles used here:
   * brute-force double-coset enumeration for the reference coset_min;
   * the affine hyperplanes separating a base-alcove point from its
     image, counted from scratch, for the memoised length;
-  * the subword down-set enumerate_below, for the lifting recursion
-    downset;
+  * the subword down-set enumerate_below and the lifting recursion
+    downset, for the level-by-level ideal bruhat_ideal;
   * descents by comparing lengths of products (length_descents), for
     the descents read off the windows.
 """
@@ -33,8 +33,8 @@ from locmodel.weyl import (
     WeylElement,
     alcove_vertices,
     bruhat_leq,
+    bruhat_ideal,
     descents,
-    downset,
     finite,
     identity,
     kappa,
@@ -48,6 +48,7 @@ from locmodel.weyl import (
 from reference import (
     act_point,
     coset_min,
+    downset,
     element_from_word,
     elements_of_length_leq,
     enumerate_below,
@@ -239,7 +240,7 @@ class TestLengthMemo:
             assert length(y) == length(z) == length(x) == separating_hyperplanes(x) == root_inversions(x)
 
 
-class TestDownset:
+class TestBruhatIdeal:
     @staticmethod
     def minuscule_sums(datum, max_terms):
         if datum.kind == "GSp":
@@ -254,24 +255,54 @@ class TestDownset:
 
     @pytest.mark.parametrize(
         "datum,max_terms",
-        [(GL2, 3), (GL3, 3), (GL4, 2), (GSP1, 2), (GSP2, 2), (RootDatum("GSp", 3), 2)],
+        [(GL2, 3), (GL3, 3), (GL4, 2), (GSP1, 2), (GSP2, 2), (GSP3, 2)],
     )
-    def test_matches_subword_oracle(self, datum, max_terms):
+    def test_matches_down_set_oracles(self, datum, max_terms):
         for mu in self.minuscule_sums(datum, max_terms):
-            memo = {}
+            memo, union = {}, set()
             for lam in Coweight(datum, mu).orbit():
                 t = translation(datum, lam)
-                assert downset(t, memo) == enumerate_below(t), (mu, lam)
+                below = downset(t, memo)
+                assert bruhat_ideal([t]) == below == enumerate_below(t), (mu, lam)
+                union |= below
+            tops = [translation(datum, lam) for lam in Coweight(datum, mu).orbit()]
+            assert bruhat_ideal(tops) == union, mu
 
-    def test_fresh_memo_agrees_with_shared(self):
-        y = translation(GL3, (2, 1, 0))
-        shared = {}
-        downset(translation(GL3, (1, 2, 0)), shared)
-        assert downset(y, shared) == downset(y, {})
+    @pytest.mark.parametrize("datum", [GL1, GL2, GL3, GL4, GSP1, GSP2, GSP3], ids=_IDS)
+    def test_random_elements_match_down_set_oracles(self, datum):
+        # every reflection type occurs, the self-mirrored swaps of GSp
+        # (the only ones for g = 1) included
+        rng = random.Random(31)
+        for _ in range(50):
+            y = element_from_word(datum, [], rng.randint(-1, 1))
+            target = rng.randint(0, 10) if datum.simple_indices else 0
+            while length(y) < target:
+                z = y * simple_reflection(datum, rng.choice(datum.simple_indices))
+                y = z if length(z) > length(y) else y
+            assert bruhat_ideal([y]) == downset(y, {}) == enumerate_below(y), y
+
+    def test_graded_below_the_generator(self):
+        # every level 0..l(y) is met, and bruhat_leq puts each element below y
+        y = translation(GSP2, (2, 1, 1))
+        ideal = bruhat_ideal([y])
+        for x in ideal:
+            assert bruhat_leq(x, y)
+        assert {length(x) for x in ideal} == set(range(length(y) + 1))
+
+    def test_one_unit_per_element(self):
+        tops = [translation(GL2, (1, 0)), translation(GL2, (0, 1))]
+        budget = Budget()
+        assert len(bruhat_ideal(tops, budget)) == budget.spent == 3
+        with pytest.raises(BudgetExceeded):
+            bruhat_ideal(tops, Budget(2))
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            downset(translation(GL4, (8, 8, -8, -8)), {}, Budget(1000))
+            bruhat_ideal([translation(GL4, (8, 8, -8, -8))], Budget(1000))
+
+    def test_generators_of_one_length(self):
+        with pytest.raises(InvalidIndex):
+            bruhat_ideal([identity(GL2), translation(GL2, (1, -1))])
 
 
 class TestKappa:
@@ -486,26 +517,25 @@ class TestCosets:
 
 
 class TestAlcoveVertices:
+    @pytest.mark.parametrize("datum", [GL2, GL3, GL4, GSP1, GSP2, GSP3], ids=_IDS)
+    def test_fixed_exactly_by_the_other_reflections(self, datum):
+        # the affine action of act_point shares no code with the closed form
+        verts = alcove_vertices(datum)
+        assert sorted(verts) == list(datum.vertex_labels)
+        for i, v in verts.items():
+            for j in datum.simple_indices:
+                fixed = act_point(simple_reflection(datum, j), v) == v
+                assert fixed == (j != i), (i, j)
+
     @pytest.mark.parametrize("datum", [GL2, GL3, GL4])
     def test_gl_vertices_are_fundamental_coweights(self, datum):
-        verts = alcove_vertices(datum)
-        for i, v in verts.items():
-            assert sum(v) == i
-            for j in datum.simple_indices:
-                if j == i:
-                    continue
-                s = simple_reflection(datum, j)
-                assert act_point(s, v) == v
+        for i, v in alcove_vertices(datum).items():
+            assert v == tuple(int(k < i) for k in range(datum.n))
 
-    @pytest.mark.parametrize("datum", [GSP1, GSP2])
-    def test_gsp_vertices_derived_as_fixed_points(self, datum):
-        verts = alcove_vertices(datum)
-        for i, v in verts.items():
-            assert v[-1] == 0
-            for j in datum.simple_indices:
-                s = simple_reflection(datum, j)
-                fixed = act_point(s, v) == v
-                assert fixed == (j != i)
+    @pytest.mark.parametrize("datum", [GSP1, GSP2, GSP3])
+    def test_gsp_vertices_have_similitude_zero(self, datum):
+        for v in alcove_vertices(datum).values():
+            assert v[-1] == 0 and len(v) == datum.coord_len
 
     def test_gsp1_explicit(self):
         verts = alcove_vertices(GSP1)
