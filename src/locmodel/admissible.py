@@ -2,8 +2,9 @@
 
 Both sets are sets of double cosets, each keyed by its minimal element:
 the one member with no left and no right descent in W_I
-(_double_minimal, on the descent masks of weyl.descents; perm_set tests
-each candidate's window with weyl._no_descent_in before forming it).
+(_double_minimal, on the descent masks of weyl.descents; perm_set reads
+only the generator positions of each candidate's window and of its
+inverse, weyl._no_descent_in, before forming it).
 Their expected equality is one of the main verification targets.
 
 adm_set takes the Bruhat ideal generated by the translations t_lam over
@@ -18,14 +19,16 @@ elements.
 perm_set generates the classes whose members satisfy the vertex
 displacement condition x(a_i) - a_i in Conv(W_0 mu) for every i in I.
 The vertices are scaled by their common denominator D, the integer
-points of D * Conv(W_0 mu) are listed once per (mu, D), and each of
-them, with each finite part u, gives at most one candidate t_lam u; no
-length bound is assumed.  The hull test (conv_membership, a closed
+points of D * Conv(W_0 mu) are listed once per (mu, D), the vertex
+displacements of the finite parts u once per (datum, I), and each point,
+with each u, gives at most one candidate t_lam u; no length bound is
+assumed.  The hull test (conv_membership, a closed
 dominance criterion in both types) runs on integers.
 
 stratum_count evaluates sum q^{l(z)} over the right-I-minimal members
 of a double coset, the point count of the corresponding stratum over
-F_q; q must be a prime power.
+F_q; q must be a prime power.  poincare_quotient finds the same number
+from all the members, divided by the Poincare polynomial of W_I.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, sub
 
 from .errors import ArtifactError, Budget, KindMismatch
@@ -61,6 +64,11 @@ class DoubleCoset:
     min_rep: WeylElement
 
     def members(self) -> frozenset:
+        """W_I x W_I, formed on the first call and kept on the class."""
+        return self._members
+
+    @cached_property
+    def _members(self) -> frozenset:
         group = parahoric_subgroup(self.spec)
         return frozenset(a * self.min_rep * b for a in group for b in group)
 
@@ -214,6 +222,23 @@ def _with_sum(n: int, total: int, lo: int, hi: int):
             yield (v,) + rest
 
 
+@lru_cache(maxsize=None)
+def _displacement_table(spec: ParahoricSpec):
+    """(D, rows) for perm_set: D the common denominator of the base-alcove
+    vertices, and one row (u, first, key, rest) per finite part u, with
+    A_i = D a_i: first = u(A_i0) - A_i0 at i0 = min I, key its residues
+    mod D, and rest the u(A_i) - A_i at the other i in I."""
+    datum = spec.datum
+    verts = alcove_vertices(datum)
+    D = math.lcm(*(v.denominator for a in verts.values() for v in a))
+    scaled = [tuple(int(D * v) for v in verts[i]) for i in sorted(spec.I)]
+    rows = []
+    for u in datum.finite_elements():
+        first, *rest = [tuple(map(sub, datum.act_coweight(u, A), A)) for A in scaled]
+        rows.append((u, first, tuple(v % D for v in first), tuple(rest)))
+    return D, tuple(rows)
+
+
 def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     """Classes whose members satisfy the vertex displacement condition.
 
@@ -221,33 +246,31 @@ def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     vertex a_i with i in I, and the hull is W_0-stable), so only the
     double-minimal elements are kept.  With D the common denominator of
     the vertices and A_i = D a_i, the scaled displacement of x = t_lam u
-    at a_i is D lam + u(A_i) - A_i.  At i0 = min I it is a point y of
-    D * Conv(W_0 mu) (_hull_points), so lam = (y - u(A_i0) + A_i0) / D
-    wherever that is integral; every lam so found is one displacement
-    candidate, spent from the budget (a fresh Budget() if None), and the
-    other vertices of I are tested by membership in the same points.
-    The hull test also forces kappa(x) = kappa(t_mu), so the candidates
-    are complete with no length bound.
+    at a_i is D lam + u(A_i) - A_i (_displacement_table).  At i0 = min I
+    it is a point y of D * Conv(W_0 mu) (_hull_points), so
+    lam = (y - u(A_i0) + A_i0) / D wherever that is integral; every lam
+    so found is one displacement candidate, spent from the budget (a
+    fresh Budget() if None), and the other vertices of I are tested by
+    membership in the same points.  The hull test also forces
+    kappa(x) = kappa(t_mu), so the candidates are complete with no
+    length bound.
     """
     _check_mu(spec, mu)
     budget = budget or Budget()
     datum = spec.datum
-    verts = alcove_vertices(datum)
-    D = math.lcm(*(v.denominator for a in verts.values() for v in a))
-    scaled = [tuple(int(D * v) for v in verts[i]) for i in sorted(spec.I)]
+    D, table = _displacement_table(spec)
     points, by_residue = _hull_points(mu, D)
-    gens = spec.generator_mask
+    gens = tuple(spec.generator_indices)
     classes = set()
-    for u in datum.finite_elements():
-        first, *rest = [tuple(map(sub, datum.act_coweight(u, A), A)) for A in scaled]
-        candidates = by_residue.get(tuple(v % D for v in first), ())
+    for u, first, key, rest in table:
+        candidates = by_residue.get(key, ())
         budget.spend(len(candidates), "displacement candidates")
         for y in candidates:
             moved = tuple(map(sub, y, first))  # D lam
-            if not all(tuple(map(add, moved, shift)) in points for shift in rest):
+            if rest and not all(tuple(map(add, moved, shift)) in points for shift in rest):
                 continue
-            w = _window(datum, tuple(v // D for v in moved), u)
-            if _no_descent_in(datum, w, gens):
+            w = _window(datum, moved if D == 1 else tuple(v // D for v in moved), u)
+            if _no_descent_in(w, gens):
                 classes.add(DoubleCoset(spec, WeylElement.of_window(datum, w)))
     return AdmissibleSet(spec, mu, frozenset(classes))
 
@@ -271,3 +294,14 @@ def stratum_count(c: DoubleCoset, q: int, budget=None) -> int:
         raise ArtifactError(f"q must be a field size, a prime power, got {q}")
     (budget or Budget()).spend(len(parahoric_subgroup(c.spec)) ** 2, "double-coset members")
     return sum(q**ln for ln in c.stratum_lengths())
+
+
+def poincare_quotient(c: DoubleCoset, q: int):
+    """sum q^{l(z)} over every member z of c, divided by the Poincare
+    polynomial sum q^{l(v)} over v in W_I; None if it leaves a remainder.
+    Each member is z v with z right-minimal, v in W_I and l(z v) =
+    l(z) + l(v), so the quotient is stratum_count(c, q), found another
+    way.  It reads the members that stratum_count formed and spent."""
+    whole = sum(q ** length(z) for z in c.members())
+    n, rest = divmod(whole, sum(q ** length(v) for v in parahoric_subgroup(c.spec)))
+    return None if rest else n

@@ -16,7 +16,7 @@ fixed inputs except for the elapsed_ms field.
 --budget N (else LOCMODEL_BUDGET, else 10^7) is one cumulative allowance
 of work per case, and per block of run-suite.  Each stage spends its own
 unit: subspaces enumerated, slot choices tried by the chain backtracker,
-down-set elements stored by adm, displacement candidates listed by perm,
+Bruhat ideal elements formed by adm, displacement candidates listed by perm,
 double-coset members formed by the stratum counts of count and verify
 strata|symplectic, and symmetric or symplectic matrices scanned by
 verify matrix.
@@ -35,7 +35,7 @@ import time
 
 from .errors import ArtifactError, Budget, BudgetExceeded, ManifestParseError, SignatureCollision
 from .weyl import Coweight, ParahoricSpec, RootDatum, length, reduced_word, translation
-from .admissible import adm_set, perm_set, stratum_count
+from .admissible import adm_set, perm_set, poincare_quotient, stratum_count
 from . import latmod, matschemes
 
 
@@ -91,28 +91,31 @@ def _mu_from_model(model) -> Coweight:
 
 
 def _cycle_notation(w) -> str:
-    """One-line cycle notation of the finite part (signed for GSp)."""
-    datum = w.datum
-    if datum.kind == "GL":
-        imgs = {i + 1: w.u[i] + 1 for i in range(datum.n)}
+    """One-line cycle notation of the finite part (signed for GSp), read
+    off the window: position i goes to (w(i) - 1) mod N + 1, and for GSp
+    the position N+1-j is labelled -j and the cycles start at 1, -1, 2,
+    -2, ..."""
+    win = w.w
+    N = len(win)
+    if w.datum.kind == "GL":
+        labels, starts = range(1, N + 1), range(N)
     else:
-        imgs = {}
-        for j in range(1, datum.n + 1):
-            imgs[j] = w.u[j - 1]
-            imgs[-j] = -imgs[j]
+        g = N // 2
+        labels = [*range(1, g + 1), *range(-g, 0)]
+        starts = [i for j in range(g) for i in (j, N - 1 - j)]
+    image = [(v - 1) % N for v in win]
+    seen = [False] * N
     cycles = []
-    seen = set()
-    for start in sorted(imgs, key=lambda x: (abs(x), x < 0)):
-        if start in seen or imgs[start] == start:
+    for start in starts:
+        if seen[start] or image[start] == start:
             continue
-        cyc = [start]
-        seen.add(start)
-        nxt = imgs[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = imgs[nxt]
-        cycles.append("(" + " ".join(str(x) for x in cyc) + ")")
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(str(labels[i]))
+            i = image[i]
+        cycles.append("(" + " ".join(cyc) + ")")
     return "".join(cycles) or "()"
 
 
@@ -196,6 +199,9 @@ def run_compare(params, budget=None):
 
 
 def run_count(params, budget=None):
+    """Predicted: stratum_count, over the right-minimal members of each
+    class.  Observed: poincare_quotient, over all of them; a quotient
+    that leaves a remainder is None and fails the case."""
     t0 = time.monotonic()
     datum = _datum(params)
     spec = _spec(datum, params)
@@ -205,9 +211,10 @@ def run_count(params, budget=None):
     rows = []
     for c in sorted(s.classes, key=_class_sort_key):
         n = stratum_count(c, q, budget)
-        rows.append(_class_row(c, predicted=n, observed=n, source="admissible.stratum_count"))
-    tot = sum(row["predicted"] for row in rows)
-    return _report("count", params, rows, {"predicted": tot, "observed": tot}, True, t0)
+        rows.append(_class_row(c, predicted=n, observed=poincare_quotient(c, q), source="admissible.stratum_count"))
+    ok = all(row["predicted"] == row["observed"] for row in rows)
+    totals = {k: sum(row[k] or 0 for row in rows) for k in ("predicted", "observed")}
+    return _report("count", params, rows, totals, ok, t0)
 
 
 def _subspace_dump(sub):

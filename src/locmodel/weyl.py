@@ -25,13 +25,18 @@ descent of w iff w(j) > w(j+1), with w(0) = w(N) - N, and a left
 descent iff it is a right descent of w^-1.  Length is Shi's inversion
 count l(w) = sum_{i<j<=N} |floor((w(j) - w(i)) / N)|; for GSp the
 sigma-fixed inversions are added once more and the sum halved.  Both
-are stored on the element.  Bruhat comparison and reduced words use the
-descents.  The Bruhat ideal generated by elements of one length is grown
-level by level (`bruhat_ideal`): intervals are graded, so each level is
-the set of lower covers y r of the level above, r a reflection swapping
-the values at an inversion of y's window (and their mirrors for GSp);
-the tests check it against the lifting recursion and the subword
-expansion.  The base-alcove vertices have a closed form.
+are stored on the element.  Bruhat comparison uses the descents.  The
+reduced word (`reduced_word`) strips the smallest left descent at each
+step, and is read off one mutable copy v of the window of x^-1: the
+smallest left descent of y is the smallest right descent of y^-1, and
+s_j y swaps the entries j and j+1 of v (for j = 0, v(1) and v(N) become
+v(N) - N and v(1) + N; for GSp the mirrored pair N-j, N+1-j is swapped
+too), so no product is formed.  The Bruhat ideal generated by elements
+of one length is grown level by level (`bruhat_ideal`): intervals are
+graded, so each level is the set of lower covers y r of the level
+above, r a reflection swapping the values at an inversion of y's window
+(and their mirrors for GSp); the tests check it against the lifting
+recursion and the subword expansion.  The base-alcove vertices have a closed form.
 Parahoric subgroups W_I and their generators live here; the minimal
 element of a double coset W_I x W_I is the member with no descent among
 the generators, and nothing here lists elements by length.
@@ -327,12 +332,20 @@ def descents(x: WeylElement):
     return x._desc
 
 
-def _no_descent_in(datum: RootDatum, w, gens: int) -> bool:
-    """Has the window w no left and no right descent in the bitmask gens?
-    The right descents are read first, and w^-1 is formed only when none
-    of them is in gens."""
-    top = len(datum.simple_indices)
-    return not (_right_mask(w, top) & gens or _right_mask(_inverse(w), top) & gens)
+def _descends_at(w, gens) -> bool:
+    """Is some j in gens a right descent of the window w?"""
+    N = len(w)
+    for j in gens:
+        if w[j - 1] > w[j] if j else w[-1] - N > w[0]:
+            return True
+    return False
+
+
+def _no_descent_in(w, gens) -> bool:
+    """Has the window w no left and no right descent s_j, j in gens?  Only
+    the positions of gens are read, those of w first; w^-1 is formed only
+    when w has no right descent there."""
+    return not (_descends_at(w, gens) or _descends_at(_inverse(w), gens))
 
 
 def _lowest(mask: int) -> int:
@@ -364,14 +377,28 @@ def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
 
 def reduced_word(x: WeylElement):
     """Return (word, omega_power) with x = s_{w_0}...s_{w_k} * tau^omega_power;
-    each letter is the smallest left descent of what remains."""
+    each letter is the smallest left descent of what remains, found and
+    stripped on a copy v of the window of x^-1 (see the module docstring).
+    Every s_j has kappa 0, so omega_power is kappa(x)."""
+    v = list(_inverse(x.w))
+    N, top = len(v), len(x.datum.simple_indices)
+    gsp = x.datum.kind == "GSp"
     word = []
-    y = x
-    while left := descents(y)[0]:
-        j = _lowest(left)
+    while True:
+        if v[-1] - N > v[0]:
+            j = 0
+        else:
+            j = 1
+            while j < top and v[j - 1] < v[j]:
+                j += 1
+            if j >= top:
+                return word, kappa(x)
         word.append(j)
-        y = simple_reflection(y.datum, j) * y
-    return word, kappa(y)
+        for a in {j, N - j} if gsp and j else (j,):
+            if a == 0:
+                v[0], v[-1] = v[-1] - N, v[0] + N
+            else:
+                v[a - 1], v[a] = v[a], v[a - 1]
 
 
 def _lower_covers(y: WeylElement, below: set):

@@ -13,6 +13,8 @@ computes another way, kept as an oracle for it:
     (lam, u) pairs (the library composes and inverts windows);
   * ``length_descents``: descents by comparing l(s x) and l(x s) with
     l(x) (the library compares adjacent window entries);
+  * ``product_reduced_word``: the greedy reduced word by one product
+    s_j y per letter (the library swaps entries of the inverse window);
   * ``coset_min``: the minimal element of a double coset by greedy
     descent (the library keeps the double-minimal elements it meets);
   * ``total_count``: the point count of a whole admissible set, the sum
@@ -63,7 +65,6 @@ from locmodel.weyl import (
     kappa,
     length,
     parahoric_generators,
-    reduced_word,
     simple_reflection,
     translation,
 )
@@ -241,6 +242,17 @@ def length_descents(x: WeylElement):
     return left, right
 
 
+def product_reduced_word(x: WeylElement):
+    """(word, omega_power) as weyl.reduced_word gives it: strip the
+    smallest left descent s_j of what remains by forming s_j y."""
+    word, y = [], x
+    while left := descents(y)[0]:
+        j = (left & -left).bit_length() - 1
+        word.append(j)
+        y = simple_reflection(y.datum, j) * y
+    return word, kappa(y)
+
+
 DOWNSET_MAX_LENGTH = 20  # the subword expansion visits 2^length(y) words
 
 
@@ -249,7 +261,7 @@ def enumerate_below(y: WeylElement) -> set:
     ly = length(y)
     if ly > DOWNSET_MAX_LENGTH:
         raise BudgetExceeded(f"length {ly} exceeds down-set guard")
-    word, om = reduced_word(y)
+    word, om = product_reduced_word(y)
     tail = element_from_word(y.datum, [], om)
     letters = [simple_reflection(y.datum, j) for j in word]
     out = set()

@@ -13,6 +13,7 @@ from locmodel.admissible import (
     adm_set,
     conv_membership,
     perm_set,
+    poincare_quotient,
     stratum_count,
 )
 from locmodel.errors import ArtifactError, Budget, BudgetExceeded, InvalidIndex
@@ -24,6 +25,7 @@ from locmodel.weyl import (
     identity,
     kappa,
     length,
+    parahoric_subgroup,
     translation,
 )
 
@@ -285,6 +287,19 @@ class TestPermSet:
         perm_set(iwahori(GL4), Coweight(GL4, (2, 2, 0, 0)), budget)
         assert budget.spent == 19 * 24
 
+    @pytest.mark.parametrize("datum,mu_value", [(GL3, (2, 1, 0)), (GSP2, (2, 2, 2))])
+    def test_displacement_table_order_and_cache(self, datum, mu_value):
+        # the memoised per-(datum, I) table gives the same classes whatever
+        # ran before, and the same as a table built afresh
+        mu = Coweight(datum, mu_value)
+        specs = list(every_I(datum))
+        forward = {spec: perm_set(spec, mu).classes for spec in specs}
+        backward = {spec: perm_set(spec, mu).classes for spec in reversed(specs)}
+        admissible._displacement_table.cache_clear()
+        fresh = {spec: perm_set(spec, mu).classes for spec in specs}
+        assert forward == backward == fresh
+        assert all(forward.values())
+
 
 @pytest.fixture
 def cold_memo(monkeypatch):
@@ -418,6 +433,29 @@ class TestStratumCounts:
     def test_prime_powers_are_fields(self, q):
         c = double_coset(translation(GL2, (2, 0)), spec0(GL2))
         assert stratum_count(c, q) == q**2 + q
+
+    @pytest.mark.parametrize(
+        "datum,mu_value",
+        [(GL2, (2, 0)), (GL3, (2, 1, 0)), (GL4, (2, 1, 1, 0)), (GSP2, (1, 1, 1)), (GSP2, (2, 1, 2))],
+    )
+    def test_poincare_quotient_is_the_stratum_count(self, datum, mu_value):
+        # all members over the Poincare polynomial of W_I, at every I
+        mu = Coweight(datum, mu_value)
+        for spec in every_I(datum):
+            for c in adm_set(spec, mu).classes:
+                for q in (2, 3, 4):
+                    assert poincare_quotient(c, q) == stratum_count(c, q), (c, q)
+
+    def test_poincare_quotient_remainder_is_none(self):
+        # one stray member of length 0 leaves the remainder 1 mod 1 + q
+        c = double_coset(translation(GL2, (2, 0)), spec0(GL2))
+        c.__dict__["_members"] = c.members() | {identity(GL2)}
+        assert poincare_quotient(c, 2) is None
+
+    def test_members_formed_once(self):
+        c = double_coset(translation(GL3, (1, 1, 0)), spec0(GL3))
+        group = parahoric_subgroup(c.spec)
+        assert c.members() is c.members() == {a * c.min_rep * b for a in group for b in group}
 
 
 class TestTotalCount:

@@ -2,6 +2,7 @@
 manifest handling, determinism."""
 
 import ast
+import hashlib
 import io
 import json
 import os
@@ -371,6 +372,59 @@ class TestReports:
             del rep["elapsed_ms"]
             reports.append(rep)
         assert reports[0] == reports[1]
+
+
+# sha256 of the JSON report (indent 2) without elapsed_ms, recorded
+# before the report rows were built from the windows
+_REPORT_DIGESTS = [
+    ("compare-adm-perm --group gsp --g 3 --mu 1,1,1,1 --iwahori",
+     "eb8f2fe41b15b7525b945440627ce951ab1f1189ce950f0c8fbc65f42bf0fd5c"),
+    ("compare-adm-perm --group gl --d 4 --mu 2,1,1,0 --I 0,2",
+     "d4975aa2d8fff1ee8061b4057cdceea0fcee664239ae240dc8a08d0698346769"),
+    ("adm --group gl --d 3 --mu 2,1,0 --iwahori",
+     "7d1318d48f469785bf29cb6c03ba52faf42f5b45c03141b94b4898f2a2c69a45"),
+    ("count --group gl --d 4 --mu 2,1,1,0 --I 0 --p 2",
+     "c8306f1e98abb1a0fabc5a695fa578028650f7d9335ee421da1af33be9335538"),
+    ("verify strata --group gl --d 3 --e 2 --r 1,1 --I 0,1 --p 2",
+     "62e8eee0efaf2019a6a0e89165fa99c00037934f2ae66af5f7f332ab3ef961ea"),
+]
+
+
+class TestReportDigests:
+    @pytest.mark.parametrize("line,digest", _REPORT_DIGESTS, ids=[line for line, _ in _REPORT_DIGESTS])
+    def test_report_unchanged(self, line, digest):
+        code, out = run(line.split() + ["--format", "json"])
+        report = json.loads(out)
+        del report["elapsed_ms"]
+        assert code == 0
+        assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == digest
+
+    def test_count_disagreement_fails(self, monkeypatch):
+        # observed comes from the Poincare quotient, so a wrong one fails
+        monkeypatch.setattr(cli, "poincare_quotient", lambda c, q: cli.stratum_count(c, q) + 1)
+        code, out = run(["count", "--group", "gl", "--d", "2", "--mu", "2,0", "--I", "0",
+                         "--p", "2", "--format", "json"])
+        report = json.loads(out)
+        assert code == 1 and not report["pass"]
+        assert report["totals"] == {"predicted": 7, "observed": 9}
+        assert all(row["observed"] == row["predicted"] + 1 for row in report["rows"])
+
+    def test_count_remainder_fails(self, monkeypatch):
+        monkeypatch.setattr(cli, "poincare_quotient", lambda c, q: None)
+        code, out = run(["count", "--group", "gl", "--d", "2", "--mu", "1,0", "--I", "0",
+                         "--p", "3", "--format", "json"])
+        assert code == 1 and json.loads(out)["rows"][0]["observed"] is None
+
+    @pytest.mark.skipif(
+        not os.environ.get("LOCMODEL_EXTENDED"),
+        reason="GL(6) Iwahori adm JSON report (about 3 s): set LOCMODEL_EXTENDED=1",
+    )
+    def test_gl6_iwahori_adm_words(self):
+        code, out = run(["adm", "--group", "gl", "--d", "6", "--mu", "3,2,1,0,0,0", "--iwahori",
+                         "--format", "json"])
+        rows = json.loads(out)["rows"]
+        assert code == 0 and len(rows) == 53665
+        assert all(len(row["w"]["word"]) == row["length"] for row in rows)
 
 
 class TestSymplecticLevels:

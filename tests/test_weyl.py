@@ -14,7 +14,9 @@ Independent oracles used here:
   * the subword down-set enumerate_below and the lifting recursion
     downset, for the level-by-level ideal bruhat_ideal;
   * descents by comparing lengths of products (length_descents), for
-    the descents read off the windows.
+    the descents read off the windows;
+  * the greedy word by one product per letter (product_reduced_word),
+    for the word read off the inverse window.
 """
 
 import itertools
@@ -57,6 +59,7 @@ from reference import (
     length_descents,
     omega_generator,
     pairing,
+    product_reduced_word,
     root_inversions,
     roots,
     semidirect_inverse,
@@ -364,6 +367,29 @@ class TestWords:
                 word, om = reduced_word(x)
                 assert len(word) == length(x)
                 assert element_from_word(datum, word, om) == x
+
+    @pytest.mark.parametrize("datum", [GL1, GL2, GL3, GL4, GSP1, GSP2, GSP3], ids=_IDS)
+    def test_window_kernel_matches_product_words(self, datum):
+        for x in small_elements(datum, 1):
+            assert reduced_word(x) == product_reduced_word(x), x
+
+    @pytest.mark.parametrize("datum", _KERNEL_DATA, ids=_IDS)
+    def test_random_elements_match_product_words(self, datum):
+        rng = random.Random(43)
+        for _ in range(60):
+            x = random_element(rng, datum, spread=3)
+            assert reduced_word(x) == product_reduced_word(x), x
+
+    def test_forms_no_element(self, monkeypatch):
+        xs = [random_element(random.Random(7), datum, spread=3) for datum in (GL4, GSP3)]
+        words = [product_reduced_word(x) for x in xs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reduced_word formed a WeylElement")
+
+        for name in ("__init__", "of_window", "__mul__", "inv"):
+            monkeypatch.setattr(WeylElement, name, forbidden)
+        assert [reduced_word(x) for x in xs] == words
 
 
 def small_elements(datum, spread):
