@@ -1,17 +1,16 @@
 """Admissible and permissible sets in W_I \\ W~ / W_I.
 
 Both sets are sets of double cosets, each keyed by its minimal element:
-the one member with no left and no right descent in W_I
-(_double_minimal, on the descent masks of weyl.descents; perm_set reads
-only the generator positions of each candidate's window and of its
-inverse, weyl._no_descent_in, before forming it).
+the one member with no left and no right descent in W_I.  Both test it
+with weyl._no_descent_in, which reads only the generator positions of
+a window and of its inverse (perm_set before it forms the element).
 Their expected equality is one of the main verification targets.
 
 adm_set takes the Bruhat ideal generated by the translations t_lam over
 the finite-Weyl orbit of mu, the union of their down-sets
 (weyl.bruhat_ideal).  It does not depend on I, so it is computed once per
-(datum, mu) and process and kept, each element with its descent masks;
-every call spends one budget unit per element (_translation_downsets).
+(datum, mu) and process and kept; every call spends one budget unit per
+element (_translation_downsets).
 A class's minimal element is Bruhat-below each of its members, so the
 classes that meet the ideal are exactly those of its double-minimal
 elements.
@@ -44,12 +43,12 @@ from .weyl import (
     Coweight,
     ParahoricSpec,
     WeylElement,
+    _first_descent,
     _no_descent_in,
     _window,
     alcove_vertices,
     bruhat_ideal,
     bruhat_leq,
-    descents,
     length,
     parahoric_subgroup,
     translation,
@@ -74,8 +73,8 @@ class DoubleCoset:
 
     def right_minimal_members(self):
         """Members with no right descent by a generator of W_I."""
-        gens = self.spec.generator_mask
-        return [z for z in self.members() if not descents(z)[1] & gens]
+        gens = self.spec.generator_indices
+        return [z for z in self.members() if _first_descent(z.w, gens) is None]
 
     def stratum_lengths(self):
         return sorted(length(z) for z in self.right_minimal_members())
@@ -107,15 +106,8 @@ def _check_mu(spec: ParahoricSpec, mu: Coweight):
         raise KindMismatch("coweight belongs to a different datum")
 
 
-def _double_minimal(left: int, right: int, gens: int) -> bool:
-    """Given the descent masks of x: has x no left and no right descent
-    among the generators gens (a bitmask) of W_I?  Exactly then x is the
-    minimal element of W_I x W_I."""
-    return not (left | right) & gens
-
-
-# (datum, mu.value) -> ((x, left, right), ...): the Bruhat ideal of the
-# t_lam, lam in W_0 mu, each element with its descent masks.
+# (datum, mu.value) -> the Bruhat ideal of the t_lam, lam in W_0 mu, as a
+# tuple of elements.
 _DOWNSETS = {}
 
 
@@ -130,7 +122,7 @@ def _translation_downsets(mu: Coweight, budget: Budget):
         budget.spend(len(entry), "ideal elements")
         return entry
     below = bruhat_ideal([translation(mu.datum, lam) for lam in mu.orbit()], budget)
-    _DOWNSETS[key] = tuple((x, *descents(x)) for x in below)
+    _DOWNSETS[key] = tuple(below)
     return _DOWNSETS[key]
 
 
@@ -139,11 +131,9 @@ def adm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     The ideal's elements are spent from one budget (a fresh Budget() if
     None)."""
     _check_mu(spec, mu)
-    gens = spec.generator_mask
+    gens = spec.generator_indices
     elements = _translation_downsets(mu, budget or Budget())
-    classes = frozenset(
-        DoubleCoset(spec, x) for x, left, right in elements if _double_minimal(left, right, gens)
-    )
+    classes = frozenset(DoubleCoset(spec, x) for x in elements if _no_descent_in(x.w, gens))
     return AdmissibleSet(spec, mu, classes)
 
 

@@ -409,12 +409,23 @@ def _block_params(block):
     return params
 
 
+def _bad_expectation(block):
+    """The message for the first expect_* value of block not an integer, or None."""
+    for key, value in block.items():
+        if key.startswith("expect_"):
+            try:
+                int(value)
+            except ValueError:
+                return f"{key} must be an integer, got {value!r}"
+    return None
+
+
 def run_suite(manifest_path, budget=None, out_dir=None):
     """Run every block of the manifest, each with a fresh Budget(budget)."""
     with open(manifest_path) as fh:
         cases = parse_manifest(fh.read())
     for i, block in enumerate(cases):  # before any case runs
-        problem = _missing(block["case"], _block_params(block))
+        problem = _missing(block["case"], _block_params(block)) or _bad_expectation(block)
         if problem:
             raise ManifestParseError(f"block {i + 1} ({block['case']}): {problem}")
     reports = []

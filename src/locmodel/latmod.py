@@ -238,6 +238,8 @@ def build_model(kind, size, e, I, p, r_vec=None) -> ChainModel:
     """
     field = Field(p)
     I = sorted(set(I))
+    if e < 1:
+        raise BadRanks("need e >= 1")
     if kind == "GL":
         if size < 1 or not I or not set(I) <= set(range(size)):
             raise BadRanks(f"I must be a nonempty subset of 0..{size - 1}")
@@ -547,12 +549,15 @@ def torsor_check(model: ChainModel, budget=None) -> TorsorReport:
 
 
 def _act_on_lattice_vector(w: WeylElement, sym, a, fshift=0):
-    """Image of pi^a * sym under the monomial representation of w.
+    """Image of pi^a * sym under the geometric action of w, the monomial
+    representation of w with its translation part negated: under it the
+    parahoric of I stabilizes every slot lattice, so it places standard
+    points and rotates the chain by the length-zero generator.
 
     The symbols are the window positions: e_m is m and, for GSp, f_m is
     N+1-m.  w(i) = r + kN with 1 <= r <= N sends the symbol at i to the
-    symbol at r times pi^k: translations act by t_lam: e_i -> pi^{lam_i}
-    e_i (and for GSp f_i -> pi^{c - lam_i} f_i), the finite part permutes
+    symbol at r times pi^-k: translations act by t_lam: e_i -> pi^{-lam_i}
+    e_i (and for GSp f_i -> pi^{lam_i - c} f_i), the finite part permutes
     symbols.  GSp reflections swap e_i with the rescaled f~_i = delta
     f_i, so the f-exponents are shifted to the delta basis (fshift =
     1 - e) before acting and shifted back after.
@@ -564,21 +569,8 @@ def _act_on_lattice_vector(w: WeylElement, sym, a, fshift=0):
         m = N + 1 - m
     k, r = divmod(w.w[m - 1] - 1, N)
     if r < w.datum.n:
-        return ("e", r + 1), a + k
-    return ("f", N - r), a + k + fshift
-
-
-def _geometric(w: WeylElement) -> WeylElement:
-    """w with the translation part negated: each w(i) = r + kN becomes
-    r - kN.
-
-    The monomial representation of the negated element is the action
-    under which the parahoric of I stabilizes every slot lattice, so it
-    is the one used to place standard points and to check the chain
-    rotation by the length-zero generator.
-    """
-    N = len(w.w)
-    return WeylElement.of_window(w.datum, tuple(2 * ((v - 1) % N + 1) - v for v in w.w))
+        return ("e", r + 1), a - k
+    return ("f", N - r), a - k + fshift
 
 
 def standard_point(w: WeylElement, model: ChainModel) -> ChainPoint:
@@ -591,7 +583,6 @@ def standard_point(w: WeylElement, model: ChainModel) -> ChainPoint:
     """
     if (model.kind == "GL") != (w.datum.kind == "GL") or w.datum.n != model.n:
         raise IncompatibleElement("element belongs to a different group")
-    wg = _geometric(w)
     fshift = 0 if model.kind == "GL" else 1 - model.e
     e = model.e
     subspaces = {}
@@ -600,7 +591,7 @@ def standard_point(w: WeylElement, model: ChainModel) -> ChainPoint:
         pos = {sym: (m, a) for m, (sym, a) in enumerate(basis)}
         rows = []
         for sym, a in basis:
-            sym2, a2 = _act_on_lattice_vector(wg, sym, a, fshift)
+            sym2, a2 = _act_on_lattice_vector(w, sym, a, fshift)
             m_dst, a_dst = pos[sym2]
             k = a2 + e - a_dst
             if k < 0:

@@ -20,26 +20,26 @@ one kernel serves both groups.  Read as a monomial matrix, w(i) = r + kN
 sends the basis vector at position i to pi^k times the one at r.
 
 The base alcove is the standard one (x_1 > ... > x_d > x_1 - 1 for GL,
-the analogous small dominant alcove for type C).  s_j is a right
-descent of w iff w(j) > w(j+1), with w(0) = w(N) - N, and a left
-descent iff it is a right descent of w^-1.  Length is Shi's inversion
+the analogous small dominant alcove for type C).  One window kernel
+carries every descent and word: s_j is a right descent of w iff
+w(j) > w(j+1), with w(0) = w(N) - N (`_first_descent`), and a left
+descent iff it is a right descent of w^-1; w s_j swaps the entries j and
+j+1, mirrored for GSp (`_reflect`, in place).  Length is Shi's inversion
 count l(w) = sum_{i<j<=N} |floor((w(j) - w(i)) / N)|; for GSp the
-sigma-fixed inversions are added once more and the sum halved.  Both
-are stored on the element.  Bruhat comparison uses the descents.  The
-reduced word (`reduced_word`) strips the smallest left descent at each
-step, and is read off one mutable copy v of the window of x^-1: the
-smallest left descent of y is the smallest right descent of y^-1, and
-s_j y swaps the entries j and j+1 of v (for j = 0, v(1) and v(N) become
-v(N) - N and v(1) + N; for GSp the mirrored pair N-j, N+1-j is swapped
-too), so no product is formed.  The Bruhat ideal generated by elements
-of one length is grown level by level (`bruhat_ideal`): intervals are
-graded, so each level is the set of lower covers y r of the level
-above, r a reflection swapping the values at an inversion of y's window
-(and their mirrors for GSp); the tests check it against the lifting
-recursion and the subword expansion.  The base-alcove vertices have a closed form.
-Parahoric subgroups W_I and their generators live here; the minimal
-element of a double coset W_I x W_I is the member with no descent among
-the generators, and nothing here lists elements by length.
+sigma-fixed inversions are added once more and the sum halved; it is
+stored on the element.  Bruhat comparison (`bruhat_leq`) runs the
+lifting property on copies of both windows, and the reduced word
+(`reduced_word`) strips the smallest left descent of x, the smallest
+right descent of x^-1, from a copy of the inverse window: neither forms
+a product.  The Bruhat ideal generated by elements of one length is
+grown level by level (`bruhat_ideal`): intervals are graded, so each
+level is the set of lower covers y r of the level above, r a reflection
+swapping the values at an inversion of y's window (and their mirrors for
+GSp); the tests check it against the lifting recursion and the subword
+expansion.  The base-alcove vertices have a closed form.  Parahoric
+subgroups W_I and their generators live here; the minimal element of
+W_I x W_I is the member with no left and no right descent among the
+generators (`_no_descent_in`), and nothing here lists elements by length.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class WeylElement:
     """Immutable element t_lam * u of the extended affine Weyl group,
     stored as its window w; lam and u are derived from it on demand."""
 
-    __slots__ = ("datum", "w", "_len", "_desc", "_lam_u", "_hash")
+    __slots__ = ("datum", "w", "_len", "_lam_u", "_hash")
 
     def __init__(self, datum: RootDatum, lam, u):
         lam = tuple(lam)
@@ -182,7 +182,7 @@ class WeylElement:
     def _set(self, datum, w):
         self.datum = datum
         self.w = w
-        self._len = self._desc = self._lam_u = None
+        self._len = self._lam_u = None
         self._hash = hash(w)
 
     def _decode(self):
@@ -262,18 +262,12 @@ def finite(datum: RootDatum, u) -> WeylElement:
 
 @lru_cache(maxsize=None)
 def simple_reflection(datum: RootDatum, j: int) -> WeylElement:
-    """s_j swaps the positions j and j+1 (0 and 1 meaning w(0) = w(N) - N),
-    and for GSp also their mirrors N-j and N+1-j."""
+    """s_j: the identity window with _reflect applied at j."""
     if j not in datum.simple_indices:
         raise InvalidIndex(f"no affine simple reflection {j} for {datum}")
     gsp = datum.kind == "GSp"
-    N = 2 * datum.n if gsp else datum.n
-    w = list(range(1, N + 1))
-    for a in {j, (N - j) % N} if gsp else {j}:
-        if a == 0:
-            w[0], w[-1] = 0, N + 1
-        else:
-            w[a - 1], w[a] = w[a], w[a - 1]
+    w = list(range(1, (2 if gsp else 1) * datum.n + 1))
+    _reflect(w, j, gsp)
     return WeylElement.of_window(datum, tuple(w))
 
 
@@ -309,70 +303,61 @@ def length(x: WeylElement) -> int:
     return x._len
 
 
-# -- descents ---------------------------------------------------------------
+# -- the window kernel -------------------------------------------------------
 
 
-def _right_mask(w, top) -> int:
-    """The bitmask of the j < top with w(j) > w(j+1), where
-    w(0) = w(N) - N."""
-    mask = int(w[-1] - len(w) > w[0])
-    for j in range(1, top):
-        if w[j - 1] > w[j]:
-            mask |= 1 << j
-    return mask
-
-
-def descents(x: WeylElement):
-    """(left, right): bitmasks of the j with l(s_j x) < l(x), and of the
-    j with l(x s_j) < l(x), read off the windows of x^-1 and x and stored
-    on x; no product and no length is formed."""
-    if x._desc is None:
-        top = len(x.datum.simple_indices)
-        x._desc = _right_mask(_inverse(x.w), top), _right_mask(x.w, top)
-    return x._desc
-
-
-def _descends_at(w, gens) -> bool:
-    """Is some j in gens a right descent of the window w?"""
+def _first_descent(w, js):
+    """The first j in js with w(j) > w(j+1), where w(0) = w(N) - N: the
+    first right descent s_j of the window w among js, or None."""
     N = len(w)
-    for j in gens:
+    for j in js:
         if w[j - 1] > w[j] if j else w[-1] - N > w[0]:
-            return True
-    return False
+            return j
+    return None
+
+
+def _reflect(v, j, gsp):
+    """v := v s_j in place: swap the entries j and j+1 of the list v (for
+    j = 0, v(1) and v(N) become v(N) - N and v(1) + N); for GSp also the
+    mirrored pair N-j, N+1-j."""
+    N = len(v)
+    for a in {j, N - j} if gsp and j else (j,):
+        if a == 0:
+            v[0], v[-1] = v[-1] - N, v[0] + N
+        else:
+            v[a - 1], v[a] = v[a], v[a - 1]
 
 
 def _no_descent_in(w, gens) -> bool:
-    """Has the window w no left and no right descent s_j, j in gens?  Only
-    the positions of gens are read, those of w first; w^-1 is formed only
-    when w has no right descent there."""
-    return not (_descends_at(w, gens) or _descends_at(_inverse(w), gens))
-
-
-def _lowest(mask: int) -> int:
-    """The smallest j in a nonzero bitmask."""
-    return (mask & -mask).bit_length() - 1
+    """Has the window w no left and no right descent s_j, j in gens (so is
+    it minimal in W_I w W_I)?  w^-1 is formed only if w passes."""
+    return _first_descent(w, gens) is None and _first_descent(_inverse(w), gens) is None
 
 
 # -- Bruhat order ------------------------------------------------------------
 
 
 def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
-    """x <= y in Bruhat order (false across distinct kappa components)."""
+    """x <= y in Bruhat order (false across distinct kappa components), by
+    the lifting property on copies v, w of the two windows: for a right
+    descent s of y, x <= y iff x s <= y s if s is one of x, else x <= y s."""
     if x.datum != y.datum:
         raise DatumMismatch("cannot compare across data")
     if kappa(x) != kappa(y):
         return False
     lx, ly = length(x), length(y)
-    while True:
-        if lx > ly:
-            return False
+    js, gsp = y.datum.simple_indices, y.datum.kind == "GSp"
+    v, w = list(x.w), list(y.w)
+    while lx <= ly:
         if ly == 0:
-            return x == y
-        j = _lowest(descents(y)[1])
-        s = simple_reflection(y.datum, j)
-        if descents(x)[1] >> j & 1:
-            x, lx = x * s, lx - 1
-        y, ly = y * s, ly - 1
+            return v == w
+        j = _first_descent(w, js)
+        if _first_descent(v, (j,)) is not None:
+            _reflect(v, j, gsp)
+            lx -= 1
+        _reflect(w, j, gsp)
+        ly -= 1
+    return False
 
 
 def reduced_word(x: WeylElement):
@@ -381,24 +366,12 @@ def reduced_word(x: WeylElement):
     stripped on a copy v of the window of x^-1 (see the module docstring).
     Every s_j has kappa 0, so omega_power is kappa(x)."""
     v = list(_inverse(x.w))
-    N, top = len(v), len(x.datum.simple_indices)
-    gsp = x.datum.kind == "GSp"
+    js, gsp = x.datum.simple_indices, x.datum.kind == "GSp"
     word = []
-    while True:
-        if v[-1] - N > v[0]:
-            j = 0
-        else:
-            j = 1
-            while j < top and v[j - 1] < v[j]:
-                j += 1
-            if j >= top:
-                return word, kappa(x)
+    while (j := _first_descent(v, js)) is not None:
         word.append(j)
-        for a in {j, N - j} if gsp and j else (j,):
-            if a == 0:
-                v[0], v[-1] = v[-1] - N, v[0] + N
-            else:
-                v[a - 1], v[a] = v[a], v[a - 1]
+        _reflect(v, j, gsp)
+    return word, kappa(x)
 
 
 def _lower_covers(y: WeylElement, below: set):
@@ -464,11 +437,6 @@ class ParahoricSpec:
     @property
     def generator_indices(self):
         return [j for j in self.datum.simple_indices if j not in self.I]
-
-    @property
-    def generator_mask(self) -> int:
-        """The generators of W_I as a bitmask, as descents reports them."""
-        return sum(1 << j for j in self.generator_indices)
 
 
 def parahoric_generators(spec: ParahoricSpec):

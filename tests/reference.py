@@ -12,9 +12,13 @@ computes another way, kept as an oracle for it:
   * ``semidirect_product`` and ``semidirect_inverse``: the group law on
     (lam, u) pairs (the library composes and inverts windows);
   * ``length_descents``: descents by comparing l(s x) and l(x s) with
-    l(x) (the library compares adjacent window entries);
+    l(x) (the library compares adjacent window entries,
+    ``weyl._first_descent``); ``product_reduced_word`` and ``downset``
+    read their descents from it, so no oracle shares the window kernel
+    it checks (``test_weyl`` parses this file to hold that);
   * ``product_reduced_word``: the greedy reduced word by one product
-    s_j y per letter (the library swaps entries of the inverse window);
+    s_j y per letter (the library swaps entries of the inverse window,
+    ``weyl._reflect``);
   * ``coset_min``: the minimal element of a double coset by greedy
     descent (the library keeps the double-minimal elements it meets);
   * ``total_count``: the point count of a whole admissible set, the sum
@@ -60,7 +64,6 @@ from locmodel.linalg import FieldMatrix, Subspace, _nullspace
 from locmodel.weyl import (
     WeylElement,
     alcove_vertices,
-    descents,
     identity,
     kappa,
     length,
@@ -244,9 +247,10 @@ def length_descents(x: WeylElement):
 
 def product_reduced_word(x: WeylElement):
     """(word, omega_power) as weyl.reduced_word gives it: strip the
-    smallest left descent s_j of what remains by forming s_j y."""
+    smallest left descent s_j of what remains, found by length_descents,
+    by forming s_j y."""
     word, y = [], x
-    while left := descents(y)[0]:
+    while left := length_descents(y)[0]:
         j = (left & -left).bit_length() - 1
         word.append(j)
         y = simple_reflection(y.datum, j) * y
@@ -276,11 +280,12 @@ def enumerate_below(y: WeylElement) -> set:
 
 def downset(y: WeylElement, memo: dict) -> frozenset:
     """The Bruhat down-set of y by the lifting property (Bjorner-Brenti):
-    D(y) = D(ys) | D(ys) s for a right descent s of y.  memo maps
-    elements to their down-sets and may be shared between calls."""
+    D(y) = D(ys) | D(ys) s for a right descent s of y, found by
+    length_descents.  memo maps elements to their down-sets and may be
+    shared between calls."""
     chain = []
     while y not in memo:
-        right = descents(y)[1]
+        right = length_descents(y)[1]
         if not right:
             memo[y] = frozenset((y,))
             break

@@ -89,6 +89,12 @@ class TestExitCodes:
             (["verify", "matrix", "--g", "0", "--e", "1", "--p", "2"], "need g >= 1 and e >= 1"),
             (["verify", "matrix", "--g", "1", "--e", "0", "--p", "2"], "need g >= 1 and e >= 1"),
             (["verify", "matrix", "--g", "1", "--e", "-2", "--p", "2"], "need g >= 1 and e >= 1"),
+            (["verify", "symplectic", "--g", "1", "--e", "0", "--I", "0", "--p", "3"], "need e >= 1"),
+            (["verify", "symplectic", "--g", "1", "--e", "-1", "--I", "0", "--p", "3"], "need e >= 1"),
+            (["verify", "torsor", "--group", "gsp", "--g", "1", "--e", "-2", "--I", "0", "--p", "3"],
+             "need e >= 1"),
+            (["verify", "torsor", "--group", "gl", "--d", "2", "--e", "0", "--r", "1", "--I", "0",
+              "--p", "3"], "need e >= 1"),
         ],
     )
     def test_out_of_range_values_are_usage_errors(self, argv, message, capsys):
@@ -575,6 +581,17 @@ class TestManifest:
         code, out = run(["run-suite", str(mf)])
         assert code == 2 and out == "" and ran == []
         assert capsys.readouterr().err == f"manifest error: {message}\n"
+
+    def test_non_integer_expectation_rejected_before_any_case(self, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setitem(cli._RUNNERS, "adm", lambda params, budget=None: ran.append(params))
+        mf = tmp_path / "suite.txt"
+        mf.write_text("case=adm\nd=2\nmu=1,0\niwahori=1\n\ncase=adm\nd=2\nmu=1,0\niwahori=1\nexpect_observed=abc\n")
+        code, out = run(["run-suite", str(mf)])
+        assert code == 2 and out == "" and ran == []
+        assert capsys.readouterr().err == (
+            "manifest error: block 2 (adm): expect_observed must be an integer, got 'abc'\n"
+        )
 
     def test_count_block_below_field_size(self, tmp_path, capsys):
         mf = tmp_path / "suite.txt"

@@ -842,9 +842,7 @@ def lattice_exps(model, label, w=None, shift=0):
     out = {}
     for sym, a in model.slot_basis[label]:
         if w is not None:
-            sym, a = latmod._act_on_lattice_vector(
-                latmod._geometric(w), sym, a, fshift
-            )
+            sym, a = latmod._act_on_lattice_vector(w, sym, a, fshift)
         a += shift
         out[sym] = min(a, out.get(sym, a))
     return out

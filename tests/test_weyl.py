@@ -14,15 +14,19 @@ Independent oracles used here:
   * the subword down-set enumerate_below and the lifting recursion
     downset, for the level-by-level ideal bruhat_ideal;
   * descents by comparing lengths of products (length_descents), for
-    the descents read off the windows;
+    the descents read off the windows (_first_descent), and the
+    composition law with pinned s_j windows, for the in-place step
+    _reflect; reference.py imports neither kernel (TestOracleIndependence);
   * the greedy word by one product per letter (product_reduced_word),
     for the word read off the inverse window.
 """
 
+import ast
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +40,6 @@ from locmodel.weyl import (
     alcove_vertices,
     bruhat_leq,
     bruhat_ideal,
-    descents,
     finite,
     identity,
     kappa,
@@ -403,11 +406,24 @@ def small_elements(datum, spread):
 _DESCENT_DATA = [GL1, GL2, GL3, GL4, GSP1, GSP2, GSP3]
 
 
+def window_descents(x):
+    """(left, right): the bitmasks of the j at which _first_descent finds a
+    descent of the windows of x^-1 and x; the first descent over all j
+    must be the lowest bit."""
+    js = x.datum.simple_indices
+    masks = []
+    for w in (weyl._inverse(x.w), x.w):
+        mask = sum(1 << j for j in js if weyl._first_descent(w, (j,)) == j)
+        assert weyl._first_descent(w, js) == ((mask & -mask).bit_length() - 1 if mask else None)
+        masks.append(mask)
+    return tuple(masks)
+
+
 class TestDescents:
     @pytest.mark.parametrize("datum", _DESCENT_DATA, ids=_IDS)
     def test_match_length_oracle(self, datum):
         for x in small_elements(datum, 2):
-            assert descents(x) == length_descents(x), x
+            assert window_descents(x) == length_descents(x), x
 
     @pytest.mark.parametrize("datum", _DESCENT_DATA, ids=_IDS)
     def test_simple_root_is_the_only_inversion(self, datum):
@@ -436,7 +452,7 @@ class TestDescents:
         rng = random.Random(41)
         for _ in range(60):
             x = random_element(rng, datum, spread=3)
-            assert descents(x) == length_descents(x), x
+            assert window_descents(x) == length_descents(x), x
 
     @pytest.mark.parametrize("datum", [GL3, GSP2], ids=_IDS)
     def test_reduced_word_takes_smallest_length_descent(self, datum):
@@ -447,6 +463,44 @@ class TestDescents:
                 expected.append(j)
                 y = simple_reflection(datum, j) * y
             assert reduced_word(x) == (expected, kappa(x)), x
+
+
+class TestWindowKernel:
+    @pytest.mark.parametrize(
+        "datum,windows",
+        [
+            (GL3, [(0, 2, 4), (2, 1, 3), (1, 3, 2)]),
+            (GSP2, [(0, 2, 3, 5), (2, 1, 4, 3), (1, 3, 2, 4)]),
+        ],
+        ids=["GL3", "GSp2"],
+    )
+    def test_simple_reflection_windows(self, datum, windows):
+        assert [simple_reflection(datum, j).w for j in datum.simple_indices] == windows
+
+    @pytest.mark.parametrize("datum", _KERNEL_DATA, ids=_IDS)
+    def test_reflect_is_right_multiplication(self, datum):
+        rng = random.Random(47)
+        gsp = datum.kind == "GSp"
+        for _ in range(60):
+            x = random_element(rng, datum, spread=3)
+            for j in datum.simple_indices:
+                v = list(x.w)
+                weyl._reflect(v, j, gsp)
+                assert tuple(v) == (x * simple_reflection(datum, j)).w, (x, j)
+
+
+class TestOracleIndependence:
+    def test_reference_imports_no_window_kernel(self):
+        # the oracles in reference.py must not run the code they check
+        kernel = {"_first_descent", "_reflect", "_no_descent_in", "reduced_word", "bruhat_leq", "bruhat_ideal"}
+        tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "locmodel.weyl"
+            for alias in node.names
+        }
+        assert "length" in imported and not imported & kernel
 
 
 class TestBruhat:
@@ -468,6 +522,25 @@ class TestBruhat:
             below = enumerate_below(y)
             for x in elems:
                 assert bruhat_leq(x, y) == (x in below)
+
+    def test_forms_no_element(self, monkeypatch):
+        rng = random.Random(11)
+        pairs = []
+        for datum in (GL4, GSP3):
+            for _ in range(10):
+                y = random_element(rng, datum, spread=3)
+                for j in datum.simple_indices:
+                    z = y * simple_reflection(datum, j)
+                    pairs += [(z, y), (y, z), (z, random_element(rng, datum, spread=3))]
+        expected = [bruhat_leq(x, y) for x, y in pairs]
+        assert any(expected) and not all(expected)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bruhat_leq formed a WeylElement")
+
+        for name in ("__init__", "of_window", "__mul__", "inv"):
+            monkeypatch.setattr(WeylElement, name, forbidden)
+        assert [bruhat_leq(x, y) for x, y in pairs] == expected
 
     def test_partial_order_axioms(self):
         levels = elements_of_length_leq(GL3, 0, 5)
