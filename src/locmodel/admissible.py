@@ -9,7 +9,8 @@ Their expected equality is one of the main verification targets.
 adm_set takes the Bruhat ideal generated by the translations t_lam over
 the finite-Weyl orbit of mu, the union of their down-sets
 (weyl.bruhat_ideal).  It does not depend on I, so it is computed once per
-(datum, mu) and process and kept; every call spends one budget unit per
+(datum, mu) and kept in a memo that retains the most recently used ideals
+up to _DOWNSETS_CAP elements; every call spends one budget unit per
 element (_translation_downsets).
 A class's minimal element is Bruhat-below each of its members, so the
 classes that meet the ideal are exactly those of its double-minimal
@@ -18,11 +19,12 @@ elements.
 perm_set generates the classes whose members satisfy the vertex
 displacement condition x(a_i) - a_i in Conv(W_0 mu) for every i in I.
 The vertices are scaled by their common denominator D, the integer
-points of D * Conv(W_0 mu) are listed once per (mu, D), the vertex
-displacements of the finite parts u once per (datum, I), and each point,
-with each u, gives at most one candidate t_lam u; no length bound is
-assumed.  The hull test (conv_membership, a closed
-dominance criterion in both types) runs on integers.
+points of D * Conv(W_0 mu) are listed once per (mu, D), and each point,
+with each finite part u, gives at most one candidate t_lam u; no length
+bound is assumed.  Only the candidates with no right descent in W_I are
+formed, from the order of the point's coordinates and tables kept once
+per (datum, I).  The hull test (conv_membership, a closed dominance
+criterion in both types) runs on integers.
 
 stratum_count evaluates sum q^{l(z)} over the right-I-minimal members
 of a double coset, the point count of the corresponding stratum over
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import add, sub
@@ -55,12 +58,20 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoubleCoset:
-    """A class in W_I \\ W~ / W_I, keyed by its minimal representative."""
+    """A class in W_I \\ W~ / W_I, keyed by its minimal representative:
+    the hash is the stored hash of its window, and equality compares the
+    window and the spec."""
 
     spec: ParahoricSpec
     min_rep: WeylElement
+
+    def __eq__(self, other):
+        return isinstance(other, DoubleCoset) and self.min_rep.w == other.min_rep.w and self.spec == other.spec
+
+    def __hash__(self):
+        return self.min_rep._hash
 
     def members(self) -> frozenset:
         """W_I x W_I, formed on the first call and kept on the class."""
@@ -107,23 +118,31 @@ def _check_mu(spec: ParahoricSpec, mu: Coweight):
 
 
 # (datum, mu.value) -> the Bruhat ideal of the t_lam, lam in W_0 mu, as a
-# tuple of elements.
+# tuple of elements, least recently used first.  It retains at most
+# _DOWNSETS_CAP elements in all.
 _DOWNSETS = {}
+_DOWNSETS_CAP = 40_000
 
 
 def _translation_downsets(mu: Coweight, budget: Budget):
     """The memo entry of mu, computed (and spent as it goes) on a miss;
     on a hit its one unit per element is spent at once, so the budget's
     outcome does not depend on what ran before.  An entry is stored only
-    once the computation completes."""
+    once the computation completes, and only if it fits under the cap;
+    the least recently used entries make room for it."""
     key = (mu.datum, mu.value)
     entry = _DOWNSETS.get(key)
     if entry is not None:
+        _DOWNSETS[key] = _DOWNSETS.pop(key)
         budget.spend(len(entry), "ideal elements")
         return entry
-    below = bruhat_ideal([translation(mu.datum, lam) for lam in mu.orbit()], budget)
-    _DOWNSETS[key] = tuple(below)
-    return _DOWNSETS[key]
+    entry = tuple(bruhat_ideal([translation(mu.datum, lam) for lam in mu.orbit()], budget))
+    if len(entry) <= _DOWNSETS_CAP:
+        retained = sum(map(len, _DOWNSETS.values()))
+        while retained + len(entry) > _DOWNSETS_CAP:
+            retained -= len(_DOWNSETS.pop(next(iter(_DOWNSETS))))
+        _DOWNSETS[key] = entry
+    return entry
 
 
 def adm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
@@ -212,21 +231,55 @@ def _with_sum(n: int, total: int, lo: int, hi: int):
             yield (v,) + rest
 
 
+def _embedded(datum, v):
+    """The N window coordinates of a coweight: v itself for GL, and
+    (v_1, ..., v_g, c - v_g, ..., c - v_1) for GSp (v; c)."""
+    if datum.kind == "GL":
+        return tuple(v)
+    head, c = v[:-1], v[-1]
+    return (*head, *(c - x for x in reversed(head)))
+
+
 @lru_cache(maxsize=None)
 def _displacement_table(spec: ParahoricSpec):
-    """(D, rows) for perm_set: D the common denominator of the base-alcove
-    vertices, and one row (u, first, key, rest) per finite part u, with
-    A_i = D a_i: first = u(A_i0) - A_i0 at i0 = min I, key its residues
-    mod D, and rest the u(A_i) - A_i at the other i in I."""
+    """What perm_set needs of (datum, I), in the N window coordinates
+    (A_i = D a_i embedded, D the common denominator of the base-alcove
+    vertices, i0 = min I):
+
+    - spend: for each residue mod D of u(A_i0) - A_i0, the number of
+      finite parts u that have it;
+    - A, shift: A_i0 and -(N/D) A_i0;
+    - rest: (A_i, A_i - A_i0) for the other i in I;
+    - pairs: (a, b, slack), one per generator j, with (a, b) the window
+      indices (j-1, j), and (N-1, 0) for j = 0; slack is D for j = 0 and
+      0 otherwise;
+    - shuffles: the embedded finite permutations m (position -> rank)
+      with m(a) < m(b) for every pair, each as (m, its first
+      coordinates), grouped by the residues mod D of A_i0 at the
+      positions of ranks 0, ..., N-1."""
     datum = spec.datum
     verts = alcove_vertices(datum)
     D = math.lcm(*(v.denominator for a in verts.values() for v in a))
-    scaled = [tuple(int(D * v) for v in verts[i]) for i in sorted(spec.I)]
-    rows = []
+    scaled = {i: tuple(int(D * v) for v in verts[i]) for i in spec.I}
+    i0 = min(spec.I)
+    A = _embedded(datum, scaled[i0])
+    N = len(A)
+    head = datum.n
+    rest = tuple(
+        (Ai, tuple(map(sub, Ai[:head], A)))
+        for Ai in (_embedded(datum, scaled[i]) for i in sorted(spec.I - {i0}))
+    )
+    mirror = -1 if datum.kind == "GSp" else 1
+    ends = {j % N for k in spec.generator_indices for j in (k, mirror * k)}
+    pairs = tuple(((j - 1) % N, j, D if j == 0 else 0) for j in sorted(ends))
+    spend, shuffles = Counter(), {}
     for u in datum.finite_elements():
-        first, *rest = [tuple(map(sub, datum.act_coweight(u, A), A)) for A in scaled]
-        rows.append((u, first, tuple(v % D for v in first), tuple(rest)))
-    return D, tuple(rows)
+        spend[tuple((a - b) % D for a, b in zip(datum.act_coweight(u, scaled[i0]), scaled[i0]))] += 1
+        m = tuple(v - 1 for v in _window(datum, datum.zero(), u))
+        if all(m[a] < m[b] for a, b, _ in pairs):
+            at = sorted(range(N), key=m.__getitem__)
+            shuffles.setdefault(tuple(A[p] % D for p in at), []).append((m, m[:head]))
+    return D, spend, A, tuple(-(N // D) * a for a in A), rest, pairs, shuffles
 
 
 def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
@@ -236,30 +289,58 @@ def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     vertex a_i with i in I, and the hull is W_0-stable), so only the
     double-minimal elements are kept.  With D the common denominator of
     the vertices and A_i = D a_i, the scaled displacement of x = t_lam u
-    at a_i is D lam + u(A_i) - A_i (_displacement_table).  At i0 = min I
-    it is a point y of D * Conv(W_0 mu) (_hull_points), so
-    lam = (y - u(A_i0) + A_i0) / D wherever that is integral; every lam
-    so found is one displacement candidate, spent from the budget (a
-    fresh Budget() if None), and the other vertices of I are tested by
-    membership in the same points.  The hull test also forces
-    kappa(x) = kappa(t_mu), so the candidates are complete with no
-    length bound.
+    at a_i is y = D lam + u(A_i) - A_i.  At i0 = min I it is a point of
+    D * Conv(W_0 mu) (_hull_points), each pair (y, u) whose residues mod
+    D make lam integral is one displacement candidate, and all of them
+    are spent from the budget (a fresh Budget() if None) at once.  The
+    hull test forces kappa(x) = kappa(t_mu), so the candidates are
+    complete with no length bound.
+
+    Only the candidates that can be double-minimal are formed, in the N
+    window coordinates (_displacement_table), with Y = y + A_i0 and the
+    generators j of W_I joined, for GSp, by their mirrors N - j.  The
+    window of x holds V_r + shift(p) at the position p of the residue r,
+    where V_r = r + 1 + (N/D) Y_r and shift = -(N/D) A_i0.  The shift
+    changes only at i0 (and N - i0), which W_I lacks, and the j = 0 wrap
+    compares the V directly; along a run of consecutive generators
+    the V compare as the keys (Y_r, r) do.  So x has no right descent in
+    W_I iff u(p) = o(m(p)), where o lists the residues by increasing key
+    and the shuffle m increases along every run; the residues of Y mod D
+    pick the shuffles that make lam integral.  x can lack the left
+    descent s_j only if Y_j <= Y_{j-1} (Y_0 <= Y_{N-1} + D for j = 0):
+    s_j compares lam_{j-1} and lam_j, ties broken by position, and A_i0
+    falls by at most D along the positions.  The points that fail this
+    are skipped whole.  The other vertices of I are tested on the
+    displacement permuted by u^-1, which lies in the W_0-stable hull iff
+    the displacement does, and _no_descent_in decides every candidate
+    left.
     """
     _check_mu(spec, mu)
     budget = budget or Budget()
     datum = spec.datum
-    D, table = _displacement_table(spec)
+    D, spend, A, shift, rest, pairs, shuffles = _displacement_table(spec)
     points, by_residue = _hull_points(mu, D)
+    budget.spend(sum(n * len(by_residue.get(key, ())) for key, n in spend.items()), "displacement candidates")
+    N, head, step = len(A), datum.n, len(A) // D
     gens = tuple(spec.generator_indices)
     classes = set()
-    for u, first, key, rest in table:
-        candidates = by_residue.get(key, ())
-        budget.spend(len(candidates), "displacement candidates")
-        for y in candidates:
-            moved = tuple(map(sub, y, first))  # D lam
-            if rest and not all(tuple(map(add, moved, shift)) in points for shift in rest):
+    for y in points:
+        Y = tuple(map(add, _embedded(datum, y), A))
+        if any(Y[b] - Y[a] > slack for a, b, slack in pairs):
+            continue
+        order = sorted(range(N), key=Y.__getitem__)
+        candidates = shuffles.get(tuple(Y[r] % D for r in order))
+        if not candidates:
+            continue
+        values = [r + 1 + step * Y[r] for r in order]
+        tail = y[head:]
+        others = [([Y[r] - Ai[r] for r in order], dA) for Ai, dA in rest]
+        for m, m_head in candidates:
+            if others and not all(
+                tuple(map(add, map(R.__getitem__, m_head), dA)) + tail in points for R, dA in others
+            ):
                 continue
-            w = _window(datum, moved if D == 1 else tuple(v // D for v in moved), u)
+            w = tuple(map(add, map(values.__getitem__, m), shift))
             if _no_descent_in(w, gens):
                 classes.add(DoubleCoset(spec, WeylElement.of_window(datum, w)))
     return AdmissibleSet(spec, mu, frozenset(classes))

@@ -16,10 +16,12 @@ fixed inputs except for the elapsed_ms field.
 --budget N (else LOCMODEL_BUDGET, else 10^7) is one cumulative allowance
 of work per case, and per block of run-suite.  Each stage spends its own
 unit: subspaces enumerated, slot choices tried by the chain backtracker,
-Bruhat ideal elements formed by adm, displacement candidates listed by perm,
+Bruhat ideal elements formed by adm, displacement candidates counted by
+perm (one per pair of a hull point and a finite part u whose residues make
+the translation integral, all spent before the first is formed),
 double-coset members formed by the stratum counts of count and verify
-strata|symplectic, and symmetric or symplectic matrices scanned by
-verify matrix.
+strata|symplectic, and symmetric or symplectic matrices scanned by verify
+matrix.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ArtifactError, Budget, BudgetExceeded, ManifestParseError, SignatureCollision
 from .weyl import Coweight, ParahoricSpec, RootDatum, length, reduced_word, translation
@@ -498,9 +500,43 @@ def format_text(report):
     return "\n".join(lines) + "\n"
 
 
+# the JSON text of each scalar type a report holds, by exact type
+_JSON_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+}
+
+
+def _to_json(obj, indent=""):
+    """json.dumps(obj, indent=2) for what reports are made of: dicts with
+    str keys, lists, str, int, bool and None.  Strings go through the C
+    quoter and each container is joined at once; json.dumps with an
+    indent runs its pure-Python encoder instead."""
+    scalar = _JSON_SCALARS.get
+    if f := scalar(type(obj)):
+        return f(obj)
+    inner = indent + "  "
+    if type(obj) is dict:
+        items = [_quote(k) + ": " + (f(v) if (f := scalar(type(v))) else _to_json(v, inner)) for k, v in obj.items()]
+        brackets = "{}"
+    elif type(obj) is list:
+        if all(type(v) is int for v in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [f(v) if (f := scalar(type(v))) else _to_json(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"{type(obj).__name__} is not a report value")
+    if not obj:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
 def emit(report, fmt, stream):
     if fmt == "json":
-        stream.write(json.dumps(report, indent=2) + "\n")
+        stream.write(_to_json(report) + "\n")
     elif fmt == "csv":
         stream.write(format_csv(report))
     else:
@@ -632,7 +668,7 @@ def main(argv=None, stream=None):
         if args.command == "run-suite":
             aggregate = run_suite(args.manifest, budget=limit, out_dir=args.out)
             if args.format == "json":
-                stream.write(json.dumps(aggregate, indent=2) + "\n")
+                stream.write(_to_json(aggregate) + "\n")
             else:
                 for rep in aggregate["cases"]:
                     emit(rep, args.format, stream)

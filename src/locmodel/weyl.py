@@ -330,8 +330,9 @@ def _reflect(v, j, gsp):
 
 def _no_descent_in(w, gens) -> bool:
     """Has the window w no left and no right descent s_j, j in gens (so is
-    it minimal in W_I w W_I)?  w^-1 is formed only if w passes."""
-    return _first_descent(w, gens) is None and _first_descent(_inverse(w), gens) is None
+    it minimal in W_I w W_I)?  With no gens every window passes at once;
+    w^-1 is formed only if w has no right descent."""
+    return not gens or (_first_descent(w, gens) is None and _first_descent(_inverse(w), gens) is None)
 
 
 # -- Bruhat order ------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Tests for admissible/permissible sets and stratum counts."""
 
+import ast
+import inspect
 import itertools
+import math
 import os
+import textwrap
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from locmodel import admissible
 from locmodel.admissible import (
     AdmissibleSet,
+    DoubleCoset,
     adm_set,
     conv_membership,
     perm_set,
@@ -21,6 +27,10 @@ from locmodel.weyl import (
     Coweight,
     ParahoricSpec,
     RootDatum,
+    WeylElement,
+    _no_descent_in,
+    _window,
+    alcove_vertices,
     finite,
     identity,
     kappa,
@@ -332,6 +342,53 @@ class TestDownsetMemo:
         with pytest.raises(BudgetExceeded):
             adm_set(iwahori(GL3), mu, Budget(budget.spent - 1))
 
+    def test_least_recently_used_entry_goes_first(self, cold_memo, monkeypatch):
+        sizes = {}
+        for mu_value in ((1, 0, 0), (1, 1, 0), (2, 1, 0)):
+            budget = Budget()
+            adm_set(spec0(GL3), Coweight(GL3, mu_value), budget)
+            sizes[mu_value] = budget.spent
+        cold_memo.clear()
+        monkeypatch.setattr(admissible, "_DOWNSETS_CAP", sizes[(1, 0, 0)] + sizes[(2, 1, 0)])
+        for mu_value in ((1, 0, 0), (1, 1, 0), (1, 0, 0), (2, 1, 0)):
+            budget = Budget()
+            adm_set(spec0(GL3), Coweight(GL3, mu_value), budget)
+            assert budget.spent == sizes[mu_value]  # hit or miss alike
+        # (1, 1, 0) was used least recently, so it made room for (2, 1, 0)
+        assert list(cold_memo) == [(GL3, (1, 0, 0)), (GL3, (2, 1, 0))]
+
+    def test_entry_over_the_cap_is_not_stored(self, cold_memo, monkeypatch):
+        monkeypatch.setattr(admissible, "_DOWNSETS_CAP", 10)
+        adm_set(spec0(GL3), Coweight(GL3, (1, 0, 0)), Budget())
+        budget = Budget()
+        s = adm_set(spec0(GL3), Coweight(GL3, (2, 1, 0)), budget)
+        assert budget.spent > 10 and len(s) > 0
+        assert list(cold_memo) == [(GL3, (1, 0, 0))]
+
+    def test_gl_sweep_stays_under_the_cap(self, cold_memo):
+        # every GL(2..5) ideal of at most three minuscule terms: 103,825
+        # elements in 121 ideals, of which the memo keeps the latest
+        total = 0
+        for datum in (GL2, GL3, GL4, RootDatum("GL", 5)):
+            for mu_value in minuscule_sums(datum, 3):
+                budget = Budget()
+                adm_set(spec0(datum), Coweight(datum, mu_value), budget)
+                total += budget.spent
+        assert total == 103_825
+        assert sum(map(len, cold_memo.values())) <= admissible._DOWNSETS_CAP < total
+        assert list(cold_memo)[-1] == (RootDatum("GL", 5), minuscule_sums(RootDatum("GL", 5), 3)[-1])
+
+
+class TestDoubleCoset:
+    def test_hash_and_equality(self):
+        x, y = translation(GL3, (1, 0, 0)), translation(GL3, (0, 0, 1))
+        a = DoubleCoset(spec0(GL3), x)
+        assert a == DoubleCoset(spec0(GL3), WeylElement.of_window(GL3, x.w))
+        assert hash(a) == hash(x)
+        assert a != DoubleCoset(iwahori(GL3), x)
+        assert a != DoubleCoset(spec0(GL3), y)
+        assert a != x
+
 
 def minuscule_sums(datum, max_terms):
     """omega_{r_1} + ... + omega_{r_k}, k <= max_terms; e * mu_1 for GSp."""
@@ -384,6 +441,92 @@ class TestAgainstReference:
                 expected = {double_coset(x, spec) for x in below}
                 assert adm_set(spec, mu).classes == expected, (mu_value, spec.I)
                 assert perm_set(spec, mu).classes == pool_perm_set(spec, mu).classes, (mu_value, spec.I)
+
+
+def filter_perm_set(spec, mu, budget=None):
+    """The permissible set by the filter perm_set generates from: for each
+    finite part u, every hull point y whose residues make lam integral is
+    one candidate, spent per u, and the window of t_lam u is formed and
+    put to _no_descent_in whenever the other vertices of I pass.  It stays
+    here, not in reference.py, because it runs the window kernel."""
+    budget = budget or Budget()
+    datum = spec.datum
+    verts = alcove_vertices(datum)
+    D = math.lcm(*(v.denominator for a in verts.values() for v in a))
+    first_i, *rest_i = [tuple(int(D * v) for v in verts[i]) for i in sorted(spec.I)]
+    points, by_residue = admissible._hull_points(mu, D)
+    gens = tuple(spec.generator_indices)
+    classes = set()
+    for u in datum.finite_elements():
+        first = tuple(map(sub, datum.act_coweight(u, first_i), first_i))
+        rest = [tuple(map(sub, datum.act_coweight(u, A), A)) for A in rest_i]
+        candidates = by_residue.get(tuple(v % D for v in first), ())
+        budget.spend(len(candidates), "displacement candidates")
+        for y in candidates:
+            moved = tuple(map(sub, y, first))  # D lam
+            if not all(tuple(map(add, moved, shift)) in points for shift in rest):
+                continue
+            w = _window(datum, tuple(v // D for v in moved), u)
+            if _no_descent_in(w, gens):
+                classes.add(DoubleCoset(spec, WeylElement.of_window(datum, w)))
+    return AdmissibleSet(spec, mu, frozenset(classes))
+
+
+class TestPermGenerator:
+    """perm_set forms only the candidates that can be double-minimal; the
+    filter it replaced gives the same classes for the same spend."""
+
+    def assert_same_as_filter(self, spec, mu):
+        generated, filtered = Budget(), Budget()
+        assert perm_set(spec, mu, generated).classes == filter_perm_set(spec, mu, filtered).classes, (
+            mu.value,
+            sorted(spec.I),
+        )
+        assert generated.spent == filtered.spent
+
+    @pytest.mark.parametrize(
+        "datum,max_terms",
+        [
+            (RootDatum("GL", 1), 3),
+            (GL2, 3),
+            (GL3, 3),
+            (GL4, 3),
+            (GSP1, 3),
+            (GSP2, 3),
+            (GSP3, 2),
+            pytest.param(RootDatum("GL", 5), 3, marks=_EXTENDED),
+            pytest.param(RootDatum("GSp", 4), 2, marks=_EXTENDED),
+        ],
+        ids=lambda v: f"{v.kind}{v.n}" if isinstance(v, RootDatum) else str(v),
+    )
+    def test_equals_filter_at_every_I(self, datum, max_terms):
+        for mu_value in minuscule_sums(datum, max_terms):
+            for spec in every_I(datum):
+                self.assert_same_as_filter(spec, Coweight(datum, mu_value))
+
+    def test_type_c4_pin(self):
+        # the first case where Perm exceeds Adm: 8,479 permissible classes
+        datum = RootDatum("GSp", 4)
+        spec, mu = iwahori(datum), Coweight(datum, (3, 2, 2, 2, 3))
+        self.assert_same_as_filter(spec, mu)
+        assert (len(adm_set(spec, mu)), len(perm_set(spec, mu))) == (8351, 8479)
+
+    def test_spends_before_forming_any_candidate(self, monkeypatch):
+        # the whole spend is made at once, so an exceeded budget forms nothing
+        def formed(w, gens):
+            raise AssertionError("formed a candidate")
+
+        monkeypatch.setattr(admissible, "_no_descent_in", formed)
+        with pytest.raises(BudgetExceeded):
+            perm_set(iwahori(GL4), Coweight(GL4, (2, 2, 0, 0)), Budget(19 * 24 - 1))
+
+    def test_names_no_admissible_machinery(self):
+        # Perm is computed on its own, never from Adm's ideal
+        source = textwrap.dedent(inspect.getsource(admissible.perm_set))
+        names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+        assert not names & {"adm_set", "bruhat_ideal", "_DOWNSETS", "_translation_downsets"}
+        assert "_no_descent_in" in names
 
 
 class TestStratumCounts:

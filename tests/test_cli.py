@@ -433,6 +433,58 @@ class TestReportDigests:
         assert all(len(row["w"]["word"]) == row["length"] for row in rows)
 
 
+class TestEmittedBytes:
+    """Each report kind's stdout is exactly json.dumps(report, indent=2)
+    and a newline, whitespace included."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adm", "--group", "gl", "--d", "3", "--mu", "2,1,0", "--iwahori"],
+            ["perm", "--group", "gsp", "--g", "2", "--mu", "1,1,1", "--I", "0,2"],
+            ["compare-adm-perm", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0,2"],
+            ["count", "--group", "gl", "--d", "3", "--mu", "2,1,0", "--I", "0", "--p", "3"],
+            ["enumerate", "splitting", *_GL_MODEL],
+            ["verify", "strata", *_GL_MODEL],
+            ["verify", "torsor", *_GL_MODEL],
+            ["verify", "symplectic", "--g", "1", "--e", "2", "--I", "0,1", "--p", "3"],
+            ["verify", "matrix", "--n", "3", "--r", "1", "--s", "2", "--p", "3"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_report_bytes(self, argv):
+        code, out = run(argv + ["--format", "json"])
+        assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_suite_aggregate_bytes(self, tmp_path):
+        mf = tmp_path / "suite.txt"
+        mf.write_text("case=adm\nd=2\nmu=1,0\niwahori=1\n\ncase=verify-matrix\ng=1\ne=2\np=2\n")
+        code, out = run(["run-suite", str(mf)])
+        assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert len(json.loads(out)["cases"]) == 2
+
+    _values = st.recursive(
+        st.none() | st.booleans() | st.integers(min_value=-(2**80), max_value=2**80) | st.text(),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=20,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_writer_equals_json_dumps(self, value):
+        # st.text() draws non-ASCII, control and quote characters alike
+        assert cli._to_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [[], {}, [[]], {"": {}}, [True, 1, -1], ["\u00e9\n\"\\"], {"a": [0, -(2**70)]}])
+    def test_writer_edge_cases(self, value):
+        assert cli._to_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": object()}])
+    def test_writer_rejects_other_values(self, value):
+        with pytest.raises(TypeError):
+            cli._to_json(value)
+
+
 class TestSymplecticLevels:
     def test_iwahori_passes_with_two_maximal_classes(self):
         # At Iwahori level the orbit of t_mu gives two maximal classes;

@@ -465,6 +465,17 @@ class TestDescents:
             assert reduced_word(x) == (expected, kappa(x)), x
 
 
+    def test_no_generators_form_no_inverse(self, monkeypatch):
+        # every window is minimal in its Iwahori double coset
+        def inverse(w):
+            raise AssertionError("formed an inverse window")
+
+        monkeypatch.setattr(weyl, "_inverse", inverse)
+        rng = random.Random(5)
+        for datum in _KERNEL_DATA:
+            assert weyl._no_descent_in(random_element(rng, datum, spread=3).w, ())
+
+
 class TestWindowKernel:
     @pytest.mark.parametrize(
         "datum,windows",
