@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BadRanks, Budget, BudgetExceeded
 from .linalg import Field, _rref_rows, enumerate_subspaces
 
-_CHUNK = 1 << 17
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -65,28 +65,36 @@ def _square_zero_scan(n, p, chunk=_CHUNK):
     """(((rank, count), ...), tested) over all square-zero symmetric n x n
     matrices, with tested the number of matrices put to the test.
 
-    A^2 = 0 is tested one upper-triangle entry of A^2 at a time, diagonal
-    first, each on the matrices that passed the entries before it; only
-    the survivors are built and ranked."""
-    pos = {}
-    for e, (i, j) in enumerate(zip(*np.triu_indices(n))):
-        pos[i, j] = pos[j, i] = e
-    order = [(i, i) for i in range(n)] + [(i, k) for i in range(n) for k in range(i + 1, n)]
+    Row by row: stage i extends every surviving prefix (rows 0..i-1
+    complete) by the free entries a_ii .. a_i,n-1 of row i, in blocks of at
+    most max(chunk, p^(n-i)) matrices, and tests the entries (A^2)_ji,
+    j <= i, that rows 0..i decide, diagonal first, each on the prefixes
+    still standing.  A failing prefix is dropped with its completions, all
+    counted as tested; only the complete survivors are ranked."""
     hist, tested = {}, 0
-    for entries in _upper_triangles(n, p, chunk):
-        tested += len(entries[0])
-        for i, k in order:
-            sq = sum(entries[pos[i, j]] * entries[pos[j, k]] for j in range(n)) % p
-            if np.ndim(sq) == 0:  # fixed by the high digits alone
-                if sq:
-                    break
+
+    def stage(a, i):
+        nonlocal tested
+        q, completions = p ** (n - i), p ** ((n - i) * (n - i - 1) // 2)
+        row = np.indices((p,) * (n - i), dtype=np.int16).reshape(n - i, q).T
+        step = max(1, chunk // q)
+        for start in range(0, len(a), step):
+            b = np.repeat(a[start : start + step], q, axis=0)
+            b.reshape(-1, q, n, n)[:, :, i, i:] = row
+            b[:, i + 1 :, i] = b[:, i, i + 1 :]
+            formed = len(b)
+            for j in (i, *range(i)):
+                b = b[(b[:, j] * b[:, i]).sum(axis=1) % p == 0]
+            if i + 1 < n:
+                tested += (formed - len(b)) * completions
+                stage(b, i + 1)
                 continue
-            keep = sq == 0
-            entries = [e[keep] if isinstance(e, np.ndarray) else e for e in entries]
-        else:
-            for a in _assemble(n, entries):
-                rk = len(_rref_rows(a.tolist(), p)[1])
+            tested += formed
+            for c in b.tolist():
+                rk = len(_rref_rows(c, p)[1])
                 hist[rk] = hist.get(rk, 0) + 1
+
+    stage(np.zeros((1, n, n), dtype=np.int16), 0)
     return tuple(sorted(hist.items())), tested
 
 

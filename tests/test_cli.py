@@ -35,6 +35,9 @@ _EXACT_SPEND = [
     (["count", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0", "--p", "2"], 105 + 2 * 24**2),
     # the same 105 ideal elements, once more after count has stored them
     (["adm", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0,2"], 105),
+    # 3^15 symmetric matrices scanned, most of them rejected with a prefix of
+    # their rows, then 1 + 121 + 1,210 isotropic subspaces and 3 + 27 matrices
+    (["verify", "matrix", "--n", "5", "--r", "2", "--s", "3", "--p", "3"], 3**15 + 1_332 + 30),
 ]
 
 

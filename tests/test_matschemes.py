@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from locmodel.errors import BadRanks, Budget, BudgetExceeded
+from locmodel.linalg import gaussian_binomial
 from locmodel.matschemes import (
     symplectic_P_points,
     unitary_points_direct,
@@ -11,6 +12,18 @@ from locmodel.matschemes import (
 )
 
 from reference import rref, symmetric_batch
+
+
+# (n, p, histogram) of every square-zero symmetric n x n matrix over F_p,
+# each found by the direct scan and equal to the stratified count
+LARGE = [
+    (5, 2, ((0, 1), (1, 15), (2, 60))),
+    (5, 3, ((0, 1), (1, 80), (2, 720))),
+    (5, 5, ((0, 1), (1, 624), (2, 15600))),
+    (6, 2, ((0, 1), (1, 31), (2, 300), (3, 420))),
+    (6, 3, ((0, 1), (1, 224), (2, 5040))),
+    (7, 2, ((0, 1), (1, 63), (2, 1260), (3, 3780))),
+]
 
 
 class TestUnitary:
@@ -39,6 +52,18 @@ class TestUnitary:
             t = unitary_points_stratified(n, r, s, p)
             assert d.total == t.total
             assert d.by_rank == t.by_rank
+
+    @pytest.mark.parametrize("n,p", [(n, p) for n, p, _ in LARGE])
+    def test_direct_equals_stratified_large(self, n, p):
+        # r = n // 2 bounds no rank of a square-zero matrix; one budget holds
+        # p^m for the direct scan and the stratified count's exact spend
+        r, s, m = n // 2, n - n // 2, n * (n + 1) // 2
+        stratified = sum(gaussian_binomial(n, k, p) + (p ** (k * (k + 1) // 2) if k else 0) for k in range(r + 1))
+        budget = Budget(p**m + stratified)
+        d = unitary_points_direct(n, r, s, p, budget=budget)
+        t = unitary_points_stratified(n, r, s, p, budget=budget)
+        assert d == t
+        assert budget.spent == budget.limit
 
     def test_one_scan_per_size_and_field(self):
         from locmodel.matschemes import _square_zero_ranks
@@ -132,6 +157,12 @@ class TestKernels:
 
         assert _square_zero_ranks(4, 5) == ((0, 1), (1, 144), (2, 1200))
 
+    @pytest.mark.parametrize("n,p,hist", LARGE)
+    def test_frozen_histograms(self, n, p, hist):
+        from locmodel.matschemes import _square_zero_scan
+
+        assert _square_zero_scan(n, p) == (hist, p ** (n * (n + 1) // 2))
+
     @pytest.mark.parametrize(
         "k,p,count", [(3, 3, 468), (3, 5, 12_400), (4, 3, 37_908), (3, 7, 100_548)]
     )
@@ -166,11 +197,12 @@ class TestKernels:
 
         from locmodel.matschemes import _invertible_symmetric_count, _square_zero_scan
 
-        # 3^10 = 59049 matrices; one full int16 batch would take 59049 * 16 * 2 bytes
-        full = 3**10 * 16 * 2
-        for run in (
-            lambda: _square_zero_scan(4, 3, 3**5),
-            lambda: _invertible_symmetric_count(4, 3, chunk=3**5),
+        # each run with the bytes of one int16 batch of all its matrices:
+        # 3^10 = 59049 of 4 x 4, and at the default chunk 7^6 = 117649 of 3 x 3
+        for run, full in (
+            (lambda: _square_zero_scan(4, 3, 3**5), 3**10 * 16 * 2),
+            (lambda: _invertible_symmetric_count(4, 3, chunk=3**5), 3**10 * 16 * 2),
+            (lambda: _invertible_symmetric_count(3, 7), 7**6 * 9 * 2),
         ):
             tracemalloc.start()
             try:
