@@ -4,7 +4,10 @@ independent counting strategies.
 Unitary type: symmetric n x n matrices A over F_p with A^2 = 0 and
 rank(A) <= min(r, s).  The wedge-power conditions are rank bounds at
 field points, and det(T*I - A) = T^n holds identically for square-zero
-A (checked as a property, not per point).
+A (checked as a property, not per point).  The direct scan tests every
+symmetric matrix; the stratified count sums, over the rank k, the totally
+isotropic k-subspaces times the invertible symmetric k x k matrices, the
+latter in closed form.  The two share no code.
 
 Symplectic type: block matrices A = (a b; 0 a^t) of size 2n (n = g*e)
 with a nilpotent, b alternating, and A^e = 0.  Alternating means skew
@@ -14,12 +17,12 @@ symmetric with zero diagonal in every characteristic.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRanks, Budget, BudgetExceeded
+from .errors import BadRanks, Budget
 from .linalg import Field, _rref_rows, enumerate_subspaces
 
 _CHUNK = 1 << 14
@@ -38,27 +41,6 @@ def unitary_points_direct(n, r, s, p, budget=None) -> UnitaryCount:
     (budget or Budget()).spend(p ** (n * (n + 1) // 2), "symmetric matrices scanned")
     hist = {rk: c for rk, c in _square_zero_ranks(n, p) if rk <= min(r, s)}
     return UnitaryCount(sum(hist.values()), tuple(sorted(hist.items())))
-
-
-def _upper_triangles(n, p, chunk):
-    """Yield every symmetric n x n matrix over F_p once, in chunks of at
-    most max(p, chunk), as its upper-triangle entries in np.triu_indices
-    order: the low mixed-radix digits are the rows of one precomputed int16
-    table, the high digits are ints held constant over the chunk."""
-    m, low = n * (n + 1) // 2, 1
-    while low < m and p ** (low + 1) <= chunk:
-        low += 1
-    table = list(np.indices((p,) * low, dtype=np.int16).reshape(low, -1))
-    for high in itertools.product(range(p), repeat=m - low):
-        yield table + list(high)
-
-
-def _assemble(n, entries):
-    """The (N, n, n) symmetric matrices with the given upper triangles."""
-    a = np.empty((len(entries[0]), n, n), dtype=np.int16)
-    for (i, j), e in zip(zip(*np.triu_indices(n)), entries):
-        a[:, i, j] = a[:, j, i] = e
-    return a
 
 
 def _square_zero_scan(n, p, chunk=_CHUNK):
@@ -111,28 +93,12 @@ def _isotropic_subspace_count(n, k, p, budget=None):
     return sum(not any(sum(x * y for x, y in zip(u, v)) % p for u in s.rows for v in s.rows) for s in subs)
 
 
-def _invertible_symmetric_count(k, p, budget=None, chunk=_CHUNK):
-    """Invertible symmetric k x k matrices over F_p, by Gaussian
-    elimination mod p on whole chunks at once; the p^(k(k+1)/2)
-    matrices are spent from the budget (a fresh Budget() if None)."""
-    if k == 0:
-        return 1
-    (budget or Budget()).spend(p ** (k * (k + 1) // 2), "symmetric matrices eliminated")
-    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int16)
-    count = 0
-    for entries in _upper_triangles(k, p, chunk):
-        a = _assemble(k, entries)
-        for c in range(k):
-            a = a[a[:, c:, c].any(axis=1)]  # drop the matrices with no pivot
-            rows = np.arange(len(a))
-            piv = c + a[:, c:, c].argmax(axis=1)
-            top = a[rows, piv]
-            a[rows, piv] = a[:, c]
-            top = top * inverse[top[:, c]][:, None] % p
-            below = a[:, c + 1 :]
-            a[:, c + 1 :] = (below - below[:, :, c : c + 1] * top[:, None, :]) % p
-        count += len(a)
-    return count
+def _invertible_symmetric_count(k, p):
+    """Invertible symmetric k x k matrices over F_p, in closed form
+    (MacWilliams, Orthogonal matrices over finite fields, 1969):
+    p^(k(k+1)/2 - h^2) * prod_{i=1..h} (p^(2i-1) - 1) with h = ceil(k/2)."""
+    h = (k + 1) // 2
+    return p ** (k * (k + 1) // 2 - h * h) * math.prod(p ** (2 * i - 1) - 1 for i in range(1, h + 1))
 
 
 def unitary_points_stratified(n, r, s, p, budget=None) -> UnitaryCount:
@@ -146,8 +112,8 @@ def unitary_points_stratified(n, r, s, p, budget=None) -> UnitaryCount:
     _check_unitary(n, r, s, p)
     budget = budget or Budget()
     hist = {}
-    for k in range(min(r, s) + 1):
-        c = _isotropic_subspace_count(n, k, p, budget) * _invertible_symmetric_count(k, p, budget)
+    for k in range(min(r, s, n) + 1):
+        c = _isotropic_subspace_count(n, k, p, budget) * _invertible_symmetric_count(k, p)
         if c:
             hist[k] = c
     return UnitaryCount(sum(hist.values()), tuple(sorted(hist.items())))
@@ -191,19 +157,21 @@ def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
 
     'direct' scans all (a, b) pairs; 'linear' enumerates a and counts
     the solution space of the linear condition on b, namely
-    sum_{i+j=e-1} a^i b (a^t)^j = 0.  The matrices scanned are spent
-    from ``budget`` (a fresh Budget() if None).
+    sum_{i+j=e-1} a^i b (a^t)^j = 0.  The matrices scanned, p^(n^2) for
+    'linear' and p^(n^2 + n(n-1)/2) for 'direct', are spent from
+    ``budget`` (a fresh Budget() if None) before any is formed; the budget
+    is the only bound on g, e and p.
     """
     n = g * e
     Field(p)
     if g < 1 or e < 1:
         raise BadRanks("need g >= 1 and e >= 1")
-    if n > 2 or p > 3:
-        raise BudgetExceeded("symplectic scan restricted to ge <= 2, p <= 3")
     if strategy not in ("direct", "linear"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    scanned = p ** (n * n + (n * (n - 1) // 2 if strategy == "direct" else 0))
-    (budget or Budget()).spend(scanned, "symplectic matrices scanned")
+    budget = budget or Budget()
+    m = n * n + (n * (n - 1) // 2 if strategy == "direct" else 0)
+    # p^m > limit once m reaches the limit's bit length: form no larger power
+    budget.spend(p ** min(m, budget.limit.bit_length()), "symplectic matrices scanned")
     nilpotents = _nilpotent_matrices(n, p, e)
     basis = _alternating_basis(n)
 

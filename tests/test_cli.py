@@ -36,8 +36,10 @@ _EXACT_SPEND = [
     # the same 105 ideal elements, once more after count has stored them
     (["adm", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0,2"], 105),
     # 3^15 symmetric matrices scanned, most of them rejected with a prefix of
-    # their rows, then 1 + 121 + 1,210 isotropic subspaces and 3 + 27 matrices
-    (["verify", "matrix", "--n", "5", "--r", "2", "--s", "3", "--p", "3"], 3**15 + 1_332 + 30),
+    # their rows, then 1 + 121 + 1,210 isotropic subspaces
+    (["verify", "matrix", "--n", "5", "--r", "2", "--s", "3", "--p", "3"], 3**15 + 1_332),
+    # 5^(4 + 1) pairs (a, b) scanned directly, 5^4 matrices a solved for b
+    (["verify", "matrix", "--g", "1", "--e", "2", "--p", "5"], 5**5 + 5**4),
 ]
 
 
@@ -152,14 +154,14 @@ class TestExitCodes:
         adm = ["adm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"]
         assert run(adm + ["--budget", "3"])[0] == 0
         assert run(adm + ["--budget", "2"])[0] == 3
-        # verify matrix: the 5^10 scan, 1 + 156 + 806 isotropic subspaces
-        # and 5 + 5^3 symmetric matrices, within the default 10^7
+        # verify matrix: the 5^10 scan and 1 + 156 + 806 isotropic
+        # subspaces, within the default 10^7
         budget = Budget()
         report = cli.run_verify_matrix({"n": "4", "r": "2", "s": "2", "p": "5"}, budget)
-        assert report["pass"] and budget.spent == 9_766_718 <= budget.limit
+        assert report["pass"] and budget.spent == 9_766_588 <= budget.limit
         matrix = ["verify", "matrix", "--n", "4", "--r", "2", "--s", "2", "--p", "5"]
-        assert run(matrix + ["--budget", "9766718"])[0] == 0
-        assert run(matrix + ["--budget", "9766717"])[0] == 3
+        assert run(matrix + ["--budget", "9766588"])[0] == 0
+        assert run(matrix + ["--budget", "9766587"])[0] == 3
 
     @pytest.mark.parametrize("argv,spent", _EXACT_SPEND, ids=lambda v: v[0] if isinstance(v, list) else str(v))
     def test_exact_spend(self, argv, spent):
@@ -344,6 +346,16 @@ class TestReports:
         )
         assert code == 0
         assert json.loads(out)["totals"] == {"predicted": 9, "observed": 9}
+
+    def test_verify_matrix_rank_bounds_above_n(self):
+        # no isotropic line in F_3^2, so only the zero matrix; the stratified
+        # count stops at k = n = 2 instead of asking for 3-dim subspaces
+        code, out = run(
+            ["verify", "matrix", "--n", "2", "--r", "3", "--s", "3", "--p", "3",
+             "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(out)["totals"] == {"predicted": 1, "observed": 1}
 
     def test_count_matches_adm_total(self):
         code, out = run(

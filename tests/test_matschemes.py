@@ -56,14 +56,21 @@ class TestUnitary:
     @pytest.mark.parametrize("n,p", [(n, p) for n, p, _ in LARGE])
     def test_direct_equals_stratified_large(self, n, p):
         # r = n // 2 bounds no rank of a square-zero matrix; one budget holds
-        # p^m for the direct scan and the stratified count's exact spend
+        # p^m for the direct scan and the stratified count's subspaces
         r, s, m = n // 2, n - n // 2, n * (n + 1) // 2
-        stratified = sum(gaussian_binomial(n, k, p) + (p ** (k * (k + 1) // 2) if k else 0) for k in range(r + 1))
+        stratified = sum(gaussian_binomial(n, k, p) for k in range(r + 1))
         budget = Budget(p**m + stratified)
         d = unitary_points_direct(n, r, s, p, budget=budget)
         t = unitary_points_stratified(n, r, s, p, budget=budget)
         assert d == t
         assert budget.spent == budget.limit
+
+    @pytest.mark.parametrize("n,p", [(1, 2), (1, 5), (2, 3), (2, 5), (3, 2)])
+    def test_rank_bounds_above_n(self, n, p):
+        # min(r, s) > n bounds nothing, and the stratified count stops at k = n
+        d = unitary_points_direct(n, n + 2, n + 1, p)
+        assert d == unitary_points_stratified(n, n + 2, n + 1, p)
+        assert d == unitary_points_direct(n, n, n, p)
 
     def test_one_scan_per_size_and_field(self):
         from locmodel.matschemes import _square_zero_ranks
@@ -144,13 +151,11 @@ class TestKernels:
         for chunk in (p ** (n * (n + 1) // 2) // 100, 1 << 17):
             assert _square_zero_scan(n, p, chunk)[0] == want
 
-    @pytest.mark.parametrize("k,p", SMALL)
+    @pytest.mark.parametrize("k,p", SMALL + [(5, 2), (2, 11), (2, 13)])
     def test_invertible_matches_oracle(self, k, p):
         from locmodel.matschemes import _invertible_symmetric_count
 
-        want = oracle_invertible_symmetric_count(k, p)
-        for chunk in (p ** (k * (k + 1) // 2) // 100, 1 << 17):
-            assert _invertible_symmetric_count(k, p, chunk=chunk) == want
+        assert _invertible_symmetric_count(k, p) == oracle_invertible_symmetric_count(k, p)
 
     def test_frozen_histogram_n4_p5(self):
         from locmodel.matschemes import _square_zero_ranks
@@ -180,37 +185,35 @@ class TestKernels:
         assert _square_zero_scan(n, p, chunk)[1] == p ** (n * (n + 1) // 2)
 
     def test_scan_is_independent_of_the_stratified_count(self):
-        # the scan reaches none of the stratified count's helpers
+        # neither count reaches the other's helpers
         from locmodel import matschemes
+
+        def names(fn):
+            out = set(fn.__code__.co_names)
+            for const in fn.__code__.co_consts:
+                if hasattr(const, "co_names"):
+                    out |= set(const.co_names)
+            return out
 
         stratified = {"_isotropic_subspace_count", "_invertible_symmetric_count",
                       "enumerate_subspaces", "gaussian_binomial", "unitary_points_stratified"}
-        for fn in (matschemes._square_zero_scan, matschemes._upper_triangles, matschemes._assemble):
-            names = set(fn.__code__.co_names)
-            for const in fn.__code__.co_consts:
-                if hasattr(const, "co_names"):
-                    names |= set(const.co_names)
-            assert not names & stratified
+        assert not names(matschemes._square_zero_scan) & stratified
+        for fn in (matschemes.unitary_points_stratified, matschemes._invertible_symmetric_count):
+            assert not {name for name in names(fn) if name.startswith("_square_zero")}
 
     def test_memory_bounded_by_chunk(self):
         import tracemalloc
 
-        from locmodel.matschemes import _invertible_symmetric_count, _square_zero_scan
+        from locmodel.matschemes import _square_zero_scan
 
-        # each run with the bytes of one int16 batch of all its matrices:
-        # 3^10 = 59049 of 4 x 4, and at the default chunk 7^6 = 117649 of 3 x 3
-        for run, full in (
-            (lambda: _square_zero_scan(4, 3, 3**5), 3**10 * 16 * 2),
-            (lambda: _invertible_symmetric_count(4, 3, chunk=3**5), 3**10 * 16 * 2),
-            (lambda: _invertible_symmetric_count(3, 7), 7**6 * 9 * 2),
-        ):
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < full // 8
+        # against the bytes of one int16 batch of all 3^10 = 59049 4 x 4 matrices
+        tracemalloc.start()
+        try:
+            _square_zero_scan(4, 3, 3**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3**10 * 16 * 2 // 8
 
     def test_budget_threads_into_both_counts(self):
         assert unitary_points_direct(3, 1, 1, 3, budget=Budget(3**6)).total == 9
@@ -220,8 +223,10 @@ class TestKernels:
         unitary_points_direct(2, 1, 1, 5)
         with pytest.raises(BudgetExceeded):
             unitary_points_direct(2, 1, 1, 5, budget=Budget(5**3 - 1))
+        # the stratified count spends its 1 + 57 + 57 + 1 subspaces of F_7^3
         with pytest.raises(BudgetExceeded):
-            unitary_points_stratified(3, 3, 3, 7, budget=Budget(1000))
+            unitary_points_stratified(3, 3, 3, 7, budget=Budget(115))
+        assert unitary_points_stratified(3, 3, 3, 7, budget=Budget(116)).total == 49
         with pytest.raises(BudgetExceeded):
             symplectic_P_points(1, 2, 3, "direct", budget=Budget(3**5 - 1))
         assert symplectic_P_points(1, 2, 3, "direct", budget=Budget(3**5)) == 27
@@ -244,11 +249,24 @@ class TestSymplectic:
                 g, e, p, "linear"
             )
 
-    def test_budget(self):
+    @pytest.mark.parametrize("g,e,p,expected", [(1, 2, 5, 125), (1, 3, 2, 512), (1, 3, 3, 19_683), (2, 2, 2, 5_104)])
+    def test_strategies_agree_on_larger_cases(self, g, e, p, expected):
+        assert symplectic_P_points(g, e, p, "direct") == expected
+        assert symplectic_P_points(g, e, p, "linear") == expected
+
+    @pytest.mark.parametrize("g,e,p", [(1, 2, 5), (1, 3, 2)])
+    def test_budget(self, g, e, p):
+        # the direct scan spends p^(n^2 + n(n-1)/2), n = ge, before any work
+        n = g * e
+        scanned = p ** (n * n + n * (n - 1) // 2)
         with pytest.raises(BudgetExceeded):
-            symplectic_P_points(2, 2, 2)
+            symplectic_P_points(g, e, p, "direct", budget=Budget(scanned - 1))
+        assert symplectic_P_points(g, e, p, "direct", budget=Budget(scanned)) > 0
+
+    def test_budget_refuses_a_huge_scan_at_once(self):
+        # p^m for m = (10^4)^2 + ... is never formed
         with pytest.raises(BudgetExceeded):
-            symplectic_P_points(1, 2, 5)
+            symplectic_P_points(100, 100, 2)
 
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
