@@ -148,8 +148,13 @@ class ChainModel:
         return plan
 
     @cached_property
-    def level_memo(self):
-        """The options of _level_options, keyed on (F^{j+1}, j)."""
+    def memo(self):
+        """Results that depend only on the model and one slot subspace,
+        computed once per model and freed with it (as are the images that
+        its maps memoise):
+          ("level", F^{j+1}, j) -> the options of _level_options,
+          ("perp", t, F)        -> _annihilator(self, t, F),
+          ("signature", t, F_t) -> the entries of signature for slot t."""
         return {}
 
     @cached_property
@@ -399,31 +404,44 @@ def _level_options(model: ChainModel, upper, j, budget):
     N(upper) and upper with dim N(F^j) <= level_rank(j-1), so N(F^1) = 0
     at the bottom (level_rank(0) = 0).  They depend on no slot, so they
     are memoised per model on (upper, j)."""
-    opts = model.level_memo.get((upper, j))
+    key = ("level", upper, j)
+    opts = model.memo.get(key)
     if opts is None:
         lower = linalg.image(model.N, upper)
-        opts = [
+        opts = model.memo[key] = [
             (cand,)
             for cand in linalg.subspaces_between(lower, upper, model.level_rank(j), budget=budget)
             if linalg.image(model.N, cand).dim <= model.level_rank(j - 1)
         ]
-        model.level_memo[(upper, j)] = opts
     return opts
+
+
+def _annihilator(model: ChainModel, t, sub):
+    """The annihilator in M_{-t} of sub <= M_t under the pairing of the
+    slots t and -t: perp under gram[t] for t >= 0, under gram[-t]^T for
+    t < 0 (at t = 0 the pairing is alternating, so both agree).
+    Memoised per model on (t, sub)."""
+    key = ("perp", t, sub)
+    ann = model.memo.get(key)
+    if ann is None:
+        gram = model.gram[t] if t >= 0 else model.level_maps[1][-t]
+        ann = model.memo[key] = linalg.perp(sub, gram)
+    return ann
 
 
 def _level_ok(model: ChainModel, j, level):
     """The GSp conditions on level j < e: F_i and F_{-i} are mutually
     isotropic, and N^(e-j) maps the annihilator of each into the other.
     _chains has checked the chain conditions."""
-    powers, transposed = model.level_maps
+    power = model.level_maps[0][j]
     for i in model.I:
         a, b = level[i], level[-i]
-        # perp(a, g) lives in the negative slot and contains b iff a and b
-        # are mutually isotropic; perp(b, g^T) lives in the positive slot
-        ann = linalg.perp(a, model.gram[i])
-        if not (b.leq(ann) and linalg.image(powers[j], ann).leq(b)):
+        # the annihilator of a lives in the negative slot and contains b
+        # iff a and b are mutually isotropic
+        ann = _annihilator(model, i, a)
+        if not (b.leq(ann) and linalg.image(power, ann).leq(b)):
             return False
-        if not linalg.image(powers[j], linalg.perp(b, transposed[i])).leq(a):
+        if not linalg.image(power, _annihilator(model, -i, b)).leq(a):
             return False
     return True
 
@@ -435,32 +453,31 @@ def _flag_search(model: ChainModel, top: ChainPoint, budget):
     _level_options that meet the transition and wrap conditions (and for
     GSp _level_ok).  Yields dicts {slot: (F^1 .. F^e)}.
     """
+    stack = {t: [top.subspaces[t]] for t in model.slots}
+    return _descend(model, model.T + [model.T_wrap], stack, model.e - 1, budget)
+
+
+def _descend(model, maps, stack, j, budget):
+    # stack maps slot -> list of levels already chosen, top first; not a
+    # nested closure: that would be a cycle holding the model until gc
     slots = model.slots
-    labels = [(t,) for t in slots]
-    maps = model.T + [model.T_wrap]
-
-    def descend(j, stack):
-        # stack maps slot -> list of levels already chosen, top first
-        if j == 0:
-            yield {t: tuple(reversed(stack[t])) for t in slots}
+    if j == 0:
+        yield {t: tuple(reversed(stack[t])) for t in slots}
+        return
+    choices = []
+    for t in slots:
+        opts = _level_options(model, stack[t][-1], j, budget)
+        if not opts:
             return
-        choices = []
+        choices.append(opts)
+    for level in _chains(maps, slots, [(t,) for t in slots], choices, budget):
+        if model.kind == "GSp" and not _level_ok(model, j, level):
+            continue
         for t in slots:
-            opts = _level_options(model, stack[t][-1], j, budget)
-            if not opts:
-                return
-            choices.append(opts)
-        for level in _chains(maps, slots, labels, choices, budget):
-            if model.kind == "GSp" and not _level_ok(model, j, level):
-                continue
-            for t in slots:
-                stack[t].append(level[t])
-            yield from descend(j - 1, stack)
-            for t in slots:
-                stack[t].pop()
-
-    stack = {t: [top.subspaces[t]] for t in slots}
-    yield from descend(model.e - 1, stack)
+            stack[t].append(level[t])
+        yield from _descend(model, maps, stack, j - 1, budget)
+        for t in slots:
+            stack[t].pop()
 
 
 def has_splitting_flag(pt: ChainPoint, budget=None) -> bool:
@@ -619,18 +636,26 @@ def signature(pt: ChainPoint):
     coordinates inside Pi^n Lambda_{t'}, and F_t, whose column (m, j) is
     the coordinate pi^(a_m + j) of symbol m, keeps dim F_t minus the rank
     of its basis on the columns outside (ChainModel.signature_plan).
+    The entries of slot t depend only on (t, F_t) and are memoised per
+    model.
     """
     model = pt.model
     out = []
     for t, plan in zip(model.slots, model.signature_plan):
-        rows = pt.subspaces[t].rows
-        ranks = {(): 0, tuple(range(model.dim)): len(rows)}
-        for cols, offset in plan:
-            r = ranks.get(cols)
-            if r is None:
-                sliced = [[row[c] for c in cols] for row in rows]
-                r = ranks[cols] = len(linalg._rref_rows(sliced, model.field.p)[1])
-            out.append(len(rows) + offset - r)
+        key = ("signature", t, pt.subspaces[t])
+        part = model.memo.get(key)
+        if part is None:
+            rows = pt.subspaces[t].rows
+            ranks = {(): 0, tuple(range(model.dim)): len(rows)}
+            part = []
+            for cols, offset in plan:
+                r = ranks.get(cols)
+                if r is None:
+                    sliced = [[row[c] for c in cols] for row in rows]
+                    r = ranks[cols] = len(linalg._rref_rows(sliced, model.field.p)[1])
+                part.append(len(rows) + offset - r)
+            model.memo[key] = part
+        out += part
     return tuple(out)
 
 

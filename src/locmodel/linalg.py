@@ -6,7 +6,9 @@ vectors.  A subspace is stored as its reduced row echelon form (RREF):
 the nonzero rows as tuples of Python ints, and their pivot columns.
 Equality and hashing are structural, containment reduces each row by
 the other space's pivot rows, and images are summed over the nonzero
-coordinates, all on Python ints.  ``enumerate_subspaces`` streams every
+coordinates, all on Python ints.  A matrix memoises the images it has
+computed, so a map built with a model (and dropped with it) computes
+each subspace's image once.  ``enumerate_subspaces`` streams every
 k-dimensional subspace of F_p^n exactly once, ordered lexicographically
 by pivot-column set and then by free entries; ``stable_subspaces``
 generates the subspaces stable under a nilpotent operator and returns
@@ -49,7 +51,7 @@ class Field:
 class FieldMatrix:
     """A dense matrix over F_p.  Immutable by convention."""
 
-    __slots__ = ("field", "array", "_columns")
+    __slots__ = ("field", "array", "_columns", "_images", "_distinct_images")
 
     def __init__(self, field: Field, entries):
         self.field = field
@@ -59,6 +61,9 @@ class FieldMatrix:
         a.setflags(write=False)
         self.array = a
         self._columns = None
+        # image's memo: subspace key -> its image, and each distinct image
+        # once under its own key, so that equal images share one object
+        self._images, self._distinct_images = {}, {}
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
@@ -234,7 +239,12 @@ class Subspace:
 
 def image(f: FieldMatrix, a: Subspace) -> Subspace:
     """Image {f(v) : v in a}, with vectors acted on as columns: each f(v)
-    is summed from the columns of f at the nonzero coordinates of v."""
+    is summed from the columns of f at the nonzero coordinates of v.
+    Memoised on f, so it lives and dies with the map; equal images are
+    one object."""
+    img = f._images.get(a._key)
+    if img is not None:
+        return img
     if f.cols != a.ambient_dim:
         raise DimensionMismatch("map domain does not match ambient")
     columns, m, out = f.columns, f.rows, []
@@ -245,7 +255,9 @@ def image(f: FieldMatrix, a: Subspace) -> Subspace:
                 for r, y in columns[c]:
                     w[r] += x * y
         out.append(w)
-    return Subspace.from_rows(a.field, m, out)
+    img = Subspace.from_rows(a.field, m, out)
+    img = f._images[a._key] = f._distinct_images.setdefault(img._key, img)
+    return img
 
 
 def preimage(f: FieldMatrix, b: Subspace) -> Subspace:

@@ -38,7 +38,10 @@ def unitary_points_direct(n, r, s, p, budget=None) -> UnitaryCount:
     """Direct scan over all symmetric matrices; their number p^m is spent
     from ``budget`` (a fresh Budget() if None), memoised scan or not."""
     _check_unitary(n, r, s, p)
-    (budget or Budget()).spend(p ** (n * (n + 1) // 2), "symmetric matrices scanned")
+    budget = budget or Budget()
+    # p^m > limit once m reaches the limit's bit length: form no larger power
+    m = min(n * (n + 1) // 2, budget.limit.bit_length())
+    budget.spend(p**m, "symmetric matrices scanned")
     hist = {rk: c for rk, c in _square_zero_ranks(n, p) if rk <= min(r, s)}
     return UnitaryCount(sum(hist.values()), tuple(sorted(hist.items())))
 

@@ -2,18 +2,21 @@
 manifest handling, determinism."""
 
 import ast
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locmodel import admissible, cli
+from locmodel import admissible, cli, latmod
 from locmodel.cli import main, parse_manifest
 from locmodel.errors import Budget, ManifestParseError
 
@@ -135,6 +138,15 @@ class TestExitCodes:
         assert run(["verify", "matrix", "--g", "1", "--e", "2", "--p", "3", "--budget", "10"])[0] == 3
         assert run(["verify", "matrix", "--n", "2", "--r", "1", "--s", "1", "--p", "5",
                     "--budget", "1000"])[0] == 0
+
+    def test_huge_matrix_scan_exceeds_the_budget_at_once(self, capsys):
+        # p^(n(n+1)/2) has millions of digits: the spend is capped, so the
+        # case neither forms that power nor fails to format it
+        start = time.monotonic()
+        code, out = run(["verify", "matrix", "--n", "5000", "--r", "1", "--s", "1", "--p", "3"])
+        assert code == 3 and out == ""
+        assert time.monotonic() - start < 1
+        assert capsys.readouterr().err.startswith("budget exceeded:")
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_budget_is_usage_error(self, value, monkeypatch, capsys):
@@ -498,6 +510,37 @@ class TestEmittedBytes:
     def test_writer_rejects_other_values(self, value):
         with pytest.raises(TypeError):
             cli._to_json(value)
+
+
+class TestModelLifetime:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "strata", "--group", "gl", "--d", "3", "--e", "2", "--I", "0,1,2", "--p", "2", "--r", "1,1"],
+            ["verify", "symplectic", "--g", "1", "--e", "2", "--I", "0,1", "--p", "3"],
+        ],
+        ids=["gl-strata", "gsp-symplectic"],
+    )
+    def test_case_frees_its_model(self, argv, monkeypatch):
+        # the model, its memo and its maps' images are freed by reference
+        # counting when the case returns, not at a later cyclic collection
+        refs = []
+        build = latmod.build_model
+
+        def traced(*args):
+            model = build(*args)
+            refs.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(latmod, "build_model", traced)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert run(argv)[0] == 0
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestSymplecticLevels:

@@ -555,11 +555,33 @@ class TestSplitting:
 
     def test_level_memo_is_per_model(self):
         m = gl2_model(2)
-        assert m.level_memo == {}
+        assert m.memo == {}
         total = sum(1 for _ in splitting_points(m))
-        assert m.level_memo and gl2_model(2).level_memo == {}
+        assert m.memo and gl2_model(2).memo == {}
         # a second pass reads the memo and finds the same flags
         assert sum(1 for _ in splitting_points(m)) == total == 9
+        # classifying memoises one signature part per (slot, subspace)
+        assert not any(key[0] == "signature" for key in m.memo)
+        s = adm_set(ParahoricSpec(GL2, frozenset({0})), Coweight(GL2, (2, 0)))
+        pts = list(canonical_points(m))
+        assert classify_strata(pts, s, m).passed
+        parts = {key[1:] for key in m.memo if key[0] == "signature"}
+        assert {(0, pt.subspaces[0]) for pt in pts} <= parts
+        assert all(signature(pt) == meet_signature(pt) for pt in pts)
+
+    @pytest.mark.parametrize("I,p", [({0, 1}, 3), ({0}, 5), ({1}, 5)], ids=str)
+    def test_memoised_annihilators_equal_fresh_perp(self, I, p):
+        # every annihilator the flag search memoised equals perp under a
+        # freshly built pairing of the slots t and -t
+        m = build_model("GSp", 1, 2, I, p)
+        assert sum(1 for _ in splitting_points(m)) > 0
+        anns = {key[1:]: ann for key, ann in m.memo.items() if key[0] == "perp"}
+        assert anns and {t for t, _ in anns} == set(m.slots)
+        for (t, sub), ann in anns.items():
+            gram = m.gram[abs(t)].array
+            fresh = FieldMatrix(m.field, gram.T.copy() if t < 0 else gram.copy())
+            assert linalg.perp(sub, fresh) == ann
+            assert latmod._annihilator(m, t, sub) is ann
 
 
 class TestUnramified:
@@ -755,6 +777,9 @@ class TestSignatures:
         assert pts
         for pt in pts:
             assert signature(pt) == meet_signature(pt)
+        # points share slot subspaces, so some parts came from the memo
+        parts = sum(1 for key in model.memo if key[0] == "signature")
+        assert parts < len(pts) * len(model.slots) or len(model.slots) == 1
 
     @pytest.mark.parametrize(
         "kind,size,e,I,p,r_vec,naive",

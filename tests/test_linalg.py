@@ -361,6 +361,31 @@ class TestLatticeOps:
 
 
 class TestMaps:
+    @given(st.integers(0, 10**9), st.sampled_from([2, 3, 5]), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_image_and_perp_equal_fresh(self, seed, p, n):
+        # a second call returns the first result (image from the map's
+        # memo, where equal images are one object); both equal the result
+        # on an equal matrix built anew, whose memo is empty
+        rng = np.random.default_rng(seed)
+        field = Field(p)
+        f = FieldMatrix(field, random_matrix(rng, p, n, n))
+        while True:
+            gram = FieldMatrix(field, random_matrix(rng, p, n, n))
+            if rank(gram) == n:
+                break
+        subs = [Subspace.from_rows(field, n, random_matrix(rng, p, rng.integers(0, n + 1), n)) for _ in range(3)]
+        seen = {}
+        for a in subs + subs:
+            first, ann = image(f, a), perp(a, gram)
+            assert image(f, a) is first and perp(a, gram) == ann
+            assert seen.setdefault(first, first) is first
+            fresh, fresh_gram = FieldMatrix(field, f.array.copy()), FieldMatrix(field, gram.array.copy())
+            assert fresh._images == {}
+            assert image(fresh, a) == first and perp(a, fresh_gram) == ann
+        with pytest.raises(DimensionMismatch):
+            image(f, Subspace.full(field, n + 1))
+
     def test_image_of_zero_map(self):
         f = FieldMatrix.zero(F2, 4, 4)
         a = Subspace.from_rows(F2, 4, [[1, 1, 0, 0], [0, 0, 1, 0]])
