@@ -159,9 +159,9 @@ class ChainModel:
 
     @cached_property
     def level_maps(self):
-        """_level_ok's maps: N^(e-j) for each level j, and each pairing's transpose."""
+        """_level_ok's maps: N^(e-j) for each level j."""
         powers = [FieldMatrix(self.field, np.linalg.matrix_power(self.N.array, k)) for k in range(self.e + 1)]
-        return powers[::-1], {i: g.transpose() for i, g in self.gram.items()}
+        return powers[::-1]
 
     def _pi_matrix(self):
         a = np.zeros((self.dim, self.dim), dtype=np.int64)
@@ -209,7 +209,8 @@ class ChainModel:
     def _check_invariants(self):
         """Raise ChainInvariantError unless N^e = 0, the maps commute with
         N and compose to N, and N is adjoint for each pairing, which is
-        alternating at slot 0."""
+        alternating in the slot coordinates (the exponents of the slots i
+        and -i of a dual pair sum to 1 - e in either order)."""
         def require(ok, what):
             if not ok:
                 raise ChainInvariantError(f"{self!r}: {what}")
@@ -226,7 +227,7 @@ class ChainModel:
             require(self.N.transpose() @ g == g @ self.N, f"N is not adjoint for the pairing at {i}")
             a = g.array
             alternating = np.array_equal(a.T, -a % self.field.p) and not a.diagonal().any()
-            require(i != 0 or alternating, "the pairing at 0 is not alternating")
+            require(alternating, f"the pairing at {i} is not alternating")
 
     def __repr__(self):
         return (
@@ -418,14 +419,13 @@ def _level_options(model: ChainModel, upper, j, budget):
 
 def _annihilator(model: ChainModel, t, sub):
     """The annihilator in M_{-t} of sub <= M_t under the pairing of the
-    slots t and -t: perp under gram[t] for t >= 0, under gram[-t]^T for
-    t < 0 (at t = 0 the pairing is alternating, so both agree).
+    slots t and -t: perp under gram[|t|], which is alternating (a checked
+    invariant), so it equals perp under the transpose gram[-t]^T for t < 0.
     Memoised per model on (t, sub)."""
     key = ("perp", t, sub)
     ann = model.memo.get(key)
     if ann is None:
-        gram = model.gram[t] if t >= 0 else model.level_maps[1][-t]
-        ann = model.memo[key] = linalg.perp(sub, gram)
+        ann = model.memo[key] = linalg.perp(sub, model.gram[abs(t)])
     return ann
 
 
@@ -433,7 +433,7 @@ def _level_ok(model: ChainModel, j, level):
     """The GSp conditions on level j < e: F_i and F_{-i} are mutually
     isotropic, and N^(e-j) maps the annihilator of each into the other.
     _chains has checked the chain conditions."""
-    power = model.level_maps[0][j]
+    power = model.level_maps[j]
     for i in model.I:
         a, b = level[i], level[-i]
         # the annihilator of a lives in the negative slot and contains b

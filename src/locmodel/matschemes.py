@@ -11,7 +11,13 @@ latter in closed form.  The two share no code.
 
 Symplectic type: block matrices A = (a b; 0 a^t) of size 2n (n = g*e)
 with a nilpotent, b alternating, and A^e = 0.  Alternating means skew
-symmetric with zero diagonal in every characteristic.
+symmetric with zero diagonal in every characteristic.  The direct
+strategy tests every pair (a, b); the linear one ranks, for each a, the
+linear condition on b.
+
+The direct scan's survivors and the linear solve are ranked blockwise by
+one batched elimination, ``_batched_ranks``; neither the stratified count
+nor the direct symplectic strategy uses it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRanks, Budget
-from .linalg import Field, _rref_rows, enumerate_subspaces
+from .linalg import Field, enumerate_subspaces
 
 _CHUNK = 1 << 14
 
@@ -55,7 +61,8 @@ def _square_zero_scan(n, p, chunk=_CHUNK):
     most max(chunk, p^(n-i)) matrices, and tests the entries (A^2)_ji,
     j <= i, that rows 0..i decide, diagonal first, each on the prefixes
     still standing.  A failing prefix is dropped with its completions, all
-    counted as tested; only the complete survivors are ranked."""
+    counted as tested; the complete survivors of each block are ranked in
+    one call of _batched_ranks."""
     hist, tested = {}, 0
 
     def stage(a, i):
@@ -75,12 +82,40 @@ def _square_zero_scan(n, p, chunk=_CHUNK):
                 stage(b, i + 1)
                 continue
             tested += formed
-            for c in b.tolist():
-                rk = len(_rref_rows(c, p)[1])
-                hist[rk] = hist.get(rk, 0) + 1
+            for rk, c in zip(*np.unique(_batched_ranks(b, p), return_counts=True)):
+                hist[int(rk)] = hist.get(int(rk), 0) + int(c)
 
     stage(np.zeros((1, n, n), dtype=np.int16), 0)
     return tuple(sorted(hist.items())), tested
+
+
+def _batched_ranks(a, p):
+    """The rank over F_p of every matrix of an (N, r, c) int array with
+    entries in 0..p-1, as an int array of length N; ``a`` is eliminated in
+    place.  Column by column, each matrix keeps its own next pivot row:
+    the first row at or below it with a nonzero entry is swapped in,
+    scaled to a leading 1 and cleared from the rows below.  Every product
+    is below p^2 <= 169, so an int16 block stays int16."""
+    count, r, c = a.shape
+    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=a.dtype)
+    top = np.zeros(count, dtype=np.intp)
+    below = np.arange(r)
+    for col in range(c):
+        can = (a[:, :, col] != 0) & (below >= top[:, None])
+        live = np.flatnonzero(can.any(axis=1))
+        if not len(live):
+            continue
+        t, found, at = top[live], can[live].argmax(axis=1), np.arange(len(live))
+        rows = a[live]
+        pivot = rows[at, found]
+        rows[at, found] = rows[at, t]
+        pivot = pivot * inverse[pivot[:, col]][:, None] % p
+        rows[at, t] = pivot
+        rows -= (rows[:, :, col] * (below > t[:, None]))[:, :, None] * pivot[:, None, :]
+        rows %= p
+        a[live] = rows
+        top[live] += 1
+    return top
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,18 +175,41 @@ def _alternating_basis(n):
     return out
 
 
-def _nilpotent_matrices(n, p, e):
-    """All a with charpoly T^n (equivalently a^n = 0) and a^e = 0."""
-    powers = p ** np.arange(n * n, dtype=np.int64)
-    out = []
-    for flat in range(p ** (n * n)):
-        a = ((flat // powers) % p).reshape(n, n)
-        power = np.eye(n, dtype=np.int64)
-        for _ in range(min(n, e)):
+def _nilpotent_matrices(n, p, e, chunk):
+    """All a with charpoly T^n (equivalently a^n = 0) and a^e = 0, in
+    flat-index order (entry d is digit d of the index in base p), as int16
+    (k, n, n) blocks formed at most ``chunk`` at a time."""
+    total = p ** (n * n)
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        a = np.empty((len(flat), n * n), dtype=np.int16)
+        for d in range(n * n):
+            a[:, d] = flat % p
+            flat //= p
+        a = a.reshape(-1, n, n)
+        power = a
+        for _ in range(min(n, e) - 1):
             power = power @ a % p
-        if not power.any():
-            out.append(a)
-    return out
+        yield a[~power.any(axis=(1, 2))]
+
+
+def _linear_ranks(a, e, p):
+    """For each a of an int16 (k, n, n) block, the rank of the linear map
+    b -> sum_{i+j=e-1} a^i b (a^t)^j on the alternating matrices: that of
+    the n^2 x m matrix whose column (u, v), u < v, is the image of
+    E_uv - E_vu, sum_i a^i[:, u] a^j[:, v]^t - a^i[:, v] a^j[:, u]^t."""
+    k, n = len(a), a.shape[1]
+    u, v = np.triu_indices(n, 1)
+    powers = [np.broadcast_to(np.eye(n, dtype=a.dtype), a.shape)]
+    for _ in range(e - 1):
+        powers.append(powers[-1] @ a % p)
+    cond = np.zeros((k, n, n, len(u)), dtype=a.dtype)
+    for i in range(e):
+        left, right = powers[i], powers[e - 1 - i]
+        cond += left[:, :, None, u] * right[:, None, :, v]
+        cond -= left[:, :, None, v] * right[:, None, :, u]
+        cond %= p
+    return _batched_ranks(cond.reshape(k, n * n, len(u)), p)
 
 
 def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
@@ -160,10 +218,10 @@ def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
 
     'direct' scans all (a, b) pairs; 'linear' enumerates a and counts
     the solution space of the linear condition on b, namely
-    sum_{i+j=e-1} a^i b (a^t)^j = 0.  The matrices scanned, p^(n^2) for
-    'linear' and p^(n^2 + n(n-1)/2) for 'direct', are spent from
-    ``budget`` (a fresh Budget() if None) before any is formed; the budget
-    is the only bound on g, e and p.
+    sum_{i+j=e-1} a^i b (a^t)^j = 0, ranking a block of a at a time.  The
+    matrices scanned, p^(n^2) for 'linear' and p^(n^2 + n(n-1)/2) for
+    'direct', are spent from ``budget`` (a fresh Budget() if None) before
+    any is formed; the budget is the only bound on g, e and p.
     """
     n = g * e
     Field(p)
@@ -175,7 +233,14 @@ def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
     m = n * n + (n * (n - 1) // 2 if strategy == "direct" else 0)
     # p^m > limit once m reaches the limit's bit length: form no larger power
     budget.spend(p ** min(m, budget.limit.bit_length()), "symplectic matrices scanned")
-    nilpotents = _nilpotent_matrices(n, p, e)
+    blocks = _nilpotent_matrices(n, p, e, _CHUNK)
+    if strategy == "linear":
+        # each a admits p^(m - rank) alternating b, m = n(n-1)/2
+        total = 0
+        for block in blocks:
+            for rk, c in zip(*np.unique(_linear_ranks(block, e, p), return_counts=True)):
+                total += int(c) * p ** (n * (n - 1) // 2 - int(rk))
+        return total
     basis = _alternating_basis(n)
 
     def block_condition(a, b):
@@ -188,10 +253,10 @@ def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
         return acc % p
 
     total = 0
-    if strategy == "direct":
-        m = len(basis)
-        powers = p ** np.arange(m, dtype=np.int64) if m else np.zeros(0, dtype=np.int64)
-        for a in nilpotents:
+    m = len(basis)
+    powers = p ** np.arange(m, dtype=np.int64) if m else np.zeros(0, dtype=np.int64)
+    for block in blocks:
+        for a in block.astype(np.int64):
             for flat in range(p**m):
                 digits = (flat // powers) % p if m else ()
                 b = np.zeros((n, n), dtype=np.int64)
@@ -199,13 +264,4 @@ def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
                     b = b + int(d) * bb
                 if not (block_condition(a, b % p)).any():
                     total += 1
-        return total
-    for a in nilpotents:
-        if not basis:
-            total += 1
-            continue
-        cols = [block_condition(a, bb).reshape(-1) % p for bb in basis]
-        mat = np.stack(cols, axis=1)
-        pivots = _rref_rows(mat.tolist(), p)[1]
-        total += p ** (len(basis) - len(pivots))
     return total

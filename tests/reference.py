@@ -32,7 +32,8 @@ computes another way, kept as an oracle for it:
   * ``solve_exact``: a linear system over Q, for the Caratheodory hull
     oracle (the library tests hull membership by dominance);
   * ``rref``: reduced row echelon form of an array (the library
-    eliminates on lists with ``_rref_rows``);
+    eliminates on lists with ``_rref_rows`` and ranks blocks of matrices
+    with ``matschemes._batched_ranks``);
   * ``stable_under``, ``meet`` and ``join``: subspace predicates, sums
     and intersections by direct elimination (the library generates the
     N-stable subspaces and computes signatures from column ranks);

@@ -307,6 +307,34 @@ class TestBuildModel:
         assert np.array_equal(g.T, (-g) % 3)
         assert not g.diagonal().any()
 
+    def test_every_gsp_pairing_is_alternating(self):
+        # every GSp(g) chain with g <= 3, e <= 4, p <= 7 (p not dividing e)
+        # and every I: each pairing of slots i, -i is alternating
+        checked = 0
+        for g, e, p in itertools.product((1, 2, 3), (1, 2, 3, 4), (2, 3, 5, 7)):
+            if e % p == 0:
+                continue
+            for k in range(1, g + 2):
+                for I in itertools.combinations(range(g + 1), k):
+                    for gram in build_model("GSp", g, e, set(I), p).gram.values():
+                        a = gram.array
+                        assert np.array_equal(a.T, -a % p) and not a.diagonal().any()
+                        checked += 1
+        assert checked == 624
+
+    def test_non_alternating_pairing_raises(self, monkeypatch):
+        # with e = 1, N = 0 is adjoint for any pairing, so only the
+        # alternation check can refuse the identity pairing at slot 1
+        gram = latmod.ChainModel._gram
+
+        def identity_at_one(self, i):
+            return FieldMatrix.identity(self.field, self.dim) if i == 1 else gram(self, i)
+
+        monkeypatch.setattr(latmod.ChainModel, "_gram", identity_at_one)
+        build_model("GSp", 1, 1, {0}, 3)
+        with pytest.raises(ChainInvariantError, match="pairing at 1 is not alternating"):
+            build_model("GSp", 1, 1, {0, 1}, 3)
+
     def test_wild_ramification(self):
         with pytest.raises(WildRamification):
             build_model("GSp", 1, 2, {0}, 2)

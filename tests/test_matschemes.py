@@ -1,11 +1,16 @@
 """Tests for the matrix-scheme point counters."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from locmodel import linalg, matschemes
 from locmodel.errors import BadRanks, Budget, BudgetExceeded
-from locmodel.linalg import gaussian_binomial
+from locmodel.linalg import _rref_rows, gaussian_binomial
 from locmodel.matschemes import (
+    _batched_ranks,
     symplectic_P_points,
     unitary_points_direct,
     unitary_points_stratified,
@@ -138,6 +143,71 @@ def oracle_invertible_symmetric_count(k, p):
     return sum(len(rref(a, p)[1]) == k for a in symmetric_batch(k, p, idx))
 
 
+@st.composite
+def rank_blocks(draw):
+    """(block, p): an int16 (N, r, c) block with N in {0, 1, many} and
+    r, c <= 6, each matrix random, zero, of rank <= 1 or with repeated rows."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    count = draw(st.sampled_from([0, 1, 50]))
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.integers(0, p, size=(count, r, c))
+    for a, shape in zip(block, rng.integers(0, 4, size=count)):
+        if shape == 1:
+            a[:] = 0
+        elif shape == 2:
+            a[:] = np.outer(rng.integers(0, p, size=r), rng.integers(0, p, size=c)) % p
+        elif shape == 3 and r > 1:
+            a[:] = a[rng.integers(0, (r + 1) // 2, size=r)] * rng.integers(1, p, size=(r, 1)) % p
+    return block.astype(np.int16), p
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_nilpotent_matrices(n, p, e):
+    """The former enumeration: one int64 matrix per flat index, kept if its
+    min(n, e)-th power vanishes."""
+    powers = p ** np.arange(n * n, dtype=np.int64)
+    out = []
+    for flat in range(p ** (n * n)):
+        a = ((flat // powers) % p).reshape(n, n)
+        power = np.eye(n, dtype=np.int64)
+        for _ in range(min(n, e)):
+            power = power @ a % p
+        if not power.any():
+            out.append(a)
+    return tuple(out)
+
+
+def oracle_linear_count(g, e, p):
+    """The former linear strategy: per nilpotent a, the block condition
+    sum_{i+j=e-1} a^i b (a^t)^j of each alternating basis matrix b as one
+    column, ranked by _rref_rows."""
+    n = g * e
+    basis = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            b = np.zeros((n, n), dtype=np.int64)
+            b[i, j], b[j, i] = 1, -1
+            basis.append(b)
+
+    def block_condition(a, b):
+        acc = np.zeros((n, n), dtype=np.int64)
+        for i in range(e):
+            left = np.linalg.matrix_power(a, i) % p
+            right = np.linalg.matrix_power(a.T, e - 1 - i) % p
+            acc = (acc + left @ b @ right) % p
+        return acc
+
+    total = 0
+    for a in oracle_nilpotent_matrices(n, p, e):
+        if not basis:
+            total += 1
+            continue
+        mat = np.stack([block_condition(a, b).reshape(-1) for b in basis], axis=1)
+        total += p ** (len(basis) - len(_rref_rows(mat.tolist(), p)[1]))
+    return total
+
+
 # every (n, p) with n <= 4, p in {2, 3, 5, 7} and p^(n(n+1)/2) <= 10^5
 SMALL = [(n, p) for n in (1, 2, 3, 4) for p in (2, 3, 5, 7) if p ** (n * (n + 1) // 2) <= 10**5]
 
@@ -201,6 +271,33 @@ class TestKernels:
         for fn in (matschemes.unitary_points_stratified, matschemes._invertible_symmetric_count):
             assert not {name for name in names(fn) if name.startswith("_square_zero")}
 
+    @given(rank_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_batched_ranks_match_rref(self, case):
+        block, p = case
+        want = [len(rref(a, p)[1]) for a in block]
+        assert want == [len(_rref_rows(a.tolist(), p)[1]) for a in block]
+        work = block.copy()
+        assert _batched_ranks(work, p).tolist() == want
+        assert work.dtype == np.int16
+
+    def test_scan_ranks_each_block_at_once(self, monkeypatch):
+        # the survivors are ranked by _batched_ranks, with no per-matrix
+        # list elimination
+        calls = []
+        rref_rows = linalg._rref_rows
+        monkeypatch.setattr(linalg, "_rref_rows", lambda *args: calls.append(args) or rref_rows(*args))
+        assert not hasattr(matschemes, "_rref_rows")
+        assert matschemes._square_zero_scan(4, 5) == (((0, 1), (1, 144), (2, 1200)), 5**10)
+        assert calls == []
+
+    def test_stratified_count_does_not_rank_in_batches(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_batched_ranks called")
+
+        monkeypatch.setattr(matschemes, "_batched_ranks", refuse)
+        assert unitary_points_stratified(4, 2, 2, 5).by_rank == ((0, 1), (1, 144), (2, 1200))
+
     def test_memory_bounded_by_chunk(self):
         import tracemalloc
 
@@ -262,6 +359,48 @@ class TestSymplectic:
         with pytest.raises(BudgetExceeded):
             symplectic_P_points(g, e, p, "direct", budget=Budget(scanned - 1))
         assert symplectic_P_points(g, e, p, "direct", budget=Budget(scanned)) > 0
+
+    @pytest.mark.parametrize(
+        "g,e,p",
+        [(1, 1, p) for p in (2, 3, 5, 7, 11, 13)]
+        + [(1, 2, p) for p in (2, 3, 5, 7)]
+        + [(1, 3, 2), (1, 3, 3), (2, 2, 2)],
+    )
+    def test_linear_matches_oracle(self, g, e, p):
+        assert symplectic_P_points(g, e, p, "linear") == oracle_linear_count(g, e, p)
+
+    @pytest.mark.parametrize("n,p,e,chunk", [(1, 13, 1, 5), (2, 3, 2, 7), (3, 2, 2, 100), (3, 2, 3, 1 << 14)])
+    def test_nilpotent_blocks_match_oracle(self, n, p, e, chunk):
+        from locmodel.matschemes import _nilpotent_matrices
+
+        blocks = list(_nilpotent_matrices(n, p, e, chunk))
+        assert max(map(len, blocks)) <= chunk
+        assert all(b.dtype == np.int16 for b in blocks)
+        assert np.concatenate(blocks).tolist() == [a.tolist() for a in oracle_nilpotent_matrices(n, p, e)]
+
+    def test_direct_does_not_rank_in_batches(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_batched_ranks called")
+
+        monkeypatch.setattr(matschemes, "_batched_ranks", refuse)
+        assert symplectic_P_points(1, 2, 3, "direct") == 27
+        with pytest.raises(AssertionError):
+            symplectic_P_points(1, 2, 3, "linear")
+
+    def test_linear_memory_bounded_by_chunk(self, monkeypatch):
+        import tracemalloc
+
+        # against the int16 bytes of one block of 2^10 of the 2^16 4 x 4
+        # matrices a that the linear solve enumerates for (g, e, p) = (2, 2, 2)
+        monkeypatch.setattr(matschemes, "_CHUNK", 1 << 10)
+        symplectic_P_points(2, 2, 2, "linear")
+        tracemalloc.start()
+        try:
+            assert symplectic_P_points(2, 2, 2, "linear") == 5_104
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (1 << 10) * 16 * 2
 
     def test_budget_refuses_a_huge_scan_at_once(self):
         # p^m for m = (10^4)^2 + ... is never formed
