@@ -28,8 +28,9 @@ criterion in both types) runs on integers.
 
 stratum_count evaluates sum q^{l(z)} over the right-I-minimal members
 of a double coset, the point count of the corresponding stratum over
-F_q; q must be a prime power.  poincare_quotient finds the same number
-from all the members, divided by the Poincare polynomial of W_I.
+F_q (q a prime power), in closed form; it forms no member.
+poincare_quotient finds the same number from all the members, formed
+and spent, divided by the Poincare polynomial of W_I.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add, sub
 
 from .errors import ArtifactError, Budget, KindMismatch
@@ -46,7 +47,6 @@ from .weyl import (
     Coweight,
     ParahoricSpec,
     WeylElement,
-    _first_descent,
     _no_descent_in,
     _window,
     alcove_vertices,
@@ -54,6 +54,7 @@ from .weyl import (
     bruhat_leq,
     length,
     parahoric_subgroup,
+    simple_reflection,
     translation,
 )
 
@@ -72,23 +73,6 @@ class DoubleCoset:
 
     def __hash__(self):
         return self.min_rep._hash
-
-    def members(self) -> frozenset:
-        """W_I x W_I, formed on the first call and kept on the class."""
-        return self._members
-
-    @cached_property
-    def _members(self) -> frozenset:
-        group = parahoric_subgroup(self.spec)
-        return frozenset(a * self.min_rep * b for a in group for b in group)
-
-    def right_minimal_members(self):
-        """Members with no right descent by a generator of W_I."""
-        gens = self.spec.generator_indices
-        return [z for z in self.members() if _first_descent(z.w, gens) is None]
-
-    def stratum_lengths(self):
-        return sorted(length(z) for z in self.right_minimal_members())
 
     def leq(self, other: "DoubleCoset") -> bool:
         """Bruhat order on double cosets via minimal representatives."""
@@ -356,23 +340,39 @@ def _prime_power(q: int) -> bool:
     return q == 1
 
 
-def stratum_count(c: DoubleCoset, q: int, budget=None) -> int:
-    """Points of the stratum of c over F_q: sum q^{l(z)} over right-minimal
-    z.  The |W_I|^2 members it forms are spent from the budget (a fresh
-    Budget() if None).  A q that is not a prime power is no field size:
-    ArtifactError."""
+def _poincare(spec: ParahoricSpec, q: int) -> int:
+    """The Poincare polynomial of W_I at q: sum q^{l(v)} over v in W_I."""
+    return sum(q ** length(v) for v in parahoric_subgroup(spec))
+
+
+def stratum_count(c: DoubleCoset, q: int) -> int:
+    """Points of the stratum of c over F_q: sum q^{l(z)} over the members z
+    of c with no right descent in W_I, in closed form.  With w the minimal
+    representative and K the generators s of W_I with w^-1 s w also one,
+    W_I meets w W_I w^-1 in W_K (Kilmoyer), so those z are the u w, u
+    minimal in u W_K, with l(u w) = l(u) + l(w): the sum is
+    q^{l(w)} P_I(q) / P_K(q), and no member is formed.  A q that is not a
+    prime power is no field size: ArtifactError."""
     if not _prime_power(q):
         raise ArtifactError(f"q must be a field size, a prime power, got {q}")
-    (budget or Budget()).spend(len(parahoric_subgroup(c.spec)) ** 2, "double-coset members")
-    return sum(q**ln for ln in c.stratum_lengths())
+    spec, w = c.spec, c.min_rep
+    datum, w_inv = spec.datum, w.inv()
+    gens = {j: simple_reflection(datum, j) for j in spec.generator_indices}
+    windows = {s.w for s in gens.values()}
+    K = {j for j, s in gens.items() if (w_inv * s * w).w in windows}
+    sub = ParahoricSpec(datum, frozenset(datum.vertex_labels) - K)
+    return q ** length(w) * _poincare(spec, q) // _poincare(sub, q)
 
 
-def poincare_quotient(c: DoubleCoset, q: int):
+def poincare_quotient(c: DoubleCoset, q: int, budget=None):
     """sum q^{l(z)} over every member z of c, divided by the Poincare
-    polynomial sum q^{l(v)} over v in W_I; None if it leaves a remainder.
-    Each member is z v with z right-minimal, v in W_I and l(z v) =
-    l(z) + l(v), so the quotient is stratum_count(c, q), found another
-    way.  It reads the members that stratum_count formed and spent."""
-    whole = sum(q ** length(z) for z in c.members())
-    n, rest = divmod(whole, sum(q ** length(v) for v in parahoric_subgroup(c.spec)))
+    polynomial of W_I; None if it leaves a remainder.  Each member is z v
+    with z right-minimal, v in W_I and l(z v) = l(z) + l(v), so the
+    quotient is stratum_count(c, q), found another way: from the |W_I|^2
+    products a w b, spent from the budget (a fresh Budget() if None)
+    before any is formed."""
+    group = parahoric_subgroup(c.spec)
+    (budget or Budget()).spend(len(group) ** 2, "double-coset members")
+    members = {a * c.min_rep * b for a in group for b in group}
+    n, rest = divmod(sum(q ** length(z) for z in members), _poincare(c.spec, q))
     return None if rest else n

@@ -19,9 +19,9 @@ unit: subspaces enumerated, slot choices tried by the chain backtracker,
 Bruhat ideal elements formed by adm, displacement candidates counted by
 perm (one per pair of a hull point and a finite part u whose residues make
 the translation integral, all spent before the first is formed),
-double-coset members formed by the stratum counts of count and verify
-strata|symplectic, and symmetric or symplectic matrices scanned by verify
-matrix.
+double-coset members formed by count's Poincare quotient (the stratum
+counts spend nothing), and symmetric or symplectic matrices scanned by
+verify matrix.
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ def run_compare(params, budget=None):
 
 
 def run_count(params, budget=None):
-    """Predicted: stratum_count, over the right-minimal members of each
-    class.  Observed: poincare_quotient, over all of them; a quotient
+    """Predicted: stratum_count, in closed form.  Observed:
+    poincare_quotient, over all the members of each class; a quotient
     that leaves a remainder is None and fails the case."""
     t0 = time.monotonic()
     datum = _datum(params)
@@ -212,8 +212,9 @@ def run_count(params, budget=None):
     s = adm_set(spec, mu, budget)
     rows = []
     for c in sorted(s.classes, key=_class_sort_key):
-        n = stratum_count(c, q, budget)
-        rows.append(_class_row(c, predicted=n, observed=poincare_quotient(c, q), source="admissible.stratum_count"))
+        n = stratum_count(c, q)
+        observed = poincare_quotient(c, q, budget)
+        rows.append(_class_row(c, predicted=n, observed=observed, source="admissible.stratum_count"))
     ok = all(row["predicted"] == row["observed"] for row in rows)
     totals = {k: sum(row[k] or 0 for row in rows) for k in ("predicted", "observed")}
     return _report("count", params, rows, totals, ok, t0)
@@ -269,7 +270,7 @@ def _classify(params, budget):
     rows = []
     ok = rep.unmatched == 0
     for c in sorted(s.classes, key=_class_sort_key):
-        pred = stratum_count(c, q, budget)
+        pred = stratum_count(c, q)
         obs = observed.get(c, 0)
         ok = ok and pred == obs
         rows.append(_class_row(c, predicted=pred, observed=obs, source="latmod.classify_strata"))

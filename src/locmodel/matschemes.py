@@ -242,26 +242,25 @@ def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
                 total += int(c) * p ** (n * (n - 1) // 2 - int(rk))
         return total
     basis = _alternating_basis(n)
-
-    def block_condition(a, b):
-        # upper-right block of A^e: sum over a^i b (a^t)^j, i + j = e - 1
-        acc = np.zeros((n, n), dtype=np.int64)
-        for i in range(e):
-            left = np.linalg.matrix_power(a, i) % p if i else np.eye(n, dtype=np.int64)
-            right = np.linalg.matrix_power(a.T, e - 1 - i) % p if e - 1 - i else np.eye(n, dtype=np.int64)
-            acc = (acc + left @ b @ right) % p
-        return acc % p
-
-    total = 0
     m = len(basis)
-    powers = p ** np.arange(m, dtype=np.int64) if m else np.zeros(0, dtype=np.int64)
+    powers = p ** np.arange(m, dtype=np.int64)
+    bs = []
+    for flat in range(p**m):
+        b = np.zeros((n, n), dtype=np.int64)
+        for d, bb in zip((flat // powers) % p, basis):
+            b = b + int(d) * bb
+        bs.append(b % p)
+    total = 0
     for block in blocks:
         for a in block.astype(np.int64):
-            for flat in range(p**m):
-                digits = (flat // powers) % p if m else ()
-                b = np.zeros((n, n), dtype=np.int64)
-                for d, bb in zip(digits, basis):
-                    b = b + int(d) * bb
-                if not (block_condition(a, b % p)).any():
+            # the upper-right block of A^e is sum_{i+j=e-1} a^i b (a^t)^j,
+            # with the powers of a formed once per a
+            apow = [np.linalg.matrix_power(a, i) % p for i in range(e)]
+            factors = [(apow[i], apow[e - 1 - i].T) for i in range(e)]
+            for b in bs:
+                acc = np.zeros((n, n), dtype=np.int64)
+                for left, right in factors:
+                    acc = (acc + left @ b @ right) % p
+                if not acc.any():
                     total += 1
     return total

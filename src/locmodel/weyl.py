@@ -260,7 +260,6 @@ def finite(datum: RootDatum, u) -> WeylElement:
     return WeylElement(datum, datum.zero(), tuple(u))
 
 
-@lru_cache(maxsize=None)
 def simple_reflection(datum: RootDatum, j: int) -> WeylElement:
     """s_j: the identity window with _reflect applied at j."""
     if j not in datum.simple_indices:
@@ -465,7 +464,6 @@ def parahoric_subgroup(spec: ParahoricSpec):
 # -- alcove vertices ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def alcove_vertices(datum: RootDatum):
     """Base-alcove vertex representatives, one per vertex label:
     a_i = (1/D)(1, ..., 1, 0, ..., 0) with i ones, D = 1 for GL and 2 for

@@ -31,9 +31,14 @@ computes another way, kept as an oracle for it:
     only these oracles and the tests need;
   * ``solve_exact``: a linear system over Q, for the Caratheodory hull
     oracle (the library tests hull membership by dominance);
-  * ``rref``: reduced row echelon form of an array (the library
+  * ``poincare_polynomial``: the Poincare polynomial of W_I as a product
+    of q-integers over the pieces of its diagram (the library sums q^l
+    over the elements of W_I, ``admissible._poincare``);
+  * ``rref`` and ``nullspace``: Gauss-Jordan elimination of an array by
+    numpy row operations, and the kernel read from it (the library
     eliminates on lists with ``_rref_rows`` and ranks blocks of matrices
-    with ``matschemes._batched_ranks``);
+    with ``matschemes._batched_ranks``; ``test_weyl`` parses this file to
+    hold that no elimination is imported from either module);
   * ``stable_under``, ``meet`` and ``join``: subspace predicates, sums
     and intersections by direct elimination (the library generates the
     N-stable subspaces and computes signatures from column ranks);
@@ -44,12 +49,18 @@ computes another way, kept as an oracle for it:
   * ``mod_p_map``: a transition map on Lambda tensor F_p built from the
     slot bases (the library restricts the chain's own maps to the Pi^0
     coordinates).
+
+``extended`` marks the opt-in tier: the slow tests that run only with
+LOCMODEL_EXTENDED set.
 """
 
+import math
+import os
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from locmodel import linalg
 from locmodel.admissible import AdmissibleSet, DoubleCoset, conv_membership, stratum_count
@@ -61,7 +72,7 @@ from locmodel.errors import (
     SignatureCollision,
 )
 from locmodel.latmod import ChainModel, ChainPoint, StratumReport, standard_point
-from locmodel.linalg import FieldMatrix, Subspace, _nullspace
+from locmodel.linalg import FieldMatrix, Subspace
 from locmodel.weyl import (
     WeylElement,
     alcove_vertices,
@@ -72,6 +83,13 @@ from locmodel.weyl import (
     simple_reflection,
     translation,
 )
+
+
+def extended(reason):
+    """Run the test only with LOCMODEL_EXTENDED set; reason says what it
+    runs and for how long."""
+    return pytest.mark.skipif(not os.environ.get("LOCMODEL_EXTENDED"), reason=reason)
+
 
 # ---------------------------------------------------------------------------
 # weyl: the affine-root model
@@ -354,6 +372,31 @@ def double_coset(x: WeylElement, spec) -> DoubleCoset:
     return DoubleCoset(spec, coset_min(x, spec))
 
 
+def poincare_polynomial(spec, q: int) -> int:
+    """P_{W_I}(q) as a product over the pieces of J, the generators of
+    W_I, in the affine diagram: a cycle for GL, the path 0..g for GSp.  A
+    piece of k nodes is of type A_k, giving [2][3]...[k+1], except that a
+    GSp piece holding 0 or g is of type C_k, giving [2][4]...[2k]
+    (Humphreys 3.15); [m] = 1 + q + ... + q^(m-1)."""
+    datum, left = spec.datum, set(spec.generator_indices)
+    N, cycle = len(datum.simple_indices), datum.kind == "GL"
+    total = 1
+    while left:
+        piece, frontier = set(), [left.pop()]
+        while frontier:
+            j = frontier.pop()
+            piece.add(j)
+            for k in (j - 1, j + 1):
+                k = k % N if cycle else k
+                if k in left:
+                    left.discard(k)
+                    frontier.append(k)
+        k = len(piece)
+        degrees = range(2, 2 * k + 1, 2) if not cycle and piece & {0, datum.n} else range(2, k + 2)
+        total *= math.prod((q**m - 1) // (q - 1) for m in degrees)
+    return total
+
+
 def total_count(s: AdmissibleSet, q: int) -> int:
     """Points of the whole special fibre over F_q: the sum of the strata."""
     return sum(stratum_count(c, q) for c in s.classes)
@@ -386,12 +429,39 @@ def pool_perm_set(spec, mu) -> AdmissibleSet:
 
 
 def rref(a, p: int):
-    """Return (R, pivot_cols) with R the int64 RREF of a over F_p, zero rows last."""
-    a = np.asarray(a, dtype=np.int64)
-    rows, pivots = linalg._rref_rows(a.tolist(), p)
-    R = np.zeros(a.shape, dtype=np.int64)
-    R[: len(rows)] = np.reshape(rows, (len(rows), a.shape[1]))
-    return R, list(pivots)
+    """Return (R, pivot_cols) with R the int64 RREF of a over F_p, zero
+    rows last: Gauss-Jordan elimination by numpy row operations."""
+    R = np.array(a, dtype=np.int64) % p
+    m, n = R.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        found = next((r for r in range(row, m) if R[r, col]), None)
+        if found is None:
+            continue
+        R[[row, found]] = R[[found, row]]
+        R[row] = R[row] * pow(int(R[row, col]), p - 2, p) % p
+        for r in range(m):
+            if r != row and R[r, col]:
+                R[r] = (R[r] - R[r, col] * R[row]) % p
+        pivots.append(col)
+        row += 1
+    return R, pivots
+
+
+def nullspace(a, p: int):
+    """Basis rows (an int64 array) of {x : a x = 0} over F_p, one per
+    free column of rref(a)."""
+    R, pivots = rref(a, p)
+    n = R.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    out = np.zeros((len(free), n), dtype=np.int64)
+    for k, c in enumerate(free):
+        out[k, c] = 1
+        out[k, pivots] = -R[: len(pivots), c] % p
+    return out
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
@@ -401,8 +471,7 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
         return Subspace.zero(a.field, a.ambient_dim)
     stacked = np.vstack([a.basis, b.basis])
     # (u, v) with u·A + v·B = 0  =>  u·A lies in both row spaces.
-    relations = np.array(_nullspace(stacked.T.tolist(), len(stacked), a.field.p), dtype=np.int64)
-    relations = relations.reshape(-1, len(stacked))
+    relations = nullspace(stacked.T, a.field.p)
     gens = (relations[:, : a.dim] @ a.basis) % a.field.p
     return Subspace.from_rows(a.field, a.ambient_dim, gens)
 
@@ -472,10 +541,9 @@ def _induced_slot_matrices(model: ChainModel, coeffs):
                         j_out = k + j2 + exps[m2] - exps[m]
                         if 0 <= j_out < e:
                             a[model.coord(m, j_out), model.coord(m2, j2)] = coeffs[m, m2, k]
-        f = FieldMatrix(model.field, a)
-        if linalg.rank(f) != model.dim:
+        if len(rref(a, model.field.p)[1]) != model.dim:
             return None
-        mats[t] = f
+        mats[t] = FieldMatrix(model.field, a)
     return mats
 
 

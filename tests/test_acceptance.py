@@ -28,7 +28,7 @@ from locmodel.weyl import (
     translation,
 )
 
-from reference import elements_of_length_leq, enumerate_below, total_count
+from reference import elements_of_length_leq, enumerate_below, extended, total_count
 
 
 def nonempty_subsets(labels):
@@ -70,10 +70,7 @@ class TestCriterion1AdmEqualsPerm:
             4,
             pytest.param(
                 5,
-                marks=pytest.mark.skipif(
-                    not os.environ.get("LOCMODEL_EXTENDED"),
-                    reason="GL(5) sweep, 31 I (about 20 s): set LOCMODEL_EXTENDED=1",
-                ),
+                marks=extended("GL(5) sweep, 31 I (about 20 s): set LOCMODEL_EXTENDED=1"),
             ),
         ],
     )
@@ -128,10 +125,7 @@ class TestAdmPermBeyondMinuscule:
         assert len(extra) == 128
         assert (extra[0]["w"]["translation"], extra[0]["length"]) == ("1,1,2,2,3", 11)
 
-    @pytest.mark.skipif(
-        not os.environ.get("LOCMODEL_EXTENDED"),
-        reason="GL(6) Iwahori compare (about 6 s): set LOCMODEL_EXTENDED=1",
-    )
+    @extended("GL(6) Iwahori compare (about 6 s): set LOCMODEL_EXTENDED=1")
     def test_gl6_iwahori(self):
         code, report = _compare(["--group", "gl", "--d", "6", "--mu", "3,2,1,0,0,0", "--iwahori"])
         assert code == 0 and report["totals"] == {"predicted": 53665, "observed": 53665}
@@ -241,10 +235,7 @@ class TestCriterion6Symplectic:
             assert n == stratum_count(c, p)
         assert sum(n for _, n in rep.rows) == total_count(s, p)
 
-    @pytest.mark.skipif(
-        not os.environ.get("LOCMODEL_EXTENDED"),
-        reason="extended GSp(4) run: set LOCMODEL_EXTENDED=1",
-    )
+    @extended("extended GSp(4) run: set LOCMODEL_EXTENDED=1")
     def test_gsp2_extended(self):
         from locmodel.errors import Budget, BudgetExceeded
 

@@ -4,7 +4,6 @@ import ast
 import inspect
 import itertools
 import math
-import os
 import textwrap
 from fractions import Fraction
 from operator import add, sub
@@ -32,10 +31,8 @@ from locmodel.weyl import (
     _window,
     alcove_vertices,
     finite,
-    identity,
     kappa,
     length,
-    parahoric_subgroup,
     translation,
 )
 
@@ -43,7 +40,9 @@ from reference import (
     double_coset,
     downset,
     enumerate_below,
+    extended,
     omega_generator,
+    poincare_polynomial,
     pool_perm_set,
     solve_exact,
     total_count,
@@ -409,9 +408,7 @@ def every_I(datum):
             yield ParahoricSpec(datum, frozenset(I))
 
 
-_EXTENDED = pytest.mark.skipif(
-    not os.environ.get("LOCMODEL_EXTENDED"), reason="GL(4) and GSp(3): set LOCMODEL_EXTENDED=1"
-)
+_EXTENDED = extended("GL(4) and GSp(3): set LOCMODEL_EXTENDED=1")
 
 
 class TestAgainstReference:
@@ -511,6 +508,19 @@ class TestPermGenerator:
         self.assert_same_as_filter(spec, mu)
         assert (len(adm_set(spec, mu)), len(perm_set(spec, mu))) == (8351, 8479)
 
+    @extended("GSp(8) Iwahori adm and perm (about 6 s each): set LOCMODEL_EXTENDED=1")
+    @pytest.mark.parametrize(
+        "mu_value,sizes", [((2, 1, 1, 1, 0), (47863, 48375)), ((2, 1, 1, 0, 0), (38053, 38445))], ids=str
+    )
+    def test_type_c4_findings(self, mu_value, sizes):
+        # two more coweights where Perm exceeds Adm (compare-adm-perm exits
+        # 1 on both), each with Adm inside Perm
+        datum = RootDatum("GSp", 4)
+        spec, mu = iwahori(datum), Coweight(datum, mu_value)
+        adm, perm = adm_set(spec, mu), perm_set(spec, mu)
+        assert (len(adm), len(perm)) == sizes
+        assert adm.classes < perm.classes
+
     def test_spends_before_forming_any_candidate(self, monkeypatch):
         # the whole spend is made at once, so an exceeded budget forms nothing
         def formed(w, gens):
@@ -537,7 +547,6 @@ class TestStratumCounts:
 
     def test_frozen_2_0_class(self):
         c = double_coset(translation(GL2, (2, 0)), spec0(GL2))
-        assert c.stratum_lengths() == [1, 2]
         for q in (2, 3, 5):
             assert stratum_count(c, q) == q**2 + q
 
@@ -546,17 +555,6 @@ class TestStratumCounts:
         x = translation(GL3, (1, 1, 0))
         c = double_coset(x, spec)
         assert stratum_count(c, 3) == 3 ** length(x)
-
-    def test_one_term_per_right_minimal_member(self):
-        for x, spec in [
-            (translation(GL2, (2, 0)), spec0(GL2)),
-            (translation(GL3, (1, 1, 0)), spec0(GL3)),
-            (translation(GSP1, (2, 2)), spec0(GSP1)),
-        ]:
-            c = double_coset(x, spec)
-            lengths = c.stratum_lengths()
-            assert len(lengths) == len(c.right_minimal_members())
-            assert stratum_count(c, 2) == sum(2**ln for ln in lengths)
 
     @pytest.mark.parametrize("q", [1, 0, -3])
     def test_q_below_2_is_rejected(self, q):
@@ -579,7 +577,23 @@ class TestStratumCounts:
 
     @pytest.mark.parametrize(
         "datum,mu_value",
-        [(GL2, (2, 0)), (GL3, (2, 1, 0)), (GL4, (2, 1, 1, 0)), (GSP2, (1, 1, 1)), (GSP2, (2, 1, 2))],
+        [
+            (GL2, (2, 0)),
+            (GL3, (2, 1, 0)),
+            (GL4, (2, 1, 1, 0)),
+            (RootDatum("GL", 5), (1, 1, 0, 0, 0)),
+            pytest.param(
+                RootDatum("GL", 5),
+                (2, 1, 1, 1, 0),
+                marks=extended("GL(5), 1,621 classes (about 2 s): set LOCMODEL_EXTENDED=1"),
+            ),
+            (GSP1, (2, 2)),
+            (GSP2, (1, 1, 1)),
+            (GSP2, (2, 1, 2)),
+            (GSP3, (1, 1, 1, 1)),
+            (GSP3, (2, 1, 1, 2)),
+        ],
+        ids=lambda v: f"{v.kind}{v.n}" if isinstance(v, RootDatum) else str(v),
     )
     def test_poincare_quotient_is_the_stratum_count(self, datum, mu_value):
         # all members over the Poincare polynomial of W_I, at every I
@@ -589,16 +603,47 @@ class TestStratumCounts:
                 for q in (2, 3, 4):
                     assert poincare_quotient(c, q) == stratum_count(c, q), (c, q)
 
-    def test_poincare_quotient_remainder_is_none(self):
-        # one stray member of length 0 leaves the remainder 1 mod 1 + q
+    def test_poincare_quotient_remainder_is_none(self, monkeypatch):
+        # the minimal member read at length 0 instead of 1 leaves the
+        # remainder 2 mod 1 + q
         c = double_coset(translation(GL2, (2, 0)), spec0(GL2))
-        c.__dict__["_members"] = c.members() | {identity(GL2)}
+        assert length(c.min_rep) == 1 and poincare_quotient(c, 2) == 6
+        monkeypatch.setattr(admissible, "length", lambda z: 0 if z == c.min_rep else length(z))
         assert poincare_quotient(c, 2) is None
 
-    def test_members_formed_once(self):
-        c = double_coset(translation(GL3, (1, 1, 0)), spec0(GL3))
-        group = parahoric_subgroup(c.spec)
-        assert c.members() is c.members() == {a * c.min_rep * b for a in group for b in group}
+    def test_poincare_quotient_spends_the_members(self):
+        # |W_I|^2 = 2^2 products, all spent before the first is formed
+        c = double_coset(translation(GL2, (2, 0)), spec0(GL2))
+        budget = Budget(4)
+        poincare_quotient(c, 2, budget)
+        assert budget.spent == 4
+        with pytest.raises(BudgetExceeded):
+            poincare_quotient(c, 2, Budget(3))
+
+    @pytest.mark.parametrize(
+        "datum", [RootDatum("GL", n) for n in range(1, 6)] + [GSP1, GSP2, GSP3], ids=lambda v: f"{v.kind}{v.n}"
+    )
+    def test_poincare_is_the_diagram_product(self, datum):
+        for spec in every_I(datum):
+            for q in (2, 3, 4):
+                assert admissible._poincare(spec, q) == poincare_polynomial(spec, q), (sorted(spec.I), q)
+
+    def test_forms_no_member(self, monkeypatch):
+        # with W_I and W_K memoised, a class costs two products per
+        # generator of W_I: 10 here, where |W_I|^2 = 720^2; the counts are
+        # those of Gr(3, 6)
+        datum = RootDatum("GL", 6)
+        spec = spec0(datum)
+        (c,) = adm_set(spec, Coweight(datum, (1, 1, 1, 0, 0, 0))).classes
+        assert stratum_count(c, 2) == 1395
+        calls = []
+        mul = WeylElement.__mul__
+        monkeypatch.setattr(WeylElement, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+        assert stratum_count(DoubleCoset(spec, c.min_rep), 3) == 33880
+        assert len(calls) == 2 * len(spec.generator_indices) == 10
+
+    def test_takes_no_budget(self):
+        assert list(inspect.signature(stratum_count).parameters) == ["c", "q"]
 
 
 class TestTotalCount:

@@ -20,6 +20,8 @@ from locmodel import admissible, cli, latmod
 from locmodel.cli import main, parse_manifest
 from locmodel.errors import Budget, ManifestParseError
 
+from reference import extended
+
 
 def run(argv):
     buf = io.StringIO()
@@ -38,6 +40,9 @@ _EXACT_SPEND = [
     (["count", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0", "--p", "2"], 105 + 2 * 24**2),
     # the same 105 ideal elements, once more after count has stored them
     (["adm", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0,2"], 105),
+    # 5 ideal elements, 22 subspaces and 14 slot choices; the stratum
+    # counts of its 2 classes spend nothing
+    (["verify", "strata", "--group", "gl", "--d", "2", "--e", "2", "--r", "1,1", "--I", "0", "--p", "2"], 41),
     # 3^15 symmetric matrices scanned, most of them rejected with a prefix of
     # their rows, then 1 + 121 + 1,210 isotropic subspaces
     (["verify", "matrix", "--n", "5", "--r", "2", "--s", "3", "--p", "3"], 3**15 + 1_332),
@@ -434,7 +439,7 @@ class TestReportDigests:
 
     def test_count_disagreement_fails(self, monkeypatch):
         # observed comes from the Poincare quotient, so a wrong one fails
-        monkeypatch.setattr(cli, "poincare_quotient", lambda c, q: cli.stratum_count(c, q) + 1)
+        monkeypatch.setattr(cli, "poincare_quotient", lambda c, q, budget: cli.stratum_count(c, q) + 1)
         code, out = run(["count", "--group", "gl", "--d", "2", "--mu", "2,0", "--I", "0",
                          "--p", "2", "--format", "json"])
         report = json.loads(out)
@@ -443,15 +448,12 @@ class TestReportDigests:
         assert all(row["observed"] == row["predicted"] + 1 for row in report["rows"])
 
     def test_count_remainder_fails(self, monkeypatch):
-        monkeypatch.setattr(cli, "poincare_quotient", lambda c, q: None)
+        monkeypatch.setattr(cli, "poincare_quotient", lambda c, q, budget: None)
         code, out = run(["count", "--group", "gl", "--d", "2", "--mu", "1,0", "--I", "0",
                          "--p", "3", "--format", "json"])
         assert code == 1 and json.loads(out)["rows"][0]["observed"] is None
 
-    @pytest.mark.skipif(
-        not os.environ.get("LOCMODEL_EXTENDED"),
-        reason="GL(6) Iwahori adm JSON report (about 3 s): set LOCMODEL_EXTENDED=1",
-    )
+    @extended("GL(6) Iwahori adm JSON report (about 3 s): set LOCMODEL_EXTENDED=1")
     def test_gl6_iwahori_adm_words(self):
         code, out = run(["adm", "--group", "gl", "--d", "6", "--mu", "3,2,1,0,0,0", "--iwahori",
                          "--format", "json"])

@@ -8,7 +8,6 @@ completely independent code path.
 
 import copy
 import itertools
-import os
 
 import numpy as np
 import pytest
@@ -46,6 +45,7 @@ from locmodel.weyl import Coweight, ParahoricSpec, RootDatum, translation
 from reference import (
     apply_chain_automorphism,
     classify_by_orbits,
+    extended,
     meet,
     mod_p_maps,
     omega_generator,
@@ -848,10 +848,7 @@ class TestSignatures:
         ("GSp", 2, (1, 2, 3), 21),
         pytest.param(
             "GL", 4, (3,), 525,
-            marks=pytest.mark.skipif(
-                not os.environ.get("LOCMODEL_EXTENDED"),
-                reason="GL(4) e=3 sweep (about 30 s): set LOCMODEL_EXTENDED=1",
-            ),
+            marks=extended("GL(4) e=3 sweep (about 30 s): set LOCMODEL_EXTENDED=1"),
         ),
     ]
 

@@ -24,9 +24,10 @@ from locmodel.linalg import (
     subspaces_between,
     _nullspace,
     _order_key,
+    _rref_rows,
 )
 
-from reference import join, meet, rref, stable_under
+from reference import join, meet, nullspace, rref, stable_under
 
 F2 = Field(2)
 F3 = Field(3)
@@ -43,33 +44,14 @@ def oracle_gaussian_binomial(n, k, p):
     return value
 
 
-def oracle_rref(a, p):
-    """The former numpy-indexed Gauss-Jordan elimination, kept as the
-    reference for the list-based rref."""
-    R = (np.array(a, dtype=np.int64) % p).copy()
-    m, n = R.shape
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        found = -1
-        for r in range(row, m):
-            if R[r, col] % p:
-                found = r
-                break
-        if found == -1:
-            continue
-        if found != row:
-            R[[row, found]] = R[[found, row]]
-        inv = pow(int(R[row, col]), p - 2, p)
-        R[row] = (R[row] * inv) % p
-        for r in range(m):
-            if r != row and R[r, col]:
-                R[r] = (R[r] - R[r, col] * R[row]) % p
-        pivots.append(col)
-        row += 1
-    return R % p, pivots
+def library_rref(a, p):
+    """_rref_rows in the shape reference.rref returns: (R, pivots), R the
+    int64 RREF with zero rows last."""
+    a = np.asarray(a, dtype=np.int64)
+    rows, pivots = _rref_rows(a.tolist(), p)
+    R = np.zeros(a.shape, dtype=np.int64)
+    R[: len(rows)] = np.reshape(rows, (len(rows), a.shape[1]))
+    return R, list(pivots)
 
 
 @st.composite
@@ -141,8 +123,8 @@ class TestRref:
     @settings(max_examples=400, deadline=None)
     def test_matches_numpy_oracle(self, case):
         a, p = case
-        R, pivots = rref(a, p)
-        R0, pivots0 = oracle_rref(a, p)
+        R, pivots = library_rref(a, p)
+        R0, pivots0 = rref(a, p)
         assert R.dtype == R0.dtype == np.int64
         assert R.shape == R0.shape == a.shape
         assert np.array_equal(R, R0)
@@ -150,8 +132,10 @@ class TestRref:
 
     def test_input_untouched(self):
         a = np.array([[2, 4], [1, 1]], dtype=np.int64)
+        rows = a.tolist()
         rref(a, 3)
-        assert a.tolist() == [[2, 4], [1, 1]]
+        _rref_rows(rows, 3)
+        assert a.tolist() == rows == [[2, 4], [1, 1]]
 
     @given(st.integers(0, 10**9), st.sampled_from([2, 3, 5]), st.integers(0, 4), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -166,7 +150,7 @@ class TestRref:
         else:
             b = Subspace.from_rows(field, 4, random_matrix(rng, p, a.dim, 4))
         assume(a.dim == b.dim)
-        _, pivots = oracle_rref(np.vstack([b.basis, a.basis]), p)
+        _, pivots = rref(np.vstack([b.basis, a.basis]), p)
         assert a.leq(b) == (len(pivots) == b.dim) == (a == b)
 
 
@@ -176,7 +160,7 @@ class TestRowRepresentation:
     def test_leq_matches_stacked_rank(self, case):
         a, b, p = case
         for x, y in ((a, b), (b, a)):
-            _, pivots = oracle_rref(np.vstack([y.basis, x.basis]), p)
+            _, pivots = rref(np.vstack([y.basis, x.basis]), p)
             assert x.leq(y) == (len(pivots) == y.dim)
 
     def test_leq_does_no_elimination(self, monkeypatch):
@@ -255,8 +239,10 @@ class TestRowRepresentation:
         rows = _nullspace(a.tolist(), a.shape[1], p)
         null = np.array(rows, dtype=np.int64).reshape(len(rows), a.shape[1])
         assert not (a @ null.T % p).any()
-        assert len(null) == a.shape[1] - len(oracle_rref(a, p)[1])
-        assert len(oracle_rref(null, p)[1]) == len(null)
+        assert len(null) == a.shape[1] - len(rref(a, p)[1])
+        assert len(rref(null, p)[1]) == len(null)
+        # one row per free column, as the numpy oracle reads it off rref
+        assert null.tolist() == nullspace(a, p).tolist()
 
 
 class TestSubspaceCanonicity:

@@ -380,9 +380,10 @@ class TestSymplectic:
 
     def test_direct_does_not_rank_in_batches(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("_batched_ranks called")
+            raise AssertionError("_batched_ranks or _linear_ranks called")
 
         monkeypatch.setattr(matschemes, "_batched_ranks", refuse)
+        monkeypatch.setattr(matschemes, "_linear_ranks", refuse)
         assert symplectic_P_points(1, 2, 3, "direct") == 27
         with pytest.raises(AssertionError):
             symplectic_P_points(1, 2, 3, "linear")

@@ -513,6 +513,27 @@ class TestOracleIndependence:
         }
         assert "length" in imported and not imported & kernel
 
+    def test_reference_imports_no_elimination(self):
+        # nor an elimination of linalg or matschemes, by name or as an
+        # attribute of the module
+        elimination = {"_rref_rows", "_nullspace", "rank", "_batched_ranks", "_linear_ranks"}
+        tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+        modules = {"locmodel.linalg", "locmodel.matschemes"}
+        reached = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in modules
+            for alias in node.names
+        }
+        reached |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in {"linalg", "matschemes"}
+        }
+        assert "Subspace" in reached and not reached & elimination
+
 
 class TestBruhat:
     def test_reflexive(self):
