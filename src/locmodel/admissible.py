@@ -8,10 +8,8 @@ Their expected equality is one of the main verification targets.
 
 adm_set takes the Bruhat ideal generated by the translations t_lam over
 the finite-Weyl orbit of mu, the union of their down-sets
-(weyl.bruhat_ideal).  It does not depend on I, so it is computed once per
-(datum, mu) and kept in a memo that retains the most recently used ideals
-up to _DOWNSETS_CAP elements; every call spends one budget unit per
-element (_translation_downsets).
+(weyl.bruhat_ideal).  It does not depend on I, so it is kept per mu;
+every call spends one budget unit per element, stored or not.
 A class's minimal element is Bruhat-below each of its members, so the
 classes that meet the ideal are exactly those of its double-minimal
 elements.
@@ -22,8 +20,8 @@ The vertices are scaled by their common denominator D, the integer
 points of D * Conv(W_0 mu) are listed once per (mu, D), and each point,
 with each finite part u, gives at most one candidate t_lam u; no length
 bound is assumed.  Only the candidates with no right descent in W_I are
-formed, from the order of the point's coordinates and tables kept once
-per (datum, I).  The hull test (conv_membership, a closed dominance
+formed, from the order of the point's coordinates and a table kept per
+(datum, I).  The hull test (conv_membership, a closed dominance
 criterion in both types) runs on integers.
 
 stratum_count evaluates sum q^{l(z)} over the right-I-minimal members
@@ -31,6 +29,11 @@ of a double coset, the point count of the corresponding stratum over
 F_q (q a prime power), in closed form; it forms no member.
 poincare_quotient finds the same number from all the members, formed
 and spent, divided by the Poincare polynomial of W_I.
+
+The ideal, the hull points and the table share one memo (_memo); W_I is
+formed on each call.  W_0 and the hull's coordinate box are formed before
+any unit is spent, so every call first checks their sizes against the
+budget left (Budget.check).
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import add, sub
 
 from .errors import ArtifactError, Budget, KindMismatch
@@ -89,53 +91,60 @@ class AdmissibleSet:
         return len(self.classes)
 
     def maximal_classes(self):
-        out = []
-        for c in self.classes:
-            if not any(c != d and c.leq(d) for d in self.classes):
-                out.append(c)
-        return out
+        return [c for c in self.classes if not any(c != d and c.leq(d) for d in self.classes)]
 
 
-def _check_mu(spec: ParahoricSpec, mu: Coweight):
+# (make, *args) -> make(*args), a (value, size in elements formed) pair,
+# least recently used first; at most _MEMO_CAP elements in all.
+_MEMO = {}
+_MEMO_CAP = 40_000
+
+
+def _memo(make, *args, budget=None):
+    """The value of make(*args), or of make(*args, budget) for the ideal,
+    which spends one unit per element it forms; a hit spends that size at
+    once, so no spend depends on what ran before.  An entry is stored once
+    made, if it fits under the cap, evicting the least recently used."""
+    key = (make, *args)
+    entry = _MEMO.pop(key, None)
+    if entry is None:
+        entry = make(*args) if budget is None else make(*args, budget)
+        if entry[1] > _MEMO_CAP:
+            return entry[0]
+        retained = sum(size for _, size in _MEMO.values())
+        while retained + entry[1] > _MEMO_CAP:
+            retained -= _MEMO.pop(next(iter(_MEMO)))[1]
+    elif budget is not None:
+        budget.spend(entry[1], "ideal elements")
+    _MEMO[key] = entry
+    return entry[0]
+
+
+def _checked_budget(spec: ParahoricSpec, mu: Coweight, budget):
+    """The budget of an adm_set or perm_set call (a fresh Budget() if None),
+    once mu is known to be of spec's datum and the budget has room for
+    W_0 (d! for GL(d), 2^g g! for GSp(g)), which both form before they
+    spend: the orbit of mu and the displacement table run over it."""
     if mu.datum != spec.datum:
         raise KindMismatch("coweight belongs to a different datum")
+    budget = budget or Budget()
+    n = mu.datum.n
+    budget.check(math.factorial(n) << (n if mu.datum.kind == "GSp" else 0), "finite Weyl group elements")
+    return budget
 
 
-# (datum, mu.value) -> the Bruhat ideal of the t_lam, lam in W_0 mu, as a
-# tuple of elements, least recently used first.  It retains at most
-# _DOWNSETS_CAP elements in all.
-_DOWNSETS = {}
-_DOWNSETS_CAP = 40_000
-
-
-def _translation_downsets(mu: Coweight, budget: Budget):
-    """The memo entry of mu, computed (and spent as it goes) on a miss;
-    on a hit its one unit per element is spent at once, so the budget's
-    outcome does not depend on what ran before.  An entry is stored only
-    once the computation completes, and only if it fits under the cap;
-    the least recently used entries make room for it."""
-    key = (mu.datum, mu.value)
-    entry = _DOWNSETS.get(key)
-    if entry is not None:
-        _DOWNSETS[key] = _DOWNSETS.pop(key)
-        budget.spend(len(entry), "ideal elements")
-        return entry
-    entry = tuple(bruhat_ideal([translation(mu.datum, lam) for lam in mu.orbit()], budget))
-    if len(entry) <= _DOWNSETS_CAP:
-        retained = sum(map(len, _DOWNSETS.values()))
-        while retained + len(entry) > _DOWNSETS_CAP:
-            retained -= len(_DOWNSETS.pop(next(iter(_DOWNSETS))))
-        _DOWNSETS[key] = entry
-    return entry
+def _ideal(mu: Coweight, budget: Budget):
+    """(ideal, size): the Bruhat ideal of the t_lam, lam in W_0 mu, as a tuple."""
+    ideal = tuple(bruhat_ideal([translation(mu.datum, lam) for lam in mu.orbit()], budget))
+    return ideal, len(ideal)
 
 
 def adm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     """{ [x] : x <= t_lam for some lam in W_0 mu }, as double cosets.
-    The ideal's elements are spent from one budget (a fresh Budget() if
-    None)."""
-    _check_mu(spec, mu)
+    The ideal's elements are spent from one budget (_checked_budget)."""
+    budget = _checked_budget(spec, mu, budget)
     gens = spec.generator_indices
-    elements = _translation_downsets(mu, budget or Budget())
+    elements = _memo(_ideal, mu, budget=budget)
     classes = frozenset(DoubleCoset(spec, x) for x in elements if _no_descent_in(x.w, gens))
     return AdmissibleSet(spec, mu, classes)
 
@@ -182,10 +191,9 @@ def _coordinate_bounds(mu: Coweight, D: int):
     return -((reach - D * c) // 2), (D * c + reach) // 2
 
 
-@lru_cache(maxsize=None)
 def _hull_points(mu: Coweight, D: int):
-    """(points, by_residue): the integer points of D * Conv(W_0 mu), as a
-    set and grouped by their residues mod D.  Every coordinate but the
+    """((points, by_residue), size): the integer points of D * Conv(W_0 mu),
+    as a set and grouped by their residues mod D.  Every coordinate but the
     similitude lies in _coordinate_bounds.  For GL the coordinate sum is
     D * sum(mu), so the points are generated with that sum and only the
     dominance test filters them; for GSp the similitude is D c."""
@@ -201,7 +209,7 @@ def _hull_points(mu: Coweight, D: int):
     by_residue = {}
     for y in sorted(points):
         by_residue.setdefault(tuple(v % D for v in y), []).append(y)
-    return points, by_residue
+    return (points, by_residue), len(points)
 
 
 def _with_sum(n: int, total: int, lo: int, hi: int):
@@ -224,11 +232,10 @@ def _embedded(datum, v):
     return (*head, *(c - x for x in reversed(head)))
 
 
-@lru_cache(maxsize=None)
 def _displacement_table(spec: ParahoricSpec):
-    """What perm_set needs of (datum, I), in the N window coordinates
-    (A_i = D a_i embedded, D the common denominator of the base-alcove
-    vertices, i0 = min I):
+    """(table, |W_0|): what perm_set needs of (datum, I), in the N window
+    coordinates (A_i = D a_i embedded, D the common denominator of the
+    base-alcove vertices, i0 = min I):
 
     - spend: for each residue mod D of u(A_i0) - A_i0, the number of
       finite parts u that have it;
@@ -263,7 +270,7 @@ def _displacement_table(spec: ParahoricSpec):
         if all(m[a] < m[b] for a, b, _ in pairs):
             at = sorted(range(N), key=m.__getitem__)
             shuffles.setdefault(tuple(A[p] % D for p in at), []).append((m, m[:head]))
-    return D, spend, A, tuple(-(N // D) * a for a in A), rest, pairs, shuffles
+    return (D, spend, A, tuple(-(N // D) * a for a in A), rest, pairs, shuffles), sum(spend.values())
 
 
 def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
@@ -276,9 +283,10 @@ def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     at a_i is y = D lam + u(A_i) - A_i.  At i0 = min I it is a point of
     D * Conv(W_0 mu) (_hull_points), each pair (y, u) whose residues mod
     D make lam integral is one displacement candidate, and all of them
-    are spent from the budget (a fresh Budget() if None) at once.  The
-    hull test forces kappa(x) = kappa(t_mu), so the candidates are
-    complete with no length bound.
+    are spent at once from the budget (_checked_budget), once it also has
+    room for the box the hull points are drawn from.  The hull test forces
+    kappa(x) = kappa(t_mu), so the candidates are complete with no length
+    bound.
 
     Only the candidates that can be double-minimal are formed, in the N
     window coordinates (_displacement_table), with Y = y + A_i0 and the
@@ -299,11 +307,13 @@ def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     the displacement does, and _no_descent_in decides every candidate
     left.
     """
-    _check_mu(spec, mu)
-    budget = budget or Budget()
+    budget = _checked_budget(spec, mu, budget)
     datum = spec.datum
-    D, spend, A, shift, rest, pairs, shuffles = _displacement_table(spec)
-    points, by_residue = _hull_points(mu, D)
+    D, spend, A, shift, rest, pairs, shuffles = _memo(_displacement_table, spec)
+    # the box has hi - lo + 1 values per coordinate, one fewer free for GL
+    lo, hi = _coordinate_bounds(mu, D)
+    budget.check((hi - lo + 1) ** (datum.n - (datum.kind == "GL")), "hull box points")
+    points, by_residue = _memo(_hull_points, mu, D)
     budget.spend(sum(n * len(by_residue.get(key, ())) for key, n in spend.items()), "displacement candidates")
     N, head, step = len(A), datum.n, len(A) // D
     gens = tuple(spec.generator_indices)

@@ -21,7 +21,8 @@ perm (one per pair of a hull point and a finite part u whose residues make
 the translation integral, all spent before the first is formed),
 double-coset members formed by count's Poincare quotient (the stratum
 counts spend nothing), and symmetric or symplectic matrices scanned by
-verify matrix.
+verify matrix.  adm and perm also exit 3, spending nothing, before they
+form a W_0 or a box of hull points that does not fit in what is left.
 """
 
 from __future__ import annotations
@@ -64,19 +65,13 @@ def _datum(params) -> RootDatum:
 def _spec(datum, params) -> ParahoricSpec:
     if params.get("iwahori"):
         return ParahoricSpec(datum, frozenset(datum.vertex_labels))
-    if params.get("I") is None:
-        raise ValueError("need --I or --iwahori")
     return ParahoricSpec(datum, frozenset(_ints(params["I"])))
 
 
 def _model(params):
     datum = _datum(params)
-    kind = datum.kind
-    e = int(params["e"])
-    I = set(datum.vertex_labels) if params.get("iwahori") else set(_ints(params["I"]))
-    p = int(params["p"])
     r_vec = _ints(params["r"]) if params.get("r") is not None else None
-    return latmod.build_model(kind, datum.n, e, I, p, r_vec)
+    return latmod.build_model(datum.kind, datum.n, int(params["e"]), _spec(datum, params).I, int(params["p"]), r_vec)
 
 
 def _mu_from_model(model) -> Coweight:
@@ -565,11 +560,12 @@ _REQUIRED = {
 
 def _add_common(sp, case):
     need = _REQUIRED[case]
-    sp.add_argument("--group", default="gl", choices=["gl", "gsp"])
-    sp.add_argument("--d", type=int)
+    if case != "verify-matrix":  # the matrix schemes take no group or level
+        sp.add_argument("--group", default="gl", choices=["gl", "gsp"])
+        sp.add_argument("--d", type=int)
+        sp.add_argument("--I")
+        sp.add_argument("--iwahori", action="store_true")
     sp.add_argument("--g", type=int)
-    sp.add_argument("--I")
-    sp.add_argument("--iwahori", action="store_true")
     sp.add_argument("--format", default="text", choices=["json", "csv", "text"])
     sp.add_argument("--budget", type=int)
     if "e" in need:

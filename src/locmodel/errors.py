@@ -36,6 +36,12 @@ class Budget:
         if self.spent > self.limit:
             raise BudgetExceeded(f"{self.spent} units spent, over the limit of {self.limit}, at {n} {what}")
 
+    def check(self, n, what):
+        """Raise BudgetExceeded, spending nothing, if n more units would pass
+        the limit: for a table of n elements formed before anything is spent."""
+        if self.spent + n > self.limit:
+            raise BudgetExceeded(f"{self.spent} units spent, no room under the limit of {self.limit} for {n} {what}")
+
 
 class DimensionMismatch(ArtifactError):
     pass

@@ -40,14 +40,17 @@ class UnitaryCount:
     by_rank: tuple  # ((rank, count), ...)
 
 
+def _spend_power(budget, p, m, what):
+    """Spend p^m units; p^m > limit once m reaches the limit's bit length,
+    so no larger power is formed."""
+    budget.spend(p ** min(m, budget.limit.bit_length()), what)
+
+
 def unitary_points_direct(n, r, s, p, budget=None) -> UnitaryCount:
     """Direct scan over all symmetric matrices; their number p^m is spent
     from ``budget`` (a fresh Budget() if None), memoised scan or not."""
     _check_unitary(n, r, s, p)
-    budget = budget or Budget()
-    # p^m > limit once m reaches the limit's bit length: form no larger power
-    m = min(n * (n + 1) // 2, budget.limit.bit_length())
-    budget.spend(p**m, "symmetric matrices scanned")
+    _spend_power(budget or Budget(), p, n * (n + 1) // 2, "symmetric matrices scanned")
     hist = {rk: c for rk, c in _square_zero_ranks(n, p) if rk <= min(r, s)}
     return UnitaryCount(sum(hist.values()), tuple(sorted(hist.items())))
 
@@ -231,8 +234,7 @@ def symplectic_P_points(g, e, p, strategy="direct", budget=None) -> int:
         raise ValueError(f"unknown strategy {strategy!r}")
     budget = budget or Budget()
     m = n * n + (n * (n - 1) // 2 if strategy == "direct" else 0)
-    # p^m > limit once m reaches the limit's bit length: form no larger power
-    budget.spend(p ** min(m, budget.limit.bit_length()), "symplectic matrices scanned")
+    _spend_power(budget, p, m, "symplectic matrices scanned")
     blocks = _nilpotent_matrices(n, p, e, _CHUNK)
     if strategy == "linear":
         # each a admits p^(m - rank) alternating b, m = n(n-1)/2

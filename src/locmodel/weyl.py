@@ -39,7 +39,8 @@ GSp); the tests check it against the lifting recursion and the subword
 expansion.  The base-alcove vertices have a closed form.  Parahoric
 subgroups W_I and their generators live here; the minimal element of
 W_I x W_I is the member with no left and no right descent among the
-generators (`_no_descent_in`), and nothing here lists elements by length.
+generators (`_no_descent_in`).  Nothing here lists elements by length,
+and nothing is kept between calls: the module holds no state.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import Budget, DatumMismatch, InvalidIndex
 
@@ -105,20 +106,15 @@ class RootDatum:
 
     def act_coweight(self, u, lam):
         """u(lam), exact also on Fraction coordinates."""
+        out = [0] * self.n
         if self.kind == "GL":
-            out = [0] * self.n
-            for i in range(self.n):
-                out[u[i]] = lam[i]
+            for i, j in enumerate(u):
+                out[j] = lam[i]
             return tuple(out)
         c = lam[-1]
-        out = [0] * self.n
-        for i in range(self.n):
-            j = u[i]
-            if j > 0:
-                out[j - 1] = lam[i]
-            else:
-                out[-j - 1] = c - lam[i]
-        return tuple(out) + (c,)
+        for i, j in enumerate(u):
+            out[abs(j) - 1] = lam[i] if j > 0 else c - lam[i]
+        return (*out, c)
 
 
 @dataclass(frozen=True)
@@ -135,9 +131,7 @@ class Coweight:
 
     def orbit(self):
         """The finite-Weyl orbit W_0 . value, deduplicated."""
-        return sorted(
-            {self.datum.act_coweight(u, self.value) for u in self.datum.finite_elements()}
-        )
+        return sorted({self.datum.act_coweight(u, self.value) for u in self.datum.finite_elements()})
 
 
 def _window(d: RootDatum, lam, u):
@@ -249,10 +243,6 @@ def identity(datum: RootDatum) -> WeylElement:
 
 
 def translation(datum: RootDatum, lam) -> WeylElement:
-    lam = tuple(lam)
-    if datum.kind == "GSp":
-        if len(lam) != datum.n + 1:
-            raise InvalidIndex("GSp coweight is (v_1..v_g, c)")
     return WeylElement(datum, lam, datum.finite_identity())
 
 
@@ -443,21 +433,17 @@ def parahoric_generators(spec: ParahoricSpec):
     return [simple_reflection(spec.datum, j) for j in spec.generator_indices]
 
 
-@lru_cache(maxsize=None)
 def parahoric_subgroup(spec: ParahoricSpec):
-    """All elements of W_I (finite since I is nonempty)."""
+    """All elements of W_I (finite since I is nonempty), formed afresh."""
     gens = parahoric_generators(spec)
     seen = {identity(spec.datum)}
     frontier = list(seen)
     while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = x * s
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+        x = frontier.pop()
+        for s in gens:
+            if (y := x * s) not in seen:
+                seen.add(y)
+                frontier.append(y)
     return frozenset(seen)
 
 

@@ -11,7 +11,7 @@ from operator import add, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locmodel import admissible
+from locmodel import admissible, weyl
 from locmodel.admissible import (
     AdmissibleSet,
     DoubleCoset,
@@ -286,8 +286,8 @@ class TestPermSet:
                 for head in itertools.product(range(lo, hi + 1), repeat=datum.n)
                 if conv_membership(head + tail, scaled)
             }
-            points, by_residue = admissible._hull_points(mu, D)
-            assert points == box
+            (points, by_residue), size = admissible._hull_points(mu, D)
+            assert points == box and size == len(box)
             assert sorted(y for group in by_residue.values() for y in group) == sorted(box)
 
     def test_spends_hull_points_per_finite_part(self):
@@ -297,28 +297,45 @@ class TestPermSet:
         assert budget.spent == 19 * 24
 
     @pytest.mark.parametrize("datum,mu_value", [(GL3, (2, 1, 0)), (GSP2, (2, 2, 2))])
-    def test_displacement_table_order_and_cache(self, datum, mu_value):
+    def test_displacement_table_order_and_cache(self, datum, mu_value, cold_memo):
         # the memoised per-(datum, I) table gives the same classes whatever
         # ran before, and the same as a table built afresh
         mu = Coweight(datum, mu_value)
         specs = list(every_I(datum))
         forward = {spec: perm_set(spec, mu).classes for spec in specs}
+        assert {key[1] for key in cold_memo if key[0] is admissible._displacement_table} == set(specs)
         backward = {spec: perm_set(spec, mu).classes for spec in reversed(specs)}
-        admissible._displacement_table.cache_clear()
-        fresh = {spec: perm_set(spec, mu).classes for spec in specs}
+        fresh = {}
+        for spec in specs:
+            cold_memo.clear()
+            fresh[spec] = perm_set(spec, mu).classes
         assert forward == backward == fresh
         assert all(forward.values())
 
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """An empty ideal memo for this test alone."""
+    """An empty memo for this test alone."""
     memo = {}
-    monkeypatch.setattr(admissible, "_DOWNSETS", memo)
+    monkeypatch.setattr(admissible, "_MEMO", memo)
     return memo
 
 
-class TestDownsetMemo:
+def ideal_key(datum, mu_value):
+    return (admissible._ideal, Coweight(datum, mu_value))
+
+
+def hull_key(datum, mu_value, D=1):
+    return (admissible._hull_points, Coweight(datum, mu_value), D)
+
+
+def table_key(spec):
+    return (admissible._displacement_table, spec)
+
+
+class TestMemo:
+    """The one memo of the ideals, hulls and displacement tables."""
+
     def test_spend_does_not_depend_on_history(self, cold_memo):
         mu = Coweight(GL3, (2, 1, 0))
         spent = []
@@ -326,7 +343,7 @@ class TestDownsetMemo:
             budget = Budget()
             adm_set(spec, mu, budget)
             spent.append(budget.spent)
-        assert list(cold_memo) == [(GL3, (2, 1, 0))]
+        assert list(cold_memo) == [ideal_key(GL3, (2, 1, 0))]
         assert spent[0] > 0 and spent == [spent[0]] * 3
 
     def test_budget_exceeded_leaves_no_entry(self, cold_memo):
@@ -348,21 +365,49 @@ class TestDownsetMemo:
             adm_set(spec0(GL3), Coweight(GL3, mu_value), budget)
             sizes[mu_value] = budget.spent
         cold_memo.clear()
-        monkeypatch.setattr(admissible, "_DOWNSETS_CAP", sizes[(1, 0, 0)] + sizes[(2, 1, 0)])
+        monkeypatch.setattr(admissible, "_MEMO_CAP", sizes[(1, 0, 0)] + sizes[(2, 1, 0)])
         for mu_value in ((1, 0, 0), (1, 1, 0), (1, 0, 0), (2, 1, 0)):
             budget = Budget()
             adm_set(spec0(GL3), Coweight(GL3, mu_value), budget)
             assert budget.spent == sizes[mu_value]  # hit or miss alike
         # (1, 1, 0) was used least recently, so it made room for (2, 1, 0)
-        assert list(cold_memo) == [(GL3, (1, 0, 0)), (GL3, (2, 1, 0))]
+        assert list(cold_memo) == [ideal_key(GL3, (1, 0, 0)), ideal_key(GL3, (2, 1, 0))]
 
     def test_entry_over_the_cap_is_not_stored(self, cold_memo, monkeypatch):
-        monkeypatch.setattr(admissible, "_DOWNSETS_CAP", 10)
+        monkeypatch.setattr(admissible, "_MEMO_CAP", 10)
         adm_set(spec0(GL3), Coweight(GL3, (1, 0, 0)), Budget())
         budget = Budget()
         s = adm_set(spec0(GL3), Coweight(GL3, (2, 1, 0)), budget)
         assert budget.spent > 10 and len(s) > 0
-        assert list(cold_memo) == [(GL3, (1, 0, 0))]
+        assert list(cold_memo) == [ideal_key(GL3, (1, 0, 0))]
+
+    def test_kinds_share_one_eviction_order(self, cold_memo, monkeypatch):
+        # the ideal of (1, 0, 0) has 7 elements, its hull 3 points, and the
+        # table of GL(3) one element per finite part, 6
+        mu = Coweight(GL3, (1, 0, 0))
+        adm_set(spec0(GL3), mu)
+        perm_set(spec0(GL3), mu)
+        assert {key: size for key, (_, size) in cold_memo.items()} == {
+            ideal_key(GL3, (1, 0, 0)): 7,
+            table_key(spec0(GL3)): 6,
+            hull_key(GL3, (1, 0, 0)): 3,
+        }
+        monkeypatch.setattr(admissible, "_MEMO_CAP", 16)
+        adm_set(spec0(GL3), mu)  # a hit: the ideal moves past the table and the hull
+        # the Iwahori table needs room for 6: the least recently used entry,
+        # the table of I = {0}, makes it, and the hull is a hit
+        perm_set(iwahori(GL3), mu)
+        assert list(cold_memo) == [ideal_key(GL3, (1, 0, 0)), table_key(iwahori(GL3)), hull_key(GL3, (1, 0, 0))]
+
+    def test_hull_over_the_cap_is_not_stored(self, cold_memo, monkeypatch):
+        # the 6 points of Conv(S_2 (5, 0)) do not fit under a cap of 5, the
+        # table of GL(2), 2 elements, does
+        mu = Coweight(GL2, (5, 0))
+        classes = perm_set(iwahori(GL2), mu).classes
+        cold_memo.clear()
+        monkeypatch.setattr(admissible, "_MEMO_CAP", 5)
+        assert perm_set(iwahori(GL2), mu).classes == classes
+        assert list(cold_memo) == [table_key(iwahori(GL2))]
 
     def test_gl_sweep_stays_under_the_cap(self, cold_memo):
         # every GL(2..5) ideal of at most three minuscule terms: 103,825
@@ -374,8 +419,8 @@ class TestDownsetMemo:
                 adm_set(spec0(datum), Coweight(datum, mu_value), budget)
                 total += budget.spent
         assert total == 103_825
-        assert sum(map(len, cold_memo.values())) <= admissible._DOWNSETS_CAP < total
-        assert list(cold_memo)[-1] == (RootDatum("GL", 5), minuscule_sums(RootDatum("GL", 5), 3)[-1])
+        assert sum(size for _, size in cold_memo.values()) <= admissible._MEMO_CAP < total
+        assert list(cold_memo)[-1] == ideal_key(RootDatum("GL", 5), minuscule_sums(RootDatum("GL", 5), 3)[-1])
 
 
 class TestDoubleCoset:
@@ -409,6 +454,7 @@ def every_I(datum):
 
 
 _EXTENDED = extended("GL(4) and GSp(3): set LOCMODEL_EXTENDED=1")
+_EXTENDED_GENERATOR = extended("GL(5) and GSp(4) at every I: set LOCMODEL_EXTENDED=1")
 
 
 class TestAgainstReference:
@@ -451,7 +497,7 @@ def filter_perm_set(spec, mu, budget=None):
     verts = alcove_vertices(datum)
     D = math.lcm(*(v.denominator for a in verts.values() for v in a))
     first_i, *rest_i = [tuple(int(D * v) for v in verts[i]) for i in sorted(spec.I)]
-    points, by_residue = admissible._hull_points(mu, D)
+    (points, by_residue), _ = admissible._hull_points(mu, D)
     gens = tuple(spec.generator_indices)
     classes = set()
     for u in datum.finite_elements():
@@ -491,8 +537,8 @@ class TestPermGenerator:
             (GSP1, 3),
             (GSP2, 3),
             (GSP3, 2),
-            pytest.param(RootDatum("GL", 5), 3, marks=_EXTENDED),
-            pytest.param(RootDatum("GSp", 4), 2, marks=_EXTENDED),
+            pytest.param(RootDatum("GL", 5), 3, marks=_EXTENDED_GENERATOR),
+            pytest.param(RootDatum("GSp", 4), 2, marks=_EXTENDED_GENERATOR),
         ],
         ids=lambda v: f"{v.kind}{v.n}" if isinstance(v, RootDatum) else str(v),
     )
@@ -530,13 +576,57 @@ class TestPermGenerator:
         with pytest.raises(BudgetExceeded):
             perm_set(iwahori(GL4), Coweight(GL4, (2, 2, 0, 0)), Budget(19 * 24 - 1))
 
-    def test_names_no_admissible_machinery(self):
-        # Perm is computed on its own, never from Adm's ideal
+    def test_names_no_admissible_machinery(self, monkeypatch):
+        # Perm is computed on its own, never from Adm's ideal: its source
+        # names none of the ideal's machinery, and with the ideal stored in
+        # the shared memo and spoilt, it looks up only tables and hulls and
+        # finds the same classes
         source = textwrap.dedent(inspect.getsource(admissible.perm_set))
         names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
-        assert not names & {"adm_set", "bruhat_ideal", "_DOWNSETS", "_translation_downsets"}
+        assert not names & {"adm_set", "bruhat_ideal", "_ideal"}
         assert "_no_descent_in" in names
+
+        makes = []
+
+        class Spy(dict):
+            def pop(self, key, *default):
+                makes.append(key[0])
+                return super().pop(key, *default)
+
+            def get(self, key, *default):
+                makes.append(key[0])
+                return super().get(key, *default)
+
+            def __getitem__(self, key):
+                makes.append(key[0])
+                return super().__getitem__(key)
+
+        mu = Coweight(GL3, (2, 1, 0))
+        expected = {spec: perm_set(spec, mu).classes for spec in every_I(GL3)}
+        memo = Spy()
+        monkeypatch.setattr(admissible, "_MEMO", memo)
+        adm_set(spec0(GL3), mu)
+        memo[ideal_key(GL3, (2, 1, 0))] = (None, 0)  # spoilt: any use of it fails
+        makes.clear()
+        assert {spec: perm_set(spec, mu).classes for spec in every_I(GL3)} == expected
+        assert set(makes) == {admissible._displacement_table, admissible._hull_points}
+
+
+class TestModuleState:
+    def test_one_memo_and_no_lru_cache(self):
+        # admissible keeps its reused tables in _MEMO alone; weyl keeps none
+        def state(module):
+            return sorted(
+                name
+                for name, value in vars(module).items()
+                if not name.startswith("__") and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
+            )
+
+        assert state(admissible) == ["_MEMO"]
+        assert state(weyl) == []
+        for module in (admissible, weyl):
+            assert "lru_cache" not in inspect.getsource(module)
 
 
 class TestStratumCounts:
@@ -629,9 +719,10 @@ class TestStratumCounts:
                 assert admissible._poincare(spec, q) == poincare_polynomial(spec, q), (sorted(spec.I), q)
 
     def test_forms_no_member(self, monkeypatch):
-        # with W_I and W_K memoised, a class costs two products per
-        # generator of W_I: 10 here, where |W_I|^2 = 720^2; the counts are
-        # those of Gr(3, 6)
+        # a class costs two products per generator of W_I, and W_I and
+        # W_K = S_3 x S_3 are formed with one product per element and
+        # generator: 10 + 720 * 5 + 36 * 4 here, where |W_I|^2 = 720^2;
+        # the counts are those of Gr(3, 6)
         datum = RootDatum("GL", 6)
         spec = spec0(datum)
         (c,) = adm_set(spec, Coweight(datum, (1, 1, 1, 0, 0, 0))).classes
@@ -640,7 +731,7 @@ class TestStratumCounts:
         mul = WeylElement.__mul__
         monkeypatch.setattr(WeylElement, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
         assert stratum_count(DoubleCoset(spec, c.min_rep), 3) == 33880
-        assert len(calls) == 2 * len(spec.generator_indices) == 10
+        assert len(calls) == 2 * 5 + 720 * 5 + 36 * 4
 
     def test_takes_no_budget(self):
         assert list(inspect.signature(stratum_count).parameters) == ["c", "q"]

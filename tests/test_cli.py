@@ -12,6 +12,7 @@ import sys
 import time
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from locmodel import admissible, cli, latmod
 from locmodel.cli import main, parse_manifest
 from locmodel.errors import Budget, ManifestParseError
+from locmodel.weyl import RootDatum
 
 from reference import extended
 
@@ -72,6 +74,13 @@ class TestExitCodes:
     def test_missing_flags_is_two(self):
         code, _ = run(["count", "--group", "gl", "--d", "2", "--mu", "1,0"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", [["--group", "gl"], ["--d", "2"], ["--I", "0"], ["--iwahori"]], ids=str)
+    def test_matrix_takes_no_group_or_level(self, flag):
+        matrix = ["verify", "matrix", "--g", "1", "--e", "2", "--p", "3"]
+        assert run(matrix + flag)[0] == 2
+        code, out = run(matrix + ["--format", "json"])
+        assert code == 0 and json.loads(out)["params"] == {"e": 2, "g": 1, "p": 3}
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -188,10 +197,38 @@ class TestExitCodes:
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
     def test_exact_spend_in_either_order(self, order, monkeypatch):
         # the ideal memo starts cold and is warm for every later case
-        monkeypatch.setattr(admissible, "_DOWNSETS", {})
+        monkeypatch.setattr(admissible, "_MEMO", {})
         for argv, spent in _EXACT_SPEND[::order]:
             assert run(argv + ["--budget", str(spent - 1)])[0] == 3
             assert run(argv + ["--budget", str(spent)])[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv,w0_fits",
+        [
+            # W_0 = S_9, 362,880 finite parts, for the orbit and for the table
+            (["adm", "--group", "gl", "--d", "9", "--mu", "1,0,0,0,0,0,0,0,0", "--I", "0"], False),
+            (["perm", "--group", "gl", "--d", "9", "--mu", "1,0,0,0,0,0,0,0,0", "--I", "0"], False),
+            (["count", "--group", "gl", "--d", "9", "--mu", "1,0,0,0,0,0,0,0,0", "--I", "0", "--p", "2"], False),
+            # 2^3 3! = 48 signed permutations
+            (["compare-adm-perm", "--group", "gsp", "--g", "3", "--mu", "1,1,1,2", "--iwahori"], False),
+            # W_0 fits, but the hull's box does not: 1,001 values of the first
+            # coordinate, 2,001 of the GSp one
+            (["perm", "--group", "gl", "--d", "2", "--mu", "1000,0", "--I", "0"], True),
+            (["perm", "--group", "gsp", "--g", "1", "--mu", "1000,0", "--I", "0"], True),
+        ],
+        ids=lambda v: " ".join(v[:5]) if isinstance(v, list) else str(v),
+    )
+    def test_weyl_tables_fit_before_they_are_formed(self, argv, w0_fits, monkeypatch):
+        # the budget of 10 has no room for the table, so it is not formed
+        def formed(*args, **kwargs):
+            raise AssertionError("formed a table the budget has no room for")
+
+        monkeypatch.setattr(admissible, "_MEMO", {})
+        if not w0_fits:
+            monkeypatch.setattr(RootDatum, "finite_elements", formed)
+        monkeypatch.setattr(admissible, "_with_sum", formed)
+        monkeypatch.setattr(admissible, "itertools", SimpleNamespace(product=formed))
+        assert run(argv + ["--budget", "10"])[0] == 3
 
     def test_each_suite_block_gets_its_own_budget(self, tmp_path):
         block = "case=adm\ngroup=gl\nd=2\nmu=1,0\niwahori=true\n"
@@ -632,12 +669,12 @@ class TestManifest:
         mf.write_text("\n".join(
             f"case={case}\ngroup=gl\nd=3\nmu=2,1,0\nI={I}\np=2\n" for case, I in cases
         ))
-        monkeypatch.setattr(admissible, "_DOWNSETS", {})
+        monkeypatch.setattr(admissible, "_MEMO", {})
         code, out = run(["run-suite", str(mf), "--budget", "100000"])
         suite = json.loads(out)["cases"]
         assert code == 0 and len(suite) == len(cases)
         for (case, I), report in zip(cases, suite):
-            monkeypatch.setattr(admissible, "_DOWNSETS", {})
+            monkeypatch.setattr(admissible, "_MEMO", {})
             argv = [case, "--group", "gl", "--d", "3", "--mu", "2,1,0", "--I", I, "--format", "json"]
             code, out = run(argv + (["--p", "2"] if case == "count" else []) + ["--budget", "100000"])
             fresh = json.loads(out)
