@@ -28,12 +28,13 @@ stratum_count evaluates sum q^{l(z)} over the right-I-minimal members
 of a double coset, the point count of the corresponding stratum over
 F_q (q a prime power), in closed form; it forms no member.
 poincare_quotient finds the same number from all the members, formed
-and spent, divided by the Poincare polynomial of W_I.
+and spent, divided by the Poincare polynomial of W_I, which comes from
+the diagram (_poincare).
 
 The ideal, the hull points and the table share one memo (_memo); W_I is
-formed on each call.  W_0 and the hull's coordinate box are formed before
-any unit is spent, so every call first checks their sizes against the
-budget left (Budget.check).
+formed on each call of poincare_quotient.  The orbit of mu, W_0 and the
+hull's coordinate box are formed before any unit is spent, so their sizes
+are first checked against the budget left (Budget.check).
 """
 
 from __future__ import annotations
@@ -122,19 +123,17 @@ def _memo(make, *args, budget=None):
 
 def _checked_budget(spec: ParahoricSpec, mu: Coweight, budget):
     """The budget of an adm_set or perm_set call (a fresh Budget() if None),
-    once mu is known to be of spec's datum and the budget has room for
-    W_0 (d! for GL(d), 2^g g! for GSp(g)), which both form before they
-    spend: the orbit of mu and the displacement table run over it."""
+    once mu is known to be of spec's datum."""
     if mu.datum != spec.datum:
         raise KindMismatch("coweight belongs to a different datum")
-    budget = budget or Budget()
-    n = mu.datum.n
-    budget.check(math.factorial(n) << (n if mu.datum.kind == "GSp" else 0), "finite Weyl group elements")
-    return budget
+    return budget or Budget()
 
 
 def _ideal(mu: Coweight, budget: Budget):
-    """(ideal, size): the Bruhat ideal of the t_lam, lam in W_0 mu, as a tuple."""
+    """(ideal, size): the Bruhat ideal of the t_lam, lam in W_0 mu, as a
+    tuple, once the budget has room for the orbit, formed before any unit
+    is spent."""
+    budget.check(mu.orbit_size(), "coweight orbit points")
     ideal = tuple(bruhat_ideal([translation(mu.datum, lam) for lam in mu.orbit()], budget))
     return ideal, len(ideal)
 
@@ -283,8 +282,9 @@ def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     at a_i is y = D lam + u(A_i) - A_i.  At i0 = min I it is a point of
     D * Conv(W_0 mu) (_hull_points), each pair (y, u) whose residues mod
     D make lam integral is one displacement candidate, and all of them
-    are spent at once from the budget (_checked_budget), once it also has
-    room for the box the hull points are drawn from.  The hull test forces
+    are spent at once from the budget (_checked_budget), once it has room
+    for W_0, which the displacement table runs over, and for the box the
+    hull points are drawn from.  The hull test forces
     kappa(x) = kappa(t_mu), so the candidates are complete with no length
     bound.
 
@@ -309,6 +309,7 @@ def perm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
     """
     budget = _checked_budget(spec, mu, budget)
     datum = spec.datum
+    budget.check(math.factorial(datum.n) << (datum.n if datum.kind == "GSp" else 0), "finite Weyl group elements")
     D, spend, A, shift, rest, pairs, shuffles = _memo(_displacement_table, spec)
     # the box has hi - lo + 1 values per coordinate, one fewer free for GL
     lo, hi = _coordinate_bounds(mu, D)
@@ -351,8 +352,29 @@ def _prime_power(q: int) -> bool:
 
 
 def _poincare(spec: ParahoricSpec, q: int) -> int:
-    """The Poincare polynomial of W_I at q: sum q^{l(v)} over v in W_I."""
-    return sum(q ** length(v) for v in parahoric_subgroup(spec))
+    """The Poincare polynomial of W_I at q, sum q^{l(v)} over v in W_I, as
+    a product over the pieces of J, the generators of W_I, in the affine
+    diagram: a cycle for GL, the path 0..g for GSp.  A piece of k nodes
+    is of type A_k, giving [2][3]...[k+1], except that a GSp piece holding
+    0 or g is of type C_k, giving [2][4]...[2k] (Humphreys 3.15);
+    [m] = 1 + q + ... + q^(m-1).  No element of W_I is formed."""
+    datum, left = spec.datum, set(spec.generator_indices)
+    N, cycle = len(datum.simple_indices), datum.kind == "GL"
+    total = 1
+    while left:
+        piece, frontier = set(), [left.pop()]
+        while frontier:
+            j = frontier.pop()
+            piece.add(j)
+            for k in (j - 1, j + 1):
+                k = k % N if cycle else k
+                if k in left:
+                    left.discard(k)
+                    frontier.append(k)
+        k = len(piece)
+        degrees = range(2, 2 * k + 1, 2) if not cycle and piece & {0, datum.n} else range(2, k + 2)
+        total *= math.prod((q**m - 1) // (q - 1) for m in degrees)
+    return total
 
 
 def stratum_count(c: DoubleCoset, q: int) -> int:

@@ -15,14 +15,17 @@ fixed inputs except for the elapsed_ms field.
 
 --budget N (else LOCMODEL_BUDGET, else 10^7) is one cumulative allowance
 of work per case, and per block of run-suite.  Each stage spends its own
-unit: subspaces enumerated, slot choices tried by the chain backtracker,
-Bruhat ideal elements formed by adm, displacement candidates counted by
+unit: subspaces enumerated, slot options visited by the chain backtracker
+(for the naive and unramified points, past the first label, only those
+that contain the images of the labels before), Bruhat ideal elements
+formed by adm, displacement candidates counted by
 perm (one per pair of a hull point and a finite part u whose residues make
 the translation integral, all spent before the first is formed),
 double-coset members formed by count's Poincare quotient (the stratum
 counts spend nothing), and symmetric or symplectic matrices scanned by
 verify matrix.  adm and perm also exit 3, spending nothing, before they
-form a W_0 or a box of hull points that does not fit in what is left.
+form an orbit of mu (adm), a W_0 or a box of hull points (perm) that
+does not fit in what is left.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ and is therefore documented here rather than tested per point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -330,38 +331,103 @@ class FlagPoint:
         return hash(self.as_tuple())
 
 
-def _chains(maps, slots, labels, choices, budget):
+def _code(v, p):
+    """The vector v of F_p^n as one int: its entries as base-p digits,
+    the first most significant."""
+    code = 0
+    for x in v:
+        code = code * p + x
+    return code
+
+
+def _containment_table(subspaces, p):
+    """The containment index of a list of subspaces of one dimension k in
+    F_p^n: the _code of every vector whose first nonzero entry is 1, as
+    every RREF row's is, mapped to the bitset of the subspaces that hold
+    it, bit j for subspaces[j].  Those vectors of a subspace are the
+    combinations of its rows whose first nonzero coefficient is 1, formed
+    for all the subspaces at once."""
+    k, n = subspaces[0].dim, subspaces[0].ambient_dim
+    if not k:
+        return {}
+    coeffs = np.array([
+        (0,) * lead + (1,) + tail
+        for lead in range(k)
+        for tail in itertools.product(range(p), repeat=k - lead - 1)
+    ])
+    digits = np.array([p**i for i in reversed(range(n))], dtype=np.int64 if p**n < 2**63 else object)
+    vectors = (coeffs @ np.array([s.rows for s in subspaces])) % p
+    table = {}
+    for j, codes in enumerate((vectors @ digits).tolist()):
+        bit = 1 << j
+        for code in codes:
+            table[code] = table.get(code, 0) | bit
+    return table
+
+
+def _chains(maps, slots, labels, choices, budget, index=None):
     """Yield {slot: subspace} for every chain, in itertools.product order
     over the labels: labels[s] is the tuple of slots chosen together and
     choices[s] its options, each a tuple of subspaces in the order of
     labels[s].  Link k holds when maps[k] sends slots[k] into the next
     slot, the last wrapping to the first; it is checked once both its
-    ends are chosen, with each image computed once per call.  Every
-    choice tried spends one unit of the budget."""
+    ends are chosen.  index, if given, holds per label the
+    _containment_table of the first subspaces of its options, or None.  A
+    link from a label chosen earlier into the first slot of a label with
+    a table is a mask: the AND of the table's bitsets over the rows of the
+    image.  The label's options are then visited only at the bits of its
+    masks, in ascending order, and every other link is tested with leq.
+    Each image and mask is computed once per call.  Every option visited
+    spends one unit of the budget."""
     where = {t: (s, pos) for s, label in enumerate(labels) for pos, t in enumerate(label)}
-    links = [[] for _ in labels]  # links[s]: (k, source, target) completed by label s
+    index = index or [None] * len(labels)
+    links = [([], []) for _ in labels]  # links[s]: (masked, tested), the links (k, source, target) completed by s
     for k, (a, b) in enumerate(zip(slots, slots[1:] + slots[:1])):
-        links[max(where[a][0], where[b][0])].append((k, where[a], where[b]))
-    images = [[None] * len(choices[where[a][0]]) for a in slots]
-    return _extend(maps, labels, choices, links, images, budget, [0] * len(labels), 0)
+        (sa, pa), (sb, pb) = where[a], where[b]
+        masked = sa < sb and pb == 0 and index[sb] is not None
+        links[max(sa, sb)][0 if masked else 1].append((k, (sa, pa), (sb, pb)))
+    memo = [[None] * len(choices[where[a][0]]) for a in slots]  # per link and source option: image or mask
+    return _extend(maps, labels, choices, index, links, memo, budget, [0] * len(labels), 0)
 
 
-def _extend(maps, labels, choices, links, images, budget, picked, s):
-    # not a nested closure: that would be a cycle holding its images until gc
-    for j in range(len(choices[s])):
-        budget.spend(1, "slot choices tried")
+def _extend(maps, labels, choices, index, links, memo, budget, picked, s):
+    # not a nested closure: that would be a cycle holding its memo until gc
+    masked, tested = links[s]
+    visit = range(len(choices[s]))
+    if masked:
+        mask = -1
+        for k, (sa, pa), _ in masked:
+            m = memo[k][picked[sa]]
+            if m is None:
+                m = (1 << len(choices[s])) - 1
+                img = linalg.image(maps[k], choices[sa][picked[sa]][pa])
+                for row in img.rows:
+                    m &= index[s].get(_code(row, img.field.p), 0)
+                memo[k][picked[sa]] = m
+            mask &= m
+        visit = _bits(mask)
+    for j in visit:
+        budget.spend(1, "slot options visited")
         picked[s] = j
-        for k, (sa, pa), (sb, pb) in links[s]:
-            img = images[k][picked[sa]]
+        for k, (sa, pa), (sb, pb) in tested:
+            img = memo[k][picked[sa]]
             if img is None:
-                img = images[k][picked[sa]] = linalg.image(maps[k], choices[sa][picked[sa]][pa])
+                img = memo[k][picked[sa]] = linalg.image(maps[k], choices[sa][picked[sa]][pa])
             if not img.leq(choices[sb][picked[sb]][pb]):
                 break
         else:
             if s + 1 < len(labels):
-                yield from _extend(maps, labels, choices, links, images, budget, picked, s + 1)
+                yield from _extend(maps, labels, choices, index, links, memo, budget, picked, s + 1)
             else:
                 yield {t: c for label, opts, i in zip(labels, choices, picked) for t, c in zip(label, opts[i])}
+
+
+def _bits(mask):
+    """The positions of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _points(model: ChainModel, maps, opts, grams, budget):
@@ -369,7 +435,9 @@ def _points(model: ChainModel, maps, opts, grams, budget):
     independent label (the slots for GL, I for GSp) drawn from the one
     list opts.  For GSp, F_0 must annihilate itself under grams[0], and
     F_{-i} is the annihilator of F_i under grams[i], N-stable as N is
-    adjoint for it, chosen together with F_i."""
+    adjoint for it, chosen together with F_i.  Every label after the
+    first draws its first subspace from all of opts, so with more than
+    one label they share one containment table of opts, built here."""
     paired = [i for i in model.I if model.kind == "GSp" and i > 0]
     labels = [(i, -i) if i in paired else (i,) for i in model.I]
     choices = [
@@ -378,8 +446,11 @@ def _points(model: ChainModel, maps, opts, grams, budget):
         else [(c,) for c in opts if model.kind == "GL" or linalg.perp(c, grams[0]) == c]
         for i in model.I
     ]
+    index = None
+    if len(labels) > 1 and opts:
+        index = [None] + [_containment_table(opts, model.field.p)] * (len(labels) - 1)
     order = list(model.I) + [-i for i in paired]
-    for chain in _chains(maps, model.slots, labels, choices, budget):
+    for chain in _chains(maps, model.slots, labels, choices, budget, index):
         yield ChainPoint(model, {t: chain[t] for t in order})
 
 

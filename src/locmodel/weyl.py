@@ -46,6 +46,8 @@ and nothing is kept between calls: the module holds no state.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -130,8 +132,46 @@ class Coweight:
             raise InvalidIndex("coweight has wrong length")
 
     def orbit(self):
-        """The finite-Weyl orbit W_0 . value, deduplicated."""
-        return sorted({self.datum.act_coweight(u, self.value) for u in self.datum.finite_elements()})
+        """The finite-Weyl orbit W_0 . value, sorted, formed without W_0:
+        the distinct orderings of the coordinates, for GSp (v; c) those of
+        v after any v_i is replaced by c - v_i."""
+        if self.datum.kind == "GL":
+            return list(_orderings(self.value))
+        *v, c = self.value
+        heads = {tuple(sorted(h)) for h in itertools.product(*({x, c - x} for x in v))}
+        return sorted(head + (c,) for h in heads for head in _orderings(h))
+
+    def orbit_size(self) -> int:
+        """len(self.orbit()), without forming it: the multinomial of the
+        multiplicities of the coordinates; for GSp, of the distances
+        |2 v_i - c| from the centre, times 2 for each nonzero distance."""
+        if self.datum.kind == "GL":
+            return _multinomial(self.value)
+        *v, c = self.value
+        return _multinomial([abs(2 * x - c) for x in v]) << sum(2 * x != c for x in v)
+
+
+def _orderings(values):
+    """Every distinct ordering of the multiset values, in lexicographic
+    order (each from the last by the next-permutation step)."""
+    v = sorted(values)
+    while True:
+        yield tuple(v)
+        i = len(v) - 2
+        while i >= 0 and v[i] >= v[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(v) - 1
+        while v[j] <= v[i]:
+            j -= 1
+        v[i], v[j] = v[j], v[i]
+        v[i + 1 :] = reversed(v[i + 1 :])
+
+
+def _multinomial(values) -> int:
+    """The number of distinct orderings of the multiset values."""
+    return math.factorial(len(values)) // math.prod(map(math.factorial, Counter(values).values()))
 
 
 def _window(d: RootDatum, lam, u):

@@ -31,9 +31,9 @@ computes another way, kept as an oracle for it:
     only these oracles and the tests need;
   * ``solve_exact``: a linear system over Q, for the Caratheodory hull
     oracle (the library tests hull membership by dominance);
-  * ``poincare_polynomial``: the Poincare polynomial of W_I as a product
-    of q-integers over the pieces of its diagram (the library sums q^l
-    over the elements of W_I, ``admissible._poincare``);
+  * ``poincare_polynomial``: the Poincare polynomial of W_I as the sum
+    of q^l over the elements of W_I (the library takes the product of
+    q-integers over the pieces of its diagram, ``admissible._poincare``);
   * ``rref`` and ``nullspace``: Gauss-Jordan elimination of an array by
     numpy row operations, and the kernel read from it (the library
     eliminates on lists with ``_rref_rows`` and ranks blocks of matrices
@@ -48,13 +48,17 @@ computes another way, kept as an oracle for it:
     elementary chain automorphisms (the library matches signatures);
   * ``mod_p_map``: a transition map on Lambda tensor F_p built from the
     slot bases (the library restricts the chain's own maps to the Pi^0
-    coordinates).
+    coordinates);
+  * ``trial_chains``: the chain backtracker that tries every option of
+    each label and tests each link with leq (the library visits only the
+    options that its containment table finds to hold each image,
+    ``latmod._chains``; ``test_weyl`` parses this file to hold that it
+    reaches neither).
 
 ``extended`` marks the opt-in tier: the slow tests that run only with
 LOCMODEL_EXTENDED set.
 """
 
-import math
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -80,6 +84,7 @@ from locmodel.weyl import (
     kappa,
     length,
     parahoric_generators,
+    parahoric_subgroup,
     simple_reflection,
     translation,
 )
@@ -373,28 +378,9 @@ def double_coset(x: WeylElement, spec) -> DoubleCoset:
 
 
 def poincare_polynomial(spec, q: int) -> int:
-    """P_{W_I}(q) as a product over the pieces of J, the generators of
-    W_I, in the affine diagram: a cycle for GL, the path 0..g for GSp.  A
-    piece of k nodes is of type A_k, giving [2][3]...[k+1], except that a
-    GSp piece holding 0 or g is of type C_k, giving [2][4]...[2k]
-    (Humphreys 3.15); [m] = 1 + q + ... + q^(m-1)."""
-    datum, left = spec.datum, set(spec.generator_indices)
-    N, cycle = len(datum.simple_indices), datum.kind == "GL"
-    total = 1
-    while left:
-        piece, frontier = set(), [left.pop()]
-        while frontier:
-            j = frontier.pop()
-            piece.add(j)
-            for k in (j - 1, j + 1):
-                k = k % N if cycle else k
-                if k in left:
-                    left.discard(k)
-                    frontier.append(k)
-        k = len(piece)
-        degrees = range(2, 2 * k + 1, 2) if not cycle and piece & {0, datum.n} else range(2, k + 2)
-        total *= math.prod((q**m - 1) // (q - 1) for m in degrees)
-    return total
+    """P_{W_I}(q) = sum q^{l(v)} over every element v of W_I, formed by
+    weyl.parahoric_subgroup."""
+    return sum(q ** length(v) for v in parahoric_subgroup(spec))
 
 
 def total_count(s: AdmissibleSet, q: int) -> int:
@@ -680,3 +666,32 @@ def mod_p_maps(model: ChainModel):
     slots = model.slots
     maps = [mod_p_map(model, a, b, 0) for a, b in zip(slots, slots[1:])]
     return maps + [mod_p_map(model, slots[-1], slots[0], 1)]
+
+
+# ---------------------------------------------------------------------------
+# latmod: the chain backtracker that tests every option
+
+
+def trial_chains(maps, slots, labels, choices):
+    """The chains of latmod._chains, in the same order, from its former
+    loop: every option of each label is tried in turn and each link is
+    tested with leq once both its ends are chosen (latmod reads the
+    options that contain an image from a containment table)."""
+    where = {t: (s, pos) for s, label in enumerate(labels) for pos, t in enumerate(label)}
+    links = [[] for _ in labels]  # links[s]: (k, source, target) completed by label s
+    for k, (a, b) in enumerate(zip(slots, slots[1:] + slots[:1])):
+        links[max(where[a][0], where[b][0])].append((k, where[a], where[b]))
+    yield from _trial_extend(maps, labels, choices, links, [0] * len(labels), 0)
+
+
+def _trial_extend(maps, labels, choices, links, picked, s):
+    for j in range(len(choices[s])):
+        picked[s] = j
+        if all(
+            linalg.image(maps[k], choices[sa][picked[sa]][pa]).leq(choices[sb][picked[sb]][pb])
+            for k, (sa, pa), (sb, pb) in links[s]
+        ):
+            if s + 1 < len(labels):
+                yield from _trial_extend(maps, labels, choices, links, picked, s + 1)
+            else:
+                yield {t: c for label, opts, i in zip(labels, choices, picked) for t, c in zip(label, opts[i])}

@@ -254,6 +254,32 @@ class TestCriterion6Symplectic:
             assert n == stratum_count(c, 3)
 
 
+class TestFrontier:
+    """Chain models that pass at the default budget since the chain
+    backtracker visits only the options its containment table allows."""
+
+    @staticmethod
+    def run_default_budget(argv, monkeypatch):
+        monkeypatch.delenv("LOCMODEL_BUDGET", raising=False)
+        buf = io.StringIO()
+        code = main(argv + ["--format", "json"], stream=buf)
+        return code, json.loads(buf.getvalue())["totals"]
+
+    @extended("GL(4) e=2 r=(2,1) I={0,2} at p=3 (about 3 s): set LOCMODEL_EXTENDED=1")
+    def test_gl4_p3_strata(self, monkeypatch):
+        argv = ["verify", "strata", "--group", "gl", "--d", "4", "--e", "2", "--r", "2,1", "--I", "0,2", "--p", "3"]
+        code, totals = self.run_default_budget(argv, monkeypatch)
+        assert code == 0
+        assert totals == {"predicted": 19384, "observed": 19384, "naive": 19384, "canonical": 19384, "unmatched": 0}
+
+    @extended("GSp(4) e=2 Iwahori at p=3 (about 10 s): set LOCMODEL_EXTENDED=1")
+    def test_gsp2_iwahori_p3_symplectic(self, monkeypatch):
+        argv = ["verify", "symplectic", "--g", "2", "--e", "2", "--iwahori", "--p", "3"]
+        code, totals = self.run_default_budget(argv, monkeypatch)
+        assert code == 0
+        assert totals == {"predicted": 6265, "observed": 6265, "unmatched": 0, "maximal_classes": 4}
+
+
 class TestCriterion7MatrixSchemes:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

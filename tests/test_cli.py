@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locmodel import admissible, cli, latmod
+from locmodel import admissible, cli, latmod, weyl
 from locmodel.cli import main, parse_manifest
 from locmodel.errors import Budget, ManifestParseError
 from locmodel.weyl import RootDatum
@@ -42,8 +42,9 @@ _EXACT_SPEND = [
     (["count", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0", "--p", "2"], 105 + 2 * 24**2),
     # the same 105 ideal elements, once more after count has stored them
     (["adm", "--group", "gl", "--d", "4", "--mu", "2,1,1,0", "--I", "0,2"], 105),
-    # 5 ideal elements, 22 subspaces and 14 slot choices; the stratum
-    # counts of its 2 classes spend nothing
+    # 5 ideal elements, 22 subspaces and 14 slot options visited (one
+    # label, so every option); the stratum counts of its 2 classes spend
+    # nothing
     (["verify", "strata", "--group", "gl", "--d", "2", "--e", "2", "--r", "1,1", "--I", "0", "--p", "2"], 41),
     # 3^15 symmetric matrices scanned, most of them rejected with a prefix of
     # their rows, then 1 + 121 + 1,210 isotropic subspaces
@@ -205,7 +206,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,w0_fits",
         [
-            # W_0 = S_9, 362,880 finite parts, for the orbit and for the table
+            # W_0 = S_9, 362,880 finite parts, for the table; adm forms only
+            # the 9 points of the orbit, and its ideal passes the budget
             (["adm", "--group", "gl", "--d", "9", "--mu", "1,0,0,0,0,0,0,0,0", "--I", "0"], False),
             (["perm", "--group", "gl", "--d", "9", "--mu", "1,0,0,0,0,0,0,0,0", "--I", "0"], False),
             (["count", "--group", "gl", "--d", "9", "--mu", "1,0,0,0,0,0,0,0,0", "--I", "0", "--p", "2"], False),
@@ -229,6 +231,22 @@ class TestExitCodes:
         monkeypatch.setattr(admissible, "_with_sum", formed)
         monkeypatch.setattr(admissible, "itertools", SimpleNamespace(product=formed))
         assert run(argv + ["--budget", "10"])[0] == 3
+
+    def test_orbit_fits_before_it_is_formed(self, monkeypatch):
+        # 9! = 362,880 points in the orbit of a regular mu
+        def formed(*args, **kwargs):
+            raise AssertionError("formed an orbit the budget has no room for")
+
+        monkeypatch.setattr(admissible, "_MEMO", {})
+        monkeypatch.setattr(weyl, "_orderings", formed)
+        assert run(["adm", "--group", "gl", "--d", "9", "--mu", "8,7,6,5,4,3,2,1,0", "--I", "0", "--budget", "10"])[0] == 3
+
+    def test_central_mu_needs_room_for_its_orbit_only(self, monkeypatch):
+        # the orbit and the ideal of a central mu are t_mu alone, so one
+        # unit is enough, where room for W_0 = S_3 was needed before
+        monkeypatch.setattr(admissible, "_MEMO", {})
+        for budget in ("1", "5"):
+            assert run(["adm", "--group", "gl", "--d", "3", "--mu", "1,1,1", "--I", "0", "--budget", budget])[0] == 0
 
     def test_each_suite_block_gets_its_own_budget(self, tmp_path):
         block = "case=adm\ngroup=gl\nd=2\nmu=1,0\niwahori=true\n"
@@ -577,6 +595,31 @@ class TestModelLifetime:
         try:
             assert run(argv)[0] == 0
             assert len(refs) == 1 and refs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_case_frees_its_containment_tables(self, monkeypatch):
+        # a containment table lives for one call of the point enumeration
+        class Table(dict):
+            pass
+
+        refs = []
+        build = latmod._containment_table
+
+        def traced(*args):
+            table = Table(build(*args))
+            refs.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(latmod, "_containment_table", traced)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            argv = ["verify", "torsor", "--group", "gl", "--d", "3", "--e", "2", "--I", "0,1,2", "--p", "2", "--r", "1,1"]
+            assert run(argv)[0] == 0
+            # one for the naive points and one per unramified level
+            assert len(refs) == 3 and all(ref() is None for ref in refs)
         finally:
             if enabled:
                 gc.enable()

@@ -51,6 +51,7 @@ from reference import (
     omega_generator,
     random_chain_automorphism,
     stable_under,
+    trial_chains,
     total_count,
 )
 
@@ -428,16 +429,17 @@ class TestNaive:
         assert [list(s) for s in got] == [list(s) for s in expected]
 
     def test_gsp_budget_counts_combinations(self):
-        # I = {0, 1}: every link has an end at label 1, so all 13 choices
-        # of F_0 are extended by the 13 choices of F_1
+        # I = {0, 1}: all 13 options of F_0 are visited, and under each
+        # only the options of F_1 that contain T(F_0), read from the
+        # containment table: 25 of the 13 * 13 pairs, each a point
         model = build_model("GSp", 1, 2, {0, 1}, 3)
         maps = model.T + [model.T_wrap]
         assert [len(c) for c in label_candidates(model)] == [13, 13]
         stable = linalg.stable_subspaces(model.N, model.rank)
-        pts = list(latmod._points(model, maps, stable, model.gram, Budget(13 + 13 * 13)))
+        pts = list(latmod._points(model, maps, stable, model.gram, Budget(13 + 25)))
         assert len(pts) == 25
         with pytest.raises(BudgetExceeded):
-            list(latmod._points(model, maps, stable, model.gram, Budget(13 + 13 * 13 - 1)))
+            list(latmod._points(model, maps, stable, model.gram, Budget(13 + 25 - 1)))
 
     @pytest.mark.parametrize(
         "size,e,I,p", [(1, 2, {0, 1}, 3), (2, 1, {0, 1, 2}, 2), (2, 2, {1}, 3)], ids=str
@@ -454,6 +456,99 @@ class TestNaive:
             got = [pt.subspaces for pt in unramified_points(model, l)]
             assert got == expected
             assert [list(s) for s in got] == [list(s) for s in expected]
+
+
+class TestChainIndex:
+    @pytest.mark.parametrize(
+        "kind,size,e,I,p,r_vec",
+        [
+            ("GL", 2, 2, {0, 1}, 3, (1, 1)),
+            ("GL", 3, 2, {0, 1, 2}, 2, (1, 1)),
+            ("GL", 3, 2, {0, 2}, 3, (2, 1)),
+            ("GL", 4, 1, {0, 1, 3}, 2, (2,)),
+            ("GL", 4, 2, {0, 2}, 2, (1, 1)),
+            ("GL", 2, 3, {0, 1}, 3, (1, 1, 0)),
+            ("GSp", 1, 2, {0, 1}, 3, None),
+            ("GSp", 1, 3, {0, 1}, 2, None),
+            ("GSp", 2, 1, {0, 1, 2}, 2, None),
+            ("GSp", 2, 1, {1, 2}, 3, None),
+            ("GSp", 2, 1, {0, 2}, 3, None),
+            ("GSp", 1, 2, {0, 1}, 5, None),
+        ],
+        ids=str,
+    )
+    def test_indexed_chains_equal_trial_chains(self, kind, size, e, I, p, r_vec, monkeypatch):
+        # every call of _chains from the naive and unramified points, with
+        # its options read from the containment table, yields the chains
+        # of the loop that tests every option, in the same order and with
+        # the same key order
+        calls = []
+        chains = latmod._chains
+
+        def spy(maps, slots, labels, choices, budget, index=None):
+            got = list(chains(maps, slots, labels, choices, budget, index))
+            expected = list(trial_chains(maps, slots, labels, choices))
+            calls.append(index is not None)
+            assert [list(c.items()) for c in got] == [list(c.items()) for c in expected]
+            return iter(got)
+
+        monkeypatch.setattr(latmod, "_chains", spy)
+        model = build_model(kind, size, e, I, p, r_vec)
+        assert list(naive_points(model))
+        for l in range(1, e + 1):
+            list(unramified_points(model, l))
+        assert len(calls) == 1 + e and all(calls)
+
+    @pytest.mark.parametrize("kind,size,e,I,p,r_vec", [("GL", 2, 2, {0, 1}, 3, (1, 1)), ("GSp", 1, 2, {0, 1}, 3, None)])
+    def test_table_bits_are_containment(self, kind, size, e, I, p, r_vec):
+        # bit j of a vector's entry is set iff the vector lies in option j,
+        # for every vector of F_p^n whose first nonzero entry is 1
+        model = build_model(kind, size, e, I, p, r_vec)
+        opts = linalg.stable_subspaces(model.N, model.rank)
+        table = latmod._containment_table(opts, p)
+        for v in itertools.product(range(p), repeat=model.dim):
+            if not any(v) or v[next(i for i, x in enumerate(v) if x)] != 1:
+                continue
+            line = Subspace.from_rows(model.field, model.dim, [v])
+            bits = table.get(latmod._code(v, p), 0)
+            assert [bits >> j & 1 for j in range(len(opts))] == [int(line.leq(o)) for o in opts], v
+
+    def test_codes_past_int64(self):
+        # 13^18 passes 2^63: the table's codes are Python ints, equal to
+        # _code, and each row's bits are still containment
+        field = linalg.Field(13)
+        rng = np.random.default_rng(5)
+        opts = [Subspace.from_rows(field, 18, rng.integers(0, 13, (2, 18))) for _ in range(6)]
+        assert all(o.dim == 2 for o in opts)
+        table = latmod._containment_table(opts, 13)
+        for o in opts:
+            r0, r1 = o.rows
+            # the vectors of o whose first nonzero entry is 1
+            for v in [r1] + [tuple((a + c * b) % 13 for a, b in zip(r0, r1)) for c in range(13)]:
+                line = Subspace.from_rows(field, 18, [v])
+                bits = table[latmod._code(v, 13)]
+                assert [bits >> j & 1 for j in range(len(opts))] == [int(line.leq(x)) for x in opts]
+
+    def test_image_in_no_option_visits_none(self):
+        # the row of F_a = <e_1> lies in no option of slot b, so the table
+        # has no entry for it and no option of b is visited
+        field = linalg.Field(2)
+        x, y = (Subspace.from_rows(field, 2, [row]) for row in ([1, 0], [0, 1]))
+        maps = [FieldMatrix.identity(field, 2)] * 2
+        labels, choices = [("a",), ("b",)], [[(x,)], [(y,)]]
+        budget = Budget()
+        index = [None, latmod._containment_table([y], 2)]
+        assert list(latmod._chains(maps, ["a", "b"], labels, choices, budget, index)) == []
+        assert list(trial_chains(maps, ["a", "b"], labels, choices)) == []
+        assert budget.spent == 1
+
+    def test_one_label_builds_no_table(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("built a containment table for one label")
+
+        monkeypatch.setattr(latmod, "_containment_table", built)
+        assert len(list(naive_points(build_model("GL", 4, 2, {0}, 2, (1, 1))))) == 155
+        assert len(list(naive_points(build_model("GSp", 1, 2, {0}, 3)))) == 13
 
 
 class TestStableSubspaces:

@@ -311,6 +311,27 @@ class TestBruhatIdeal:
             bruhat_ideal([identity(GL2), translation(GL2, (1, -1))])
 
 
+class TestOrbit:
+    @pytest.mark.parametrize("datum", [GL1, GL2, GL3, GL4, GSP1, GSP2, GSP3], ids=_IDS)
+    def test_equals_the_w0_action(self, datum):
+        # the orbit listed without W_0 against W_0 acting on mu, and its
+        # size in closed form, for every mu with coordinates in -1..2
+        for value in itertools.product(range(-1, 3), repeat=datum.coord_len):
+            mu = Coweight(datum, value)
+            expected = sorted({datum.act_coweight(u, value) for u in datum.finite_elements()})
+            assert mu.orbit() == expected, value
+            assert mu.orbit_size() == len(expected), value
+
+    def test_forms_no_finite_weyl_group(self, monkeypatch):
+        def formed(*args):
+            raise AssertionError("formed W_0")
+
+        monkeypatch.setattr(RootDatum, "finite_elements", formed)
+        assert Coweight(RootDatum("GL", 9), (1,) + (0,) * 8).orbit_size() == 9
+        assert len(Coweight(RootDatum("GL", 9), (1,) + (0,) * 8).orbit()) == 9
+        assert Coweight(GSP3, (1, 1, 1, 2)).orbit() == [(1, 1, 1, 2)]
+
+
 class TestKappa:
     def test_values(self):
         assert kappa(identity(GL2)) == 0
@@ -533,6 +554,25 @@ class TestOracleIndependence:
             and node.value.id in {"linalg", "matschemes"}
         }
         assert "Subspace" in reached and not reached & elimination
+
+    def test_reference_reaches_no_chain_backtracker(self):
+        # trial_chains checks latmod._chains, so reference.py may import
+        # neither the backtracker, its containment table nor a caller of
+        # either, nor the latmod module itself
+        backtracker = {
+            "_chains", "_extend", "_bits", "_containment_table", "_code", "_points",
+            "naive_points", "unramified_points", "canonical_points", "splitting_points",
+        }
+        tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+        imported = {
+            (getattr(node, "module", None), alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        reached = {name for module, name in imported if module == "locmodel.latmod"}
+        assert "ChainModel" in reached and not reached & backtracker
+        assert not imported & {("locmodel", "latmod"), (None, "locmodel.latmod")}
 
 
 class TestBruhat:
