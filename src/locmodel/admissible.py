@@ -31,8 +31,8 @@ poincare_quotient finds the same number from all the members, formed
 and spent, divided by the Poincare polynomial of W_I, which comes from
 the diagram (_poincare).
 
-The ideal, the hull points and the table share one memo (_memo); W_I is
-formed on each call of poincare_quotient.  The orbit of mu, W_0 and the
+The ideal, the hull points and the table are kept in errors._memo; W_I
+is formed on each call of poincare_quotient.  The orbit of mu, W_0 and the
 hull's coordinate box are formed before any unit is spent, so their sizes
 are first checked against the budget left (Budget.check).
 """
@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import add, sub
 
-from .errors import ArtifactError, Budget, KindMismatch
+from .errors import ArtifactError, Budget, KindMismatch, _memo
 from .weyl import (
     Coweight,
     ParahoricSpec,
@@ -93,32 +93,6 @@ class AdmissibleSet:
 
     def maximal_classes(self):
         return [c for c in self.classes if not any(c != d and c.leq(d) for d in self.classes)]
-
-
-# (make, *args) -> make(*args), a (value, size in elements formed) pair,
-# least recently used first; at most _MEMO_CAP elements in all.
-_MEMO = {}
-_MEMO_CAP = 40_000
-
-
-def _memo(make, *args, budget=None):
-    """The value of make(*args), or of make(*args, budget) for the ideal,
-    which spends one unit per element it forms; a hit spends that size at
-    once, so no spend depends on what ran before.  An entry is stored once
-    made, if it fits under the cap, evicting the least recently used."""
-    key = (make, *args)
-    entry = _MEMO.pop(key, None)
-    if entry is None:
-        entry = make(*args) if budget is None else make(*args, budget)
-        if entry[1] > _MEMO_CAP:
-            return entry[0]
-        retained = sum(size for _, size in _MEMO.values())
-        while retained + entry[1] > _MEMO_CAP:
-            retained -= _MEMO.pop(next(iter(_MEMO)))[1]
-    elif budget is not None:
-        budget.spend(entry[1], "ideal elements")
-    _MEMO[key] = entry
-    return entry[0]
 
 
 def _checked_budget(spec: ParahoricSpec, mu: Coweight, budget):

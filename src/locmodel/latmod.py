@@ -41,6 +41,7 @@ from .errors import (
     SignatureCollision,
     SingularGram,
     WildRamification,
+    _memo,
 )
 from . import linalg
 from .linalg import Field, FieldMatrix, Subspace
@@ -433,8 +434,8 @@ def _bits(mask):
 def _points(model: ChainModel, maps, opts, grams, budget):
     """Chain points, in product order, with the subspace of every
     independent label (the slots for GL, I for GSp) drawn from the one
-    list opts.  For GSp, F_0 must annihilate itself under grams[0], and
-    F_{-i} is the annihilator of F_i under grams[i], N-stable as N is
+    list opts.  For GSp, F_0 must be isotropic for grams[0] (so Lagrangian)
+    and F_{-i} is the annihilator of F_i under grams[i], N-stable as N is
     adjoint for it, chosen together with F_i.  Every label after the
     first draws its first subspace from all of opts, so with more than
     one label they share one containment table of opts, built here."""
@@ -443,7 +444,7 @@ def _points(model: ChainModel, maps, opts, grams, budget):
     choices = [
         [(c, linalg.perp(c, grams[i])) for c in opts]
         if i in paired
-        else [(c,) for c in opts if model.kind == "GL" or linalg.perp(c, grams[0]) == c]
+        else [(c,) for c in opts if model.kind == "GL" or linalg.isotropic(c, grams[0])]
         for i in model.I
     ]
     index = None
@@ -474,18 +475,21 @@ def _level_options(model: ChainModel, upper, j, budget):
     """The candidates for F^j under F^{j+1} = upper, as the 1-tuples that
     _chains chooses from: the subspaces of rank level_rank(j) between
     N(upper) and upper with dim N(F^j) <= level_rank(j-1), so N(F^1) = 0
-    at the bottom (level_rank(0) = 0).  They depend on no slot, so they
-    are memoised per model on (upper, j)."""
+    at the bottom (level_rank(0) = 0).  They depend on no slot: memoised per
+    model on (upper, j), and across models on (N, upper, the two ranks)."""
     key = ("level", upper, j)
     opts = model.memo.get(key)
     if opts is None:
-        lower = linalg.image(model.N, upper)
-        opts = model.memo[key] = [
-            (cand,)
-            for cand in linalg.subspaces_between(lower, upper, model.level_rank(j), budget=budget)
-            if linalg.image(model.N, cand).dim <= model.level_rank(j - 1)
-        ]
+        ranks = model.level_rank(j), model.level_rank(j - 1)
+        shared = (_levels, model.field.p, model.N.array.tobytes(), upper._key, *ranks)
+        opts = model.memo[key] = _memo(_levels, model.N, upper, *ranks, budget=budget, key=shared)
     return opts
+
+
+def _levels(N, upper, rank, below, budget):
+    between = linalg.subspaces_between(linalg.image(N, upper), upper, rank, budget)
+    opts = tuple((c,) for c in between if linalg.image(N, c).dim <= below)
+    return opts, len(opts)
 
 
 def _annihilator(model: ChainModel, t, sub):

@@ -12,18 +12,18 @@ each subspace's image once.  ``enumerate_subspaces`` streams every
 k-dimensional subspace of F_p^n exactly once, ordered lexicographically
 by pivot-column set and then by free entries; ``stable_subspaces``
 generates the subspaces stable under a nilpotent operator and returns
-them in that same order.
+them in that same order, memoised with the invertibility of grams in
+errors._memo on the matrix's contents, so that models with one N share it.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import prod
 
 import numpy as np
 
-from .errors import Budget, DimensionMismatch, SingularGram
+from .errors import Budget, DimensionMismatch, SingularGram, _memo
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -270,21 +270,27 @@ def preimage(f: FieldMatrix, b: Subspace) -> Subspace:
     return Subspace.from_rows(b.field, f.cols, _nullspace(cond, f.cols, p))
 
 
-@lru_cache(maxsize=64)
-def _invertible(m: FieldMatrix) -> bool:
-    """Is the square matrix m invertible?  Memoised: perp asks it of the
-    same few grams for every subspace."""
-    return rank(m) == m.rows
+def _invertible(m: FieldMatrix):
+    """(is the square m invertible, 1): perp asks it of the same few grams."""
+    return rank(m) == m.rows, 1
 
 
 def perp(a: Subspace, gram: FieldMatrix) -> Subspace:
     """Annihilator {w : v·gram·w = 0 for all v in a} for a perfect gram."""
     if gram.rows != a.ambient_dim or gram.cols != a.ambient_dim:
         raise DimensionMismatch("gram shape does not match ambient")
-    if not _invertible(gram):
+    if not _memo(_invertible, gram, key=(_invertible, gram.field.p, gram.array.shape, gram.array.tobytes())):
         raise SingularGram("gram matrix is not invertible")
     null = _nullspace(_times(a.rows, gram), a.ambient_dim, a.field.p)
     return Subspace.from_rows(a.field, a.ambient_dim, null)
+
+
+def isotropic(a: Subspace, gram: FieldMatrix) -> bool:
+    """Is v·gram·w = 0 for all v, w in a?"""
+    if gram.rows != a.ambient_dim or gram.cols != a.ambient_dim:
+        raise DimensionMismatch("gram shape does not match ambient")
+    p = a.field.p
+    return not any(sum(map(int.__mul__, u, w)) % p for u in _times(a.rows, gram) for w in a.rows)
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -322,18 +328,12 @@ def enumerate_subspaces(n, k, field, budget=None):
 
 def subspaces_between(a: Subspace, b: Subspace, k: int, budget=None):
     """Yield subspaces V with a <= V <= b and dim(V) = k."""
-    a._check(b)
-    if not a.leq(b):
+    if not a.leq(b) or not a.dim <= k <= b.dim:
         return
-    if k < a.dim or k > b.dim:
-        return
-    # Complement of a inside b, picked greedily from b's basis rows.
-    p, comp, current = a.field.p, [], a.rows
-    for row in b.rows:
-        grown = _rref_rows(current + (row,), p)[0]
-        if len(grown) > len(current):
-            comp.append(row)
-            current = grown
+    # Complement of a inside b: row j of b unless j is a pivot of a's
+    # coordinates in b's basis (a's entries at b's pivots), reversed.
+    skip = {b.dim - 1 - c for c in _rref_rows([[v[q] for q in reversed(b.piv)] for v in a.rows], a.field.p)[1]}
+    comp = [row for j, row in enumerate(b.rows) if j not in skip]
     for w in enumerate_subspaces(len(comp), k - a.dim, a.field, budget=budget):
         # w's rows are nonzero, so each lifted row sums at least one scaled row of comp
         lifted = [list(map(sum, zip(*[[x * y for y in r] for x, r in zip(c, comp) if x]))) for c in w.rows]
@@ -355,18 +355,22 @@ def stable_subspaces(N: FieldMatrix, k: int, budget=None) -> list:
     So level d is built from the levels below it: for each stable U inside
     the image of N, the V between U and N^-1(U) with N(V) = U, which
     yields each V once.  Every V examined, over all levels, is spent
-    from one budget (a fresh Budget() if None).
+    from one budget (a fresh Budget() if None), again on a memo hit.
     """
     n = N.rows
     if not 0 <= k <= n:
         raise DimensionMismatch(f"need 0 <= k <= n, got k={k}, n={n}")
-    budget = budget or Budget()
-    im = image(N, Subspace.full(N.field, n))
+    a = N.array
+    return list(_memo(_stable, N, k, budget=budget or Budget(), key=(_stable, N.field.p, a.shape, a.tobytes(), k)))
+
+
+def _stable(N: FieldMatrix, k: int, budget):
+    im = image(N, Subspace.full(N.field, N.rows))
     pairs = []  # (U, N^-1(U)) for every stable U <= im of dimension < d
-    level = [Subspace.zero(N.field, n)]
+    level = [Subspace.zero(N.field, N.rows)]
     for d in range(1, k + 1):
         pairs += [(u, preimage(N, u)) for u in level if u.leq(im)]
         level = []
         for u, pre in pairs:
             level += [v for v in subspaces_between(u, pre, d, budget) if image(N, v) == u]
-    return sorted(level, key=_order_key)
+    return tuple(sorted(level, key=_order_key)), len(level)

@@ -42,6 +42,10 @@ computes another way, kept as an oracle for it:
   * ``stable_under``, ``meet`` and ``join``: subspace predicates, sums
     and intersections by direct elimination (the library generates the
     N-stable subspaces and computes signatures from column ranks);
+  * ``greedy_subspaces_between``: the subspaces between a and b, lifted
+    from a complement of a that takes b's rows greedily, joining one at
+    a time (the library reads the complement off one elimination of a's
+    coordinates in b's basis, ``linalg.subspaces_between``);
   * ``symmetric_batch``: symmetric matrices decoded from mixed-radix
     digits (the library scans them in chunks of int16 digit tables);
   * ``classify_by_orbits``: the strata of a chain model as orbits of the
@@ -466,6 +470,23 @@ def join(a: Subspace, b: Subspace) -> Subspace:
     """Sum of two subspaces."""
     a._check(b)
     return Subspace.from_rows(a.field, a.ambient_dim, np.vstack([a.basis, b.basis]))
+
+
+def greedy_subspaces_between(a: Subspace, b: Subspace, k: int, budget=None):
+    """The subspaces V with a <= V <= b and dim(V) = k, in the order of
+    linalg.subspaces_between: each row of b joins the complement if it
+    grows the span of a and the rows taken so far."""
+    if not a.leq(b) or not a.dim <= k <= b.dim:
+        return
+    comp, span = [], a
+    for row in b.rows:
+        grown = join(span, Subspace.from_rows(a.field, a.ambient_dim, [row]))
+        if grown.dim > span.dim:
+            comp.append(row)
+            span = grown
+    comp = np.array(comp, dtype=np.int64).reshape(len(comp), a.ambient_dim)
+    for w in linalg.enumerate_subspaces(len(comp), k - a.dim, a.field, budget=budget):
+        yield Subspace.from_rows(a.field, a.ambient_dim, np.vstack([a.basis, w.basis @ comp]))
 
 
 def stable_under(a: Subspace, f: FieldMatrix) -> bool:

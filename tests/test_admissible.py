@@ -11,7 +11,7 @@ from operator import add, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locmodel import admissible, weyl
+from locmodel import admissible, errors, latmod, linalg, weyl
 from locmodel.admissible import (
     AdmissibleSet,
     DoubleCoset,
@@ -313,14 +313,6 @@ class TestPermSet:
         assert all(forward.values())
 
 
-@pytest.fixture
-def cold_memo(monkeypatch):
-    """An empty memo for this test alone."""
-    memo = {}
-    monkeypatch.setattr(admissible, "_MEMO", memo)
-    return memo
-
-
 def ideal_key(datum, mu_value):
     return (admissible._ideal, Coweight(datum, mu_value))
 
@@ -365,7 +357,7 @@ class TestMemo:
             adm_set(spec0(GL3), Coweight(GL3, mu_value), budget)
             sizes[mu_value] = budget.spent
         cold_memo.clear()
-        monkeypatch.setattr(admissible, "_MEMO_CAP", sizes[(1, 0, 0)] + sizes[(2, 1, 0)])
+        monkeypatch.setattr(errors, "_MEMO_CAP", sizes[(1, 0, 0)] + sizes[(2, 1, 0)])
         for mu_value in ((1, 0, 0), (1, 1, 0), (1, 0, 0), (2, 1, 0)):
             budget = Budget()
             adm_set(spec0(GL3), Coweight(GL3, mu_value), budget)
@@ -374,7 +366,7 @@ class TestMemo:
         assert list(cold_memo) == [ideal_key(GL3, (1, 0, 0)), ideal_key(GL3, (2, 1, 0))]
 
     def test_entry_over_the_cap_is_not_stored(self, cold_memo, monkeypatch):
-        monkeypatch.setattr(admissible, "_MEMO_CAP", 10)
+        monkeypatch.setattr(errors, "_MEMO_CAP", 10)
         adm_set(spec0(GL3), Coweight(GL3, (1, 0, 0)), Budget())
         budget = Budget()
         s = adm_set(spec0(GL3), Coweight(GL3, (2, 1, 0)), budget)
@@ -387,12 +379,12 @@ class TestMemo:
         mu = Coweight(GL3, (1, 0, 0))
         adm_set(spec0(GL3), mu)
         perm_set(spec0(GL3), mu)
-        assert {key: size for key, (_, size) in cold_memo.items()} == {
+        assert {key: size for key, (_, size, _) in cold_memo.items()} == {
             ideal_key(GL3, (1, 0, 0)): 7,
             table_key(spec0(GL3)): 6,
             hull_key(GL3, (1, 0, 0)): 3,
         }
-        monkeypatch.setattr(admissible, "_MEMO_CAP", 16)
+        monkeypatch.setattr(errors, "_MEMO_CAP", 16)
         adm_set(spec0(GL3), mu)  # a hit: the ideal moves past the table and the hull
         # the Iwahori table needs room for 6: the least recently used entry,
         # the table of I = {0}, makes it, and the hull is a hit
@@ -405,7 +397,7 @@ class TestMemo:
         mu = Coweight(GL2, (5, 0))
         classes = perm_set(iwahori(GL2), mu).classes
         cold_memo.clear()
-        monkeypatch.setattr(admissible, "_MEMO_CAP", 5)
+        monkeypatch.setattr(errors, "_MEMO_CAP", 5)
         assert perm_set(iwahori(GL2), mu).classes == classes
         assert list(cold_memo) == [table_key(iwahori(GL2))]
 
@@ -419,7 +411,7 @@ class TestMemo:
                 adm_set(spec0(datum), Coweight(datum, mu_value), budget)
                 total += budget.spent
         assert total == 103_825
-        assert sum(size for _, size in cold_memo.values()) <= admissible._MEMO_CAP < total
+        assert sum(size for _, size, _ in cold_memo.values()) <= errors._MEMO_CAP < total
         assert list(cold_memo)[-1] == ideal_key(RootDatum("GL", 5), minuscule_sums(RootDatum("GL", 5), 3)[-1])
 
 
@@ -605,9 +597,9 @@ class TestPermGenerator:
         mu = Coweight(GL3, (2, 1, 0))
         expected = {spec: perm_set(spec, mu).classes for spec in every_I(GL3)}
         memo = Spy()
-        monkeypatch.setattr(admissible, "_MEMO", memo)
+        monkeypatch.setattr(errors, "_MEMO", memo)
         adm_set(spec0(GL3), mu)
-        memo[ideal_key(GL3, (2, 1, 0))] = (None, 0)  # spoilt: any use of it fails
+        memo[ideal_key(GL3, (2, 1, 0))] = (None, 0, 0)  # spoilt: any use of it fails
         makes.clear()
         assert {spec: perm_set(spec, mu).classes for spec in every_I(GL3)} == expected
         assert set(makes) == {admissible._displacement_table, admissible._hull_points}
@@ -615,7 +607,8 @@ class TestPermGenerator:
 
 class TestModuleState:
     def test_one_memo_and_no_lru_cache(self):
-        # admissible keeps its reused tables in _MEMO alone; weyl keeps none
+        # the package keeps its reused tables in errors._MEMO alone; the
+        # layers that use it keep none of their own
         def state(module):
             return sorted(
                 name
@@ -623,9 +616,9 @@ class TestModuleState:
                 if not name.startswith("__") and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
             )
 
-        assert state(admissible) == ["_MEMO"]
-        assert state(weyl) == []
-        for module in (admissible, weyl):
+        assert state(errors) == ["_MEMO"]
+        for module in (admissible, weyl, linalg, latmod):
+            assert state(module) == []
             assert "lru_cache" not in inspect.getsource(module)
 
 

@@ -17,9 +17,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locmodel import admissible, cli, latmod, weyl
+from locmodel import admissible, cli, latmod, linalg, weyl
 from locmodel.cli import main, parse_manifest
 from locmodel.errors import Budget, ManifestParseError
+from locmodel.linalg import FieldMatrix
 from locmodel.weyl import RootDatum
 
 from reference import extended
@@ -46,6 +47,16 @@ _EXACT_SPEND = [
     # label, so every option); the stratum counts of its 2 classes spend
     # nothing
     (["verify", "strata", "--group", "gl", "--d", "2", "--e", "2", "--r", "1,1", "--I", "0", "--p", "2"], 41),
+    # the N of the case above: its 13 stable and 9 flag-level subspaces,
+    # spent again on a memo hit, 6 lines of F_2^2 for the two unramified
+    # levels and 22 slot options visited
+    (["verify", "torsor", "--group", "gl", "--d", "2", "--e", "2", "--r", "1,1", "--I", "0", "--p", "2"], 13 + 9 + 6 + 22),
+    # 21 stable and 16 flag-level subspaces, 8 lines of F_3^2 for the two
+    # unramified levels and 37 slot options visited
+    (["verify", "torsor", "--group", "gsp", "--g", "1", "--e", "2", "--I", "0", "--p", "3"], 21 + 16 + 8 + 37),
+    # the N of the case above: 5 ideal elements, the same 21 + 16
+    # subspaces and 26 slot options visited
+    (["verify", "symplectic", "--g", "1", "--e", "2", "--I", "0", "--p", "3"], 5 + 21 + 16 + 26),
     # 3^15 symmetric matrices scanned, most of them rejected with a prefix of
     # their rows, then 1 + 121 + 1,210 isotropic subspaces
     (["verify", "matrix", "--n", "5", "--r", "2", "--s", "3", "--p", "3"], 3**15 + 1_332),
@@ -196,9 +207,8 @@ class TestExitCodes:
         assert run(argv + ["--budget", str(spent - 1)])[0] == 3
 
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
-    def test_exact_spend_in_either_order(self, order, monkeypatch):
-        # the ideal memo starts cold and is warm for every later case
-        monkeypatch.setattr(admissible, "_MEMO", {})
+    def test_exact_spend_in_either_order(self, order, cold_memo):
+        # the memo starts cold and is warm for every later case
         for argv, spent in _EXACT_SPEND[::order]:
             assert run(argv + ["--budget", str(spent - 1)])[0] == 3
             assert run(argv + ["--budget", str(spent)])[0] == 0
@@ -220,31 +230,28 @@ class TestExitCodes:
         ],
         ids=lambda v: " ".join(v[:5]) if isinstance(v, list) else str(v),
     )
-    def test_weyl_tables_fit_before_they_are_formed(self, argv, w0_fits, monkeypatch):
+    def test_weyl_tables_fit_before_they_are_formed(self, argv, w0_fits, monkeypatch, cold_memo):
         # the budget of 10 has no room for the table, so it is not formed
         def formed(*args, **kwargs):
             raise AssertionError("formed a table the budget has no room for")
 
-        monkeypatch.setattr(admissible, "_MEMO", {})
         if not w0_fits:
             monkeypatch.setattr(RootDatum, "finite_elements", formed)
         monkeypatch.setattr(admissible, "_with_sum", formed)
         monkeypatch.setattr(admissible, "itertools", SimpleNamespace(product=formed))
         assert run(argv + ["--budget", "10"])[0] == 3
 
-    def test_orbit_fits_before_it_is_formed(self, monkeypatch):
+    def test_orbit_fits_before_it_is_formed(self, monkeypatch, cold_memo):
         # 9! = 362,880 points in the orbit of a regular mu
         def formed(*args, **kwargs):
             raise AssertionError("formed an orbit the budget has no room for")
 
-        monkeypatch.setattr(admissible, "_MEMO", {})
         monkeypatch.setattr(weyl, "_orderings", formed)
         assert run(["adm", "--group", "gl", "--d", "9", "--mu", "8,7,6,5,4,3,2,1,0", "--I", "0", "--budget", "10"])[0] == 3
 
-    def test_central_mu_needs_room_for_its_orbit_only(self, monkeypatch):
+    def test_central_mu_needs_room_for_its_orbit_only(self, cold_memo):
         # the orbit and the ideal of a central mu are t_mu alone, so one
         # unit is enough, where room for W_0 = S_3 was needed before
-        monkeypatch.setattr(admissible, "_MEMO", {})
         for budget in ("1", "5"):
             assert run(["adm", "--group", "gl", "--d", "3", "--mu", "1,1,1", "--I", "0", "--budget", budget])[0] == 0
 
@@ -625,6 +632,64 @@ class TestModelLifetime:
                 gc.enable()
 
 
+# The twelve cases of the lattice-strata benchmark workload.
+_LATTICE_STRATA = [
+    ["verify", "strata", "--group", "gl", "--d", "4", "--e", "2", "--I", "0", "--p", "2", "--r", "1,1"],
+    ["verify", "strata", "--group", "gl", "--d", "3", "--e", "2", "--I", "0,1,2", "--p", "2", "--r", "1,1"],
+    ["verify", "strata", "--group", "gl", "--d", "2", "--e", "3", "--I", "0,1", "--p", "3", "--r", "1,1,0"],
+    ["verify", "strata", "--group", "gl", "--d", "3", "--e", "2", "--I", "0,1", "--p", "2", "--r", "1,1"],
+    ["verify", "strata", "--group", "gl", "--d", "2", "--e", "2", "--I", "0", "--p", "5", "--r", "1,1"],
+    ["verify", "torsor", "--group", "gl", "--d", "3", "--e", "2", "--I", "0,1,2", "--p", "2", "--r", "1,1"],
+    ["verify", "torsor", "--group", "gl", "--d", "3", "--e", "2", "--I", "0", "--p", "2", "--r", "2,1"],
+    ["verify", "torsor", "--group", "gsp", "--g", "1", "--e", "2", "--I", "0", "--p", "5"],
+    *(["verify", "symplectic", "--group", "gsp", "--g", "1", "--e", "2", "--I", "0", "--p", p] for p in "357"),
+    ["verify", "symplectic", "--group", "gsp", "--g", "1", "--e", "2", "--I", "0,1", "--p", "3"],
+]
+
+
+class TestMemoHistory:
+    """The package memo outlives cases, so that cases with one N share
+    its stable subspaces and flag levels; nothing a case reports may
+    depend on what ran before it."""
+
+    @staticmethod
+    def report(argv):
+        code, out = run(argv + ["--format", "json"])
+        return code, "".join(line for line in out.splitlines(True) if '"elapsed_ms"' not in line)
+
+    def test_reports_equal_cold_warm_and_reversed(self, cold_memo):
+        cold = {}
+        for argv in _LATTICE_STRATA:
+            cold_memo.clear()
+            cold[tuple(argv)] = self.report(argv)
+        cold_memo.clear()
+        warm = {tuple(argv): self.report(argv) for argv in _LATTICE_STRATA}
+        reversed_ = {tuple(argv): self.report(argv) for argv in _LATTICE_STRATA[::-1]}
+        assert warm == reversed_ == cold
+        assert all(code == 0 for code, _ in cold.values())
+
+    def test_memo_holds_no_matrix_or_model(self, cold_memo):
+        # a case frees its model and maps only if the memo keeps neither
+        for argv in _LATTICE_STRATA:
+            run(argv)
+        kinds = {key[0] for key in cold_memo}
+        assert {linalg._stable, latmod._levels, linalg._invertible, admissible._ideal} <= kinds
+        seen, todo = set(), list(cold_memo.items())
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, (int, str, bytes, type(None))) or callable(obj):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (FieldMatrix, latmod.ChainModel, latmod.ChainPoint)), type(obj)
+            if isinstance(obj, dict):
+                todo += obj.items()
+            elif isinstance(obj, (tuple, list, set, frozenset)):
+                todo += obj
+            else:
+                todo += [getattr(obj, name) for name in getattr(obj, "__slots__", ()) if hasattr(obj, name)]
+                todo += getattr(obj, "__dict__", {}).values()
+
+
 class TestSymplecticLevels:
     def test_iwahori_passes_with_two_maximal_classes(self):
         # At Iwahori level the orbit of t_mu gives two maximal classes;
@@ -705,19 +770,18 @@ class TestManifest:
         assert code == 0
         assert json.loads(out) == {"cases": [], "pass": True}
 
-    def test_suite_reports_equal_fresh_calls(self, tmp_path, monkeypatch):
+    def test_suite_reports_equal_fresh_calls(self, tmp_path, cold_memo):
         # one mu at several I: later blocks find the ideal stored
         cases = [("compare-adm-perm", "0"), ("adm", "0,1"), ("count", "1,2"), ("perm", "0,1,2")]
         mf = tmp_path / "suite.txt"
         mf.write_text("\n".join(
             f"case={case}\ngroup=gl\nd=3\nmu=2,1,0\nI={I}\np=2\n" for case, I in cases
         ))
-        monkeypatch.setattr(admissible, "_MEMO", {})
         code, out = run(["run-suite", str(mf), "--budget", "100000"])
         suite = json.loads(out)["cases"]
         assert code == 0 and len(suite) == len(cases)
         for (case, I), report in zip(cases, suite):
-            monkeypatch.setattr(admissible, "_MEMO", {})
+            cold_memo.clear()
             argv = [case, "--group", "gl", "--d", "3", "--mu", "2,1,0", "--I", I, "--format", "json"]
             code, out = run(argv + (["--p", "2"] if case == "count" else []) + ["--budget", "100000"])
             fresh = json.loads(out)

@@ -39,7 +39,7 @@ from locmodel.latmod import (
     torsor_check,
     unramified_points,
 )
-from locmodel.linalg import FieldMatrix, Subspace
+from locmodel.linalg import FieldMatrix, Subspace, enumerate_subspaces
 from locmodel.weyl import Coweight, ParahoricSpec, RootDatum, translation
 
 from reference import (
@@ -608,6 +608,22 @@ class TestStableSubspaces:
             linalg.stable_subspaces(model.N, 2, budget=Budget(12))
         with pytest.raises(BudgetExceeded):
             list(naive_points(model, budget=Budget(3)))
+
+
+class TestLagrangian:
+    @pytest.mark.parametrize("g,e,p", [(1, 2, 3), (1, 2, 5), (1, 3, 2), (2, 1, 2), (2, 1, 3), (2, 2, 3)], ids=str)
+    def test_isotropy_equals_self_annihilation(self, g, e, p):
+        # _points keeps the F_0 options that are isotropic, of half the
+        # dimension, so Lagrangian: those equal to their annihilator
+        model = build_model("GSp", g, e, {0}, p)
+        lists = [linalg.stable_subspaces(model.N, model.rank)]
+        if model.dim <= 6:  # every stable option is Lagrangian for g = 1, not every subspace
+            lists.append(list(enumerate_subspaces(model.dim, model.rank, model.field)))
+        for subspaces in lists:
+            isotropic = [linalg.isotropic(s, model.gram[0]) for s in subspaces]
+            assert isotropic == [linalg.perp(s, model.gram[0]) == s for s in subspaces]
+            assert any(isotropic)
+        assert not all(isotropic)
 
 
 class TestSplitting:

@@ -18,6 +18,7 @@ from locmodel.linalg import (
     enumerate_subspaces,
     gaussian_binomial,
     image,
+    isotropic,
     perp,
     preimage,
     rank,
@@ -27,7 +28,7 @@ from locmodel.linalg import (
     _rref_rows,
 )
 
-from reference import join, meet, nullspace, rref, stable_under
+from reference import greedy_subspaces_between, join, meet, nullspace, rref, stable_under
 
 F2 = Field(2)
 F3 = Field(3)
@@ -409,18 +410,24 @@ class TestPerp:
         gram = FieldMatrix.identity(F3, 4)
         assert perp(Subspace.zero(F3, 4), gram) == Subspace.full(F3, 4)
 
+    def test_isotropic_needs_a_gram_of_the_ambient(self):
+        line = Subspace.from_rows(F3, 2, [[1, 0]])
+        assert isotropic(line, FieldMatrix(F3, [[0, 1], [-1, 0]]))
+        assert not isotropic(line, FieldMatrix.identity(F3, 2))
+        with pytest.raises(DimensionMismatch):
+            isotropic(line, FieldMatrix.identity(F3, 3))
+
     def test_singular_gram_rejected(self):
         gram = FieldMatrix.zero(F2, 3, 3)
         with pytest.raises(SingularGram):
             perp(Subspace.zero(F2, 3), gram)
 
-    def test_repeated_calls(self, monkeypatch):
+    def test_repeated_calls(self, monkeypatch, cold_memo):
         # each distinct gram is ranked once; a singular one raises every time
         from locmodel import linalg
 
         calls = []
         monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or rank(m))
-        linalg._invertible.cache_clear()
         singular = FieldMatrix(F3, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
         for _ in range(3):
             with pytest.raises(SingularGram):
@@ -466,3 +473,18 @@ class TestBetween:
         a = Subspace.from_rows(F3, 3, [[1, 0, 0]])
         assert list(subspaces_between(a, a, 1)) == [a]
         assert list(subspaces_between(a, a, 2)) == []
+
+    @pytest.mark.parametrize("p,n_max", [(2, 5), (3, 4), (5, 3)])
+    def test_complement_equals_greedy_complement(self, p, n_max):
+        # the same subspaces in the same order, for the same spend, as the
+        # complement that joins b's rows one at a time
+        rng = np.random.default_rng(p)
+        field = Field(p)
+        for _ in range(200):
+            n = int(rng.integers(1, n_max + 1))
+            b = Subspace.from_rows(field, n, random_matrix(rng, p, int(rng.integers(0, n + 1)), n))
+            a = Subspace.from_rows(field, n, random_matrix(rng, p, int(rng.integers(0, b.dim + 1)), b.dim) @ b.basis)
+            for k in range(a.dim, b.dim + 1):
+                spent, expected = Budget(), Budget()
+                assert list(subspaces_between(a, b, k, spent)) == list(greedy_subspaces_between(a, b, k, expected))
+                assert spent.spent == expected.spent
