@@ -1,18 +1,19 @@
 """Admissible and permissible sets in W_I \\ W~ / W_I.
 
 Both sets are sets of double cosets, each keyed by its minimal element:
-the one member with no left and no right descent in W_I.  Both test it
-with weyl._no_descent_in, which reads only the generator positions of
-a window and of its inverse (perm_set before it forms the element).
-Their expected equality is one of the main verification targets.
+the one member with no left and no right descent in W_I.  perm_set tests
+it with weyl._no_descent_in, which reads only the generator positions of
+a window and of its inverse, before it forms the element.  Their
+expected equality is one of the main verification targets.
 
 adm_set takes the Bruhat ideal generated by the translations t_lam over
 the finite-Weyl orbit of mu, the union of their down-sets
-(weyl.bruhat_ideal).  It does not depend on I, so it is kept per mu;
-every call spends one budget unit per element, stored or not.
-A class's minimal element is Bruhat-below each of its members, so the
-classes that meet the ideal are exactly those of its double-minimal
-elements.
+(weyl.bruhat_ideal).  It does not depend on I, so it is kept per mu,
+each element with the bitmask of its left and right descents
+(weyl._descents), and every call spends one budget unit per element,
+stored or not.  A class's minimal element is Bruhat-below each of its
+members, so the classes that meet the ideal are exactly those of its
+elements whose mask misses the generators of W_I.
 
 perm_set generates the classes whose members satisfy the vertex
 displacement condition x(a_i) - a_i in Conv(W_0 mu) for every i in I.
@@ -50,6 +51,8 @@ from .weyl import (
     Coweight,
     ParahoricSpec,
     WeylElement,
+    _descents,
+    _inverse,
     _no_descent_in,
     _window,
     alcove_vertices,
@@ -104,21 +107,27 @@ def _checked_budget(spec: ParahoricSpec, mu: Coweight, budget):
 
 
 def _ideal(mu: Coweight, budget: Budget):
-    """(ideal, size): the Bruhat ideal of the t_lam, lam in W_0 mu, as a
-    tuple, once the budget has room for the orbit, formed before any unit
-    is spent."""
+    """(ideal, size): each element x of the Bruhat ideal of the t_lam, lam
+    in W_0 mu, with the bitmask of its left and right descents, as a tuple
+    of (x, mask) pairs, once the budget has room for the orbit, formed
+    before any unit is spent."""
     budget.check(mu.orbit_size(), "coweight orbit points")
-    ideal = tuple(bruhat_ideal([translation(mu.datum, lam) for lam in mu.orbit()], budget))
+    js = mu.datum.simple_indices
+    ideal = tuple(
+        (x, _descents(x.w, js) | _descents(_inverse(x.w), js))
+        for x in bruhat_ideal([translation(mu.datum, lam) for lam in mu.orbit()], budget)
+    )
     return ideal, len(ideal)
 
 
 def adm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:
-    """{ [x] : x <= t_lam for some lam in W_0 mu }, as double cosets.
+    """{ [x] : x <= t_lam for some lam in W_0 mu }, as double cosets: the
+    elements of the ideal with no descent among the generators of W_I.
     The ideal's elements are spent from one budget (_checked_budget)."""
     budget = _checked_budget(spec, mu, budget)
-    gens = spec.generator_indices
+    gens = sum(1 << j for j in spec.generator_indices)
     elements = _memo(_ideal, mu, budget=budget)
-    classes = frozenset(DoubleCoset(spec, x) for x in elements if _no_descent_in(x.w, gens))
+    classes = frozenset(DoubleCoset(spec, x) for x, mask in elements if not mask & gens)
     return AdmissibleSet(spec, mu, classes)
 
 

@@ -29,18 +29,20 @@ count l(w) = sum_{i<j<=N} |floor((w(j) - w(i)) / N)|; for GSp the
 sigma-fixed inversions are added once more and the sum halved; it is
 stored on the element.  Bruhat comparison (`bruhat_leq`) runs the
 lifting property on copies of both windows, and the reduced word
-(`reduced_word`) strips the smallest left descent of x, the smallest
-right descent of x^-1, from a copy of the inverse window: neither forms
-a product.  The Bruhat ideal generated by elements of one length is
-grown level by level (`bruhat_ideal`): intervals are graded, so each
-level is the set of lower covers y r of the level above, r a reflection
-swapping the values at an inversion of y's window (and their mirrors for
-GSp); the tests check it against the lifting recursion and the subword
-expansion.  The base-alcove vertices have a closed form.  Parahoric
-subgroups W_I and their generators live here; the minimal element of
-W_I x W_I is the member with no left and no right descent among the
-generators (`_no_descent_in`).  Nothing here lists elements by length,
-and nothing is kept between calls: the module holds no state.
+(`reduced_word`, also stored) strips the smallest left descent of x, the
+smallest right descent of x^-1, from a copy of the inverse window:
+neither forms a product.  The Bruhat ideal generated by elements of one
+length is lifted too (`bruhat_ideal`): each top is stripped to length 0
+along its first descents and its down-set grown back one letter at a
+time, one `_reflect` per element, so every element is made with its
+length; the tests check it against the cover search, the lifting
+recursion on products and the subword expansion.  The base-alcove
+vertices have a closed form.  Parahoric subgroups W_I and their
+generators live here; the minimal element of W_I x W_I is the member
+with no left and no right descent among the generators
+(`_no_descent_in`, or the masks of `_descents`).  Nothing here lists
+elements by length, and an element keeps only its own length and word:
+the module holds no state.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ class WeylElement:
     """Immutable element t_lam * u of the extended affine Weyl group,
     stored as its window w; lam and u are derived from it on demand."""
 
-    __slots__ = ("datum", "w", "_len", "_lam_u", "_hash")
+    __slots__ = ("datum", "w", "_len", "_word", "_lam_u", "_hash")
 
     def __init__(self, datum: RootDatum, lam, u):
         lam = tuple(lam)
@@ -216,7 +218,7 @@ class WeylElement:
     def _set(self, datum, w):
         self.datum = datum
         self.w = w
-        self._len = self._lam_u = None
+        self._len = self._word = self._lam_u = None
         self._hash = hash(w)
 
     def _decode(self):
@@ -345,6 +347,12 @@ def _first_descent(w, js):
     return None
 
 
+def _descents(w, js) -> int:
+    """The bitmask of the j in js at which _first_descent finds a right
+    descent s_j of the window w."""
+    return sum(1 << j for j in js if _first_descent(w, (j,)) is not None)
+
+
 def _reflect(v, j, gsp):
     """v := v s_j in place: swap the entries j and j+1 of the list v (for
     j = 0, v(1) and v(N) become v(N) - N and v(1) + N); for GSp also the
@@ -393,59 +401,57 @@ def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
 def reduced_word(x: WeylElement):
     """Return (word, omega_power) with x = s_{w_0}...s_{w_k} * tau^omega_power;
     each letter is the smallest left descent of what remains, found and
-    stripped on a copy v of the window of x^-1 (see the module docstring).
-    Every s_j has kappa 0, so omega_power is kappa(x)."""
-    v = list(_inverse(x.w))
-    js, gsp = x.datum.simple_indices, x.datum.kind == "GSp"
-    word = []
-    while (j := _first_descent(v, js)) is not None:
-        word.append(j)
-        _reflect(v, j, gsp)
-    return word, kappa(x)
-
-
-def _lower_covers(y: WeylElement, below: set):
-    """Add to below the lower covers of y: the z = y r, r a reflection,
-    with l(z) = l(y) - 1 (Bjorner-Brenti ch. 2).  A reflection r with
-    l(y r) < l(y) swaps the values at an inversion (a, b) of the window,
-    1 <= a <= N, b = a' + kN > a, y(a) > y(b); for GSp it also swaps the
-    mirrored positions N+1-a and N+1-a', each set to C minus its mirror,
-    C = w(1) + w(N) (which changes nothing when a + b = 1 mod N, where the
-    swap is its own mirror).  A z already in below is not measured again."""
-    w, datum = y.w, y.datum
-    N, top = len(w), length(y) - 1
-    gsp, C = datum.kind == "GSp", w[0] + w[-1]
-    for i, vi in enumerate(w):
-        for j, vj in enumerate(w):
-            k = int(j <= i)
-            while vj + k * N < vi:
-                z = list(w)
-                z[i], z[j] = vj + k * N, vi - k * N
-                if gsp:
-                    z[N - 1 - i], z[N - 1 - j] = C - z[i], C - z[j]
-                x = WeylElement.of_window(datum, tuple(z))
-                if x not in below and length(x) == top:
-                    below.add(x)
-                k += 1
+    stripped on a copy v of the window of x^-1 (see the module docstring),
+    once: the word is kept on x.  Every s_j has kappa 0, so omega_power
+    is kappa(x)."""
+    if x._word is None:
+        v = list(_inverse(x.w))
+        js, gsp = x.datum.simple_indices, x.datum.kind == "GSp"
+        word = []
+        while (j := _first_descent(v, js)) is not None:
+            word.append(j)
+            _reflect(v, j, gsp)
+        x._word = tuple(word)
+    return list(x._word), kappa(x)
 
 
 def bruhat_ideal(tops, budget=None) -> set:
-    """The Bruhat order ideal generated by tops, elements of one length.
-    Bruhat intervals are graded, so level L - 1 of the ideal is the set
-    of lower covers of its level L; one budget unit (a fresh Budget() if
-    None) is spent per element."""
+    """The Bruhat order ideal generated by tops, elements of one length, by
+    the lifting property (Bjorner-Brenti ch. 2): [e, y] = [e, y s] |
+    [e, y s] s for a right descent s of y.  Each top is stripped to its
+    length-0 bottom along _first_descent and its down-set D grown back one
+    letter s at a time, each x s one _reflect of a window x of D: an x s
+    not in D has x s > x, so every element is made with its length
+    l(x) + 1 and none is measured.  One budget unit (a fresh Budget() if
+    None) is spent per element, when it first joins the ideal."""
     budget = budget or Budget()
-    level, ideal = set(tops), set()
-    if len({length(y) for y in level}) > 1:
+    if len({length(y) for y in tops}) > 1:
         raise InvalidIndex("the generators of a Bruhat ideal must have one length")
-    while level:
-        budget.spend(len(level), "ideal elements")
-        ideal |= level
-        below = set()
-        for y in level:
-            _lower_covers(y, below)
-        level = below
-    return ideal
+    ideal = {}
+
+    def join(z, level):
+        x = ideal.get(z)
+        if x is None:
+            budget.spend(1, "ideal elements")
+            x = ideal[z] = WeylElement.of_window(datum, z)
+            x._len = level
+        return x
+
+    for y in tops:
+        datum, v, letters = y.datum, list(y.w), []
+        js, gsp = datum.simple_indices, datum.kind == "GSp"
+        while (j := _first_descent(v, js)) is not None:
+            letters.append(j)
+            _reflect(v, j, gsp)
+        down, seen = [join(tuple(v), 0)], {tuple(v)}
+        for j in reversed(letters):
+            for x in down[:]:
+                z = list(x.w)
+                _reflect(z, j, gsp)
+                if (z := tuple(z)) not in seen:
+                    down.append(new := join(z, x._len + 1))
+                    seen.add(new.w)
+    return set(ideal.values())
 
 
 # -- parahoric machinery -----------------------------------------------------

@@ -3,9 +3,12 @@
 Each one is an independent, slower path to something the library
 computes another way, kept as an oracle for it:
 
-  * ``enumerate_below`` and ``downset``: Bruhat down-sets by the
-    subword property and by the lifting recursion (the library grows the
-    ideal level by level from lower covers, ``weyl.bruhat_ideal``);
+  * ``enumerate_below``, ``downset`` and ``cover_ideal``: Bruhat
+    down-sets by the subword property, by the lifting recursion on
+    length_descents, and level by level from the lower covers y r, r a
+    reflection, each measured with ``length`` (the library lifts the
+    windows of each top's down-set, one ``weyl._reflect`` per element,
+    and measures no length, ``weyl.bruhat_ideal``);
   * ``root_inversions``: the length as the number of positive affine
     roots sent to negative ones, on the (lam, u) pair (the library counts
     inversions of the window);
@@ -324,6 +327,45 @@ def downset(y: WeylElement, memo: dict) -> frozenset:
         memo[z] = memo[y].union([x * s for x in memo[y]])
         y = z
     return memo[y]
+
+
+def _lower_covers(y: WeylElement, below: set):
+    """Add to below the lower covers of y: the z = y r, r a reflection,
+    with l(z) = l(y) - 1 (Bjorner-Brenti ch. 2).  A reflection r with
+    l(y r) < l(y) swaps the values at an inversion (a, b) of the window,
+    1 <= a <= N, b = a' + kN > a, y(a) > y(b); for GSp it also swaps the
+    mirrored positions N+1-a and N+1-a', each set to C minus its mirror,
+    C = w(1) + w(N) (which changes nothing when a + b = 1 mod N, where the
+    swap is its own mirror).  A z already in below is not measured again."""
+    w, datum = y.w, y.datum
+    N, top = len(w), length(y) - 1
+    gsp, C = datum.kind == "GSp", w[0] + w[-1]
+    for i, vi in enumerate(w):
+        for j, vj in enumerate(w):
+            k = int(j <= i)
+            while vj + k * N < vi:
+                z = list(w)
+                z[i], z[j] = vj + k * N, vi - k * N
+                if gsp:
+                    z[N - 1 - i], z[N - 1 - j] = C - z[i], C - z[j]
+                x = WeylElement.of_window(datum, tuple(z))
+                if x not in below and length(x) == top:
+                    below.add(x)
+                k += 1
+
+
+def cover_ideal(tops) -> set:
+    """The Bruhat order ideal generated by tops, elements of one length,
+    level by level: Bruhat intervals are graded, so level L - 1 of the
+    ideal is the set of lower covers of its level L."""
+    level, ideal = set(tops), set()
+    while level:
+        ideal |= level
+        below = set()
+        for y in level:
+            _lower_covers(y, below)
+        level = below
+    return ideal
 
 
 def solve_exact(rows, rhs):

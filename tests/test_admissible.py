@@ -41,6 +41,7 @@ from reference import (
     downset,
     enumerate_below,
     extended,
+    length_descents,
     omega_generator,
     poincare_polynomial,
     pool_perm_set,
@@ -478,6 +479,45 @@ class TestAgainstReference:
                 assert perm_set(spec, mu).classes == pool_perm_set(spec, mu).classes, (mu_value, spec.I)
 
 
+class TestAdmFilter:
+    """adm_set reads the descents of each ideal element from the memo entry,
+    stored once per mu."""
+
+    @pytest.mark.parametrize(
+        "datum,max_terms",
+        [(GL2, 3), (GL3, 3), (GL4, 2), (GSP1, 2), (GSP2, 2), (GSP3, 2)],
+        ids=lambda v: f"{v.kind}{v.n}" if isinstance(v, RootDatum) else str(v),
+    )
+    def test_equals_descent_filter_at_every_I(self, datum, max_terms):
+        # the elements of the lifting recursion's ideal with no left and no
+        # right descent in W_I, the descents found by comparing lengths of
+        # products
+        for mu_value in minuscule_sums(datum, max_terms):
+            mu = Coweight(datum, mu_value)
+            memo, below = {}, set()
+            for lam in mu.orbit():
+                below |= downset(translation(datum, lam), memo)
+            descents = {x: left | right for x in below for left, right in [length_descents(x)]}
+            for spec in every_I(datum):
+                gens = sum(1 << j for j in spec.generator_indices)
+                expected = {DoubleCoset(spec, x) for x, mask in descents.items() if not mask & gens}
+                assert adm_set(spec, mu).classes == expected, (mu_value, spec.I)
+
+    def test_memo_hit_forms_no_inverse(self, cold_memo, monkeypatch):
+        # the first call stores the masks; the later ones, at every I,
+        # form no inverse window
+        mu = Coweight(GSP2, (2, 2, 2))
+        specs = list(every_I(GSP2))
+        expected = [adm_set(spec, mu).classes for spec in specs]
+
+        def inverse(w):
+            raise AssertionError("formed an inverse window")
+
+        monkeypatch.setattr(admissible, "_inverse", inverse)
+        monkeypatch.setattr(weyl, "_inverse", inverse)
+        assert [adm_set(spec, mu).classes for spec in specs] == expected
+
+
 def filter_perm_set(spec, mu, budget=None):
     """The permissible set by the filter perm_set generates from: for each
     finite part u, every hull point y whose residues make lam integral is
@@ -546,7 +586,7 @@ class TestPermGenerator:
         self.assert_same_as_filter(spec, mu)
         assert (len(adm_set(spec, mu)), len(perm_set(spec, mu))) == (8351, 8479)
 
-    @extended("GSp(8) Iwahori adm and perm (about 6 s each): set LOCMODEL_EXTENDED=1")
+    @extended("GSp(8) Iwahori adm and perm (about 8 s each): set LOCMODEL_EXTENDED=1")
     @pytest.mark.parametrize(
         "mu_value,sizes", [((2, 1, 1, 1, 0), (47863, 48375)), ((2, 1, 1, 0, 0), (38053, 38445))], ids=str
     )

@@ -11,8 +11,10 @@ Independent oracles used here:
   * brute-force double-coset enumeration for the reference coset_min;
   * the affine hyperplanes separating a base-alcove point from its
     image, counted from scratch, for the memoised length;
-  * the subword down-set enumerate_below and the lifting recursion
-    downset, for the level-by-level ideal bruhat_ideal;
+  * the subword down-set enumerate_below, the lifting recursion downset
+    and the level-by-level cover search cover_ideal, for the lifted
+    windows of bruhat_ideal, and root_inversions for the lengths it
+    propagates;
   * descents by comparing lengths of products (length_descents), for
     the descents read off the windows (_first_descent), and the
     composition law with pinned s_j windows, for the in-place step
@@ -53,10 +55,12 @@ from locmodel.weyl import (
 from reference import (
     act_point,
     coset_min,
+    cover_ideal,
     downset,
     element_from_word,
     elements_of_length_leq,
     enumerate_below,
+    extended,
     inverted_roots,
     is_positive_root,
     length_descents,
@@ -246,6 +250,11 @@ class TestLengthMemo:
             assert length(y) == length(z) == length(x) == separating_hyperplanes(x) == root_inversions(x)
 
 
+# the coweights of the adm/perm sweep: GL(2..4) and GSp(1..3), up to the
+# given number of minuscule terms (for GSp, (e, ..., e; e) for e up to it)
+_SWEEP = [(GL2, 3), (GL3, 3), (GL4, 2), (GSP1, 2), (GSP2, 2), (GSP3, 2)]
+
+
 class TestBruhatIdeal:
     @staticmethod
     def minuscule_sums(datum, max_terms):
@@ -259,20 +268,17 @@ class TestBruhatIdeal:
                 out.add(tuple(sum(1 for r in combo if i < r) for i in range(d)))
         return sorted(out)
 
-    @pytest.mark.parametrize(
-        "datum,max_terms",
-        [(GL2, 3), (GL3, 3), (GL4, 2), (GSP1, 2), (GSP2, 2), (GSP3, 2)],
-    )
+    @pytest.mark.parametrize("datum,max_terms", _SWEEP)
     def test_matches_down_set_oracles(self, datum, max_terms):
         for mu in self.minuscule_sums(datum, max_terms):
             memo, union = {}, set()
             for lam in Coweight(datum, mu).orbit():
                 t = translation(datum, lam)
                 below = downset(t, memo)
-                assert bruhat_ideal([t]) == below == enumerate_below(t), (mu, lam)
+                assert bruhat_ideal([t]) == below == cover_ideal([t]) == enumerate_below(t), (mu, lam)
                 union |= below
             tops = [translation(datum, lam) for lam in Coweight(datum, mu).orbit()]
-            assert bruhat_ideal(tops) == union, mu
+            assert bruhat_ideal(tops) == union == cover_ideal(tops), mu
 
     @pytest.mark.parametrize("datum", [GL1, GL2, GL3, GL4, GSP1, GSP2, GSP3], ids=_IDS)
     def test_random_elements_match_down_set_oracles(self, datum):
@@ -285,7 +291,7 @@ class TestBruhatIdeal:
             while length(y) < target:
                 z = y * simple_reflection(datum, rng.choice(datum.simple_indices))
                 y = z if length(z) > length(y) else y
-            assert bruhat_ideal([y]) == downset(y, {}) == enumerate_below(y), y
+            assert bruhat_ideal([y]) == downset(y, {}) == cover_ideal([y]) == enumerate_below(y), y
 
     def test_graded_below_the_generator(self):
         # every level 0..l(y) is met, and bruhat_leq puts each element below y
@@ -302,9 +308,46 @@ class TestBruhatIdeal:
         with pytest.raises(BudgetExceeded):
             bruhat_ideal(tops, Budget(2))
 
-    def test_budget(self):
+    @staticmethod
+    def assert_lengths_propagated(datum, mu, monkeypatch):
+        # every element is made with its length, and only the tops are
+        # measured (to check that they share one)
+        tops = [translation(datum, lam) for lam in Coweight(datum, mu).orbit()]
+        measured = []
+        monkeypatch.setattr(weyl, "length", lambda x: measured.append(x) or length(x))
+        ideal = bruhat_ideal(tops)
+        monkeypatch.undo()
+        assert measured == tops
+        for x in ideal:
+            assert x._len == root_inversions(x), (mu, x)
+
+    @pytest.mark.parametrize("datum,max_terms", _SWEEP)
+    def test_propagated_lengths(self, datum, max_terms, monkeypatch):
+        for mu in self.minuscule_sums(datum, max_terms):
+            self.assert_lengths_propagated(datum, mu, monkeypatch)
+
+    @extended("GSp(8) ideal of 8,351 elements (about 1 s): set LOCMODEL_EXTENDED=1")
+    def test_propagated_lengths_gsp4(self, monkeypatch):
+        self.assert_lengths_propagated(RootDatum("GSp", 4), (2, 1, 1, 1, 1), monkeypatch)
+
+    @pytest.mark.parametrize("orbit", [False, True], ids=["one top", "orbit"])
+    def test_budget_bounds_the_swaps(self, orbit, monkeypatch):
+        # the swaps formed before the raise stay within tops x l(t_mu) x
+        # limit: a top's strip forms l(t_mu) of them, and each letter of
+        # its regrowth one per element of its down-set, all of them spent
+        mu = Coweight(GL4, (8, 8, -8, -8))
+        tops = [translation(GL4, lam) for lam in (mu.orbit() if orbit else [mu.value])]
+        swaps = []
+
+        def reflect(v, j, gsp):
+            swaps.append(j)
+            original(v, j, gsp)
+
+        original = weyl._reflect
+        monkeypatch.setattr(weyl, "_reflect", reflect)
         with pytest.raises(BudgetExceeded):
-            bruhat_ideal([translation(GL4, (8, 8, -8, -8))], Budget(1000))
+            bruhat_ideal(tops, Budget(1000))
+        assert 0 < len(swaps) <= len(tops) * length(tops[0]) * 1000
 
     def test_generators_of_one_length(self):
         with pytest.raises(InvalidIndex):
@@ -415,6 +458,20 @@ class TestWords:
             monkeypatch.setattr(WeylElement, name, forbidden)
         assert [reduced_word(x) for x in xs] == words
 
+    def test_word_is_kept_on_the_element(self, monkeypatch):
+        # a second call reads the word kept on x, forming no inverse
+        # window, and each call hands out its own list
+        x = random_element(random.Random(11), GSP3, spread=3)
+        first = reduced_word(x)
+        assert first == product_reduced_word(x) and first[0]
+
+        def inverse(w):
+            raise AssertionError("formed an inverse window")
+
+        monkeypatch.setattr(weyl, "_inverse", inverse)
+        first[0].clear()
+        assert reduced_word(x) == product_reduced_word(x)
+
 
 def small_elements(datum, spread):
     """Every t_lam u with lam in [-spread, spread]^n (similitude 1 for GSp)."""
@@ -524,7 +581,15 @@ class TestWindowKernel:
 class TestOracleIndependence:
     def test_reference_imports_no_window_kernel(self):
         # the oracles in reference.py must not run the code they check
-        kernel = {"_first_descent", "_reflect", "_no_descent_in", "reduced_word", "bruhat_leq", "bruhat_ideal"}
+        kernel = {
+            "_first_descent",
+            "_descents",
+            "_reflect",
+            "_no_descent_in",
+            "reduced_word",
+            "bruhat_leq",
+            "bruhat_ideal",
+        }
         tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
         imported = {
             alias.name
