@@ -6,8 +6,8 @@ rank(A) <= min(r, s).  The wedge-power conditions are rank bounds at
 field points, and det(T*I - A) = T^n holds identically for square-zero
 A (checked as a property, not per point).  The direct scan tests every
 symmetric matrix; the stratified count sums, over the rank k, the totally
-isotropic k-subspaces times the invertible symmetric k x k matrices, the
-latter in closed form.  The two share no code.
+isotropic k-subspaces times the invertible symmetric k x k matrices, both
+in closed form, so it forms no subspace or matrix.  The two share no code.
 
 Symplectic type: block matrices A = (a b; 0 a^t) of size 2n (n = g*e)
 with a nilpotent, b alternating, and A^e = 0.  Alternating means skew
@@ -22,14 +22,13 @@ nor the direct symplectic strategy uses it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRanks, Budget
-from .linalg import Field, enumerate_subspaces
+from .errors import BadRanks, Budget, _memo
+from .linalg import Field
 
 _CHUNK = 1 << 14
 
@@ -51,7 +50,7 @@ def unitary_points_direct(n, r, s, p, budget=None) -> UnitaryCount:
     from ``budget`` (a fresh Budget() if None), memoised scan or not."""
     _check_unitary(n, r, s, p)
     _spend_power(budget or Budget(), p, n * (n + 1) // 2, "symmetric matrices scanned")
-    hist = {rk: c for rk, c in _square_zero_ranks(n, p) if rk <= min(r, s)}
+    hist = {rk: c for rk, c in _memo(_square_zero_ranks, n, p) if rk <= min(r, s)}
     return UnitaryCount(sum(hist.values()), tuple(sorted(hist.items())))
 
 
@@ -121,17 +120,39 @@ def _batched_ranks(a, p):
     return top
 
 
-@functools.lru_cache(maxsize=None)
 def _square_zero_ranks(n, p):
-    """((rank, count), ...) over all square-zero symmetric n x n matrices:
-    one full scan per (n, p), independent of the stratified count."""
-    return _square_zero_scan(n, p)[0]
+    """(((rank, count), ...), bins) over all square-zero symmetric n x n
+    matrices: one full scan, independent of the stratified count, which
+    unitary_points_direct keeps in the package memo once per (n, p)."""
+    hist = _square_zero_scan(n, p)[0]
+    return hist, len(hist)
 
 
-def _isotropic_subspace_count(n, k, p, budget=None):
-    """k-dim totally isotropic subspaces for the standard symmetric form."""
-    subs = enumerate_subspaces(n, k, Field(p), budget=budget)
-    return sum(not any(sum(x * y for x, y in zip(u, v)) % p for u in s.rows for v in s.rows) for s in subs)
+def _isotropic_subspace_count(n, k, p):
+    """k-dim totally isotropic subspaces of F_p^n for the standard symmetric
+    form, in closed form (Taylor, The Geometry of the Classical Groups).
+    For odd p the form is a nondegenerate quadratic space of discriminant
+    1; a singular v leaves v-perp / v of dimension n - 2 and the same type,
+    so the count is prod_{i<k} sigma(n - 2i) / prod_{i=1..k} (p^i - 1),
+    sigma(m) the nonzero singular vectors of dimension m.  For p = 2 the
+    isotropic vectors are the even-weight hyperplane H = 1-perp, where the
+    form is alternating: symplectic of dimension n - 1 for odd n, and for
+    even n with radical <1>, over a symplectic H/<1> of dimension n - 2,
+    whose k-subspaces lift to 2^k complements of <1>."""
+    if 2 * k > n:
+        return 0
+    if p == 2:
+        def symplectic(k, m):
+            top = math.prod(2 ** (m - 2 * i) - 1 for i in range(k))
+            return top // math.prod(2**i - 1 for i in range(1, k + 1)) if k >= 0 else 0
+
+        return symplectic(k, n - 1) if n % 2 else symplectic(k - 1, n - 2) + 2**k * symplectic(k, n - 2)
+    eps = 1 if n % 4 == 0 or p % 4 == 1 else -1
+
+    def sigma(m):
+        return p ** (m - 1) - 1 if m % 2 else (p ** (m // 2) - eps) * (p ** (m // 2 - 1) + eps)
+
+    return math.prod(sigma(n - 2 * i) for i in range(k)) // math.prod(p**i - 1 for i in range(1, k + 1))
 
 
 def _invertible_symmetric_count(k, p):
@@ -148,13 +169,13 @@ def unitary_points_stratified(n, r, s, p, budget=None) -> UnitaryCount:
     A square-zero symmetric A of rank k has totally isotropic column
     space (col A is contained in ker A = (col A)-perp), and conversely
     every pair (k-dim isotropic U, invertible symmetric k x k matrix S)
-    yields exactly one such A.
+    yields exactly one such A.  Both factors are closed forms, so nothing
+    is formed and nothing is spent from ``budget``.
     """
     _check_unitary(n, r, s, p)
-    budget = budget or Budget()
     hist = {}
     for k in range(min(r, s, n) + 1):
-        c = _isotropic_subspace_count(n, k, p, budget) * _invertible_symmetric_count(k, p)
+        c = _isotropic_subspace_count(n, k, p) * _invertible_symmetric_count(k, p)
         if c:
             hist[k] = c
     return UnitaryCount(sum(hist.values()), tuple(sorted(hist.items())))

@@ -51,6 +51,10 @@ computes another way, kept as an oracle for it:
     coordinates in b's basis, ``linalg.subspaces_between``);
   * ``symmetric_batch``: symmetric matrices decoded from mixed-radix
     digits (the library scans them in chunks of int16 digit tables);
+  * ``isotropic_subspace_count``: the totally isotropic k-subspaces of
+    F_p^n, by testing the row dot products of every k-subspace (the
+    library counts them in closed form,
+    ``matschemes._isotropic_subspace_count``);
   * ``classify_by_orbits``: the strata of a chain model as orbits of the
     elementary chain automorphisms (the library matches signatures);
   * ``mod_p_map``: a transition map on Lambda tensor F_p built from the
@@ -552,6 +556,13 @@ def symmetric_batch(n, p, flat_indices):
     a[:, iu, ju] = digits
     a[:, ju, iu] = digits
     return a
+
+
+def isotropic_subspace_count(n, k, p):
+    """k-dim subspaces of F_p^n on which the standard symmetric form
+    vanishes, each tested by the dot products of its basis rows."""
+    subs = linalg.enumerate_subspaces(n, k, linalg.Field(p))
+    return sum(not any(sum(x * y for x, y in zip(u, v)) % p for u in s.rows for v in s.rows) for s in subs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from operator import add, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locmodel import admissible, errors, latmod, linalg, weyl
+from locmodel import admissible, errors, latmod, linalg, matschemes, weyl
 from locmodel.admissible import (
     AdmissibleSet,
     DoubleCoset,
@@ -657,7 +657,7 @@ class TestModuleState:
             )
 
         assert state(errors) == ["_MEMO"]
-        for module in (admissible, weyl, linalg, latmod):
+        for module in (admissible, weyl, linalg, latmod, matschemes):
             assert state(module) == []
             assert "lru_cache" not in inspect.getsource(module)
 

@@ -58,8 +58,8 @@ _EXACT_SPEND = [
     # subspaces and 26 slot options visited
     (["verify", "symplectic", "--g", "1", "--e", "2", "--I", "0", "--p", "3"], 5 + 21 + 16 + 26),
     # 3^15 symmetric matrices scanned, most of them rejected with a prefix of
-    # their rows, then 1 + 121 + 1,210 isotropic subspaces
-    (["verify", "matrix", "--n", "5", "--r", "2", "--s", "3", "--p", "3"], 3**15 + 1_332),
+    # their rows; the stratified count spends nothing
+    (["verify", "matrix", "--n", "5", "--r", "2", "--s", "3", "--p", "3"], 3**15),
     # 5^(4 + 1) pairs (a, b) scanned directly, 5^4 matrices a solved for b
     (["verify", "matrix", "--g", "1", "--e", "2", "--p", "5"], 5**5 + 5**4),
 ]
@@ -192,14 +192,13 @@ class TestExitCodes:
         adm = ["adm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori"]
         assert run(adm + ["--budget", "3"])[0] == 0
         assert run(adm + ["--budget", "2"])[0] == 3
-        # verify matrix: the 5^10 scan and 1 + 156 + 806 isotropic
-        # subspaces, within the default 10^7
+        # verify matrix: the 5^10 scan, within the default 10^7
         budget = Budget()
         report = cli.run_verify_matrix({"n": "4", "r": "2", "s": "2", "p": "5"}, budget)
-        assert report["pass"] and budget.spent == 9_766_588 <= budget.limit
+        assert report["pass"] and budget.spent == 9_765_625 <= budget.limit
         matrix = ["verify", "matrix", "--n", "4", "--r", "2", "--s", "2", "--p", "5"]
-        assert run(matrix + ["--budget", "9766588"])[0] == 0
-        assert run(matrix + ["--budget", "9766587"])[0] == 3
+        assert run(matrix + ["--budget", "9765625"])[0] == 0
+        assert run(matrix + ["--budget", "9765624"])[0] == 3
 
     @pytest.mark.parametrize("argv,spent", _EXACT_SPEND, ids=lambda v: v[0] if isinstance(v, list) else str(v))
     def test_exact_spend(self, argv, spent):

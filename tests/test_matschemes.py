@@ -1,6 +1,7 @@
 """Tests for the matrix-scheme point counters."""
 
 import functools
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from locmodel import linalg, matschemes
 from locmodel.errors import BadRanks, Budget, BudgetExceeded
-from locmodel.linalg import _rref_rows, gaussian_binomial
+from locmodel.linalg import _rref_rows
 from locmodel.matschemes import (
     _batched_ranks,
     symplectic_P_points,
@@ -16,7 +17,7 @@ from locmodel.matschemes import (
     unitary_points_stratified,
 )
 
-from reference import rref, symmetric_batch
+from reference import isotropic_subspace_count, rref, symmetric_batch
 
 
 # (n, p, histogram) of every square-zero symmetric n x n matrix over F_p,
@@ -61,10 +62,9 @@ class TestUnitary:
     @pytest.mark.parametrize("n,p", [(n, p) for n, p, _ in LARGE])
     def test_direct_equals_stratified_large(self, n, p):
         # r = n // 2 bounds no rank of a square-zero matrix; one budget holds
-        # p^m for the direct scan and the stratified count's subspaces
+        # p^m for the direct scan, and the stratified count spends nothing
         r, s, m = n // 2, n - n // 2, n * (n + 1) // 2
-        stratified = sum(gaussian_binomial(n, k, p) for k in range(r + 1))
-        budget = Budget(p**m + stratified)
+        budget = Budget(p**m)
         d = unitary_points_direct(n, r, s, p, budget=budget)
         t = unitary_points_stratified(n, r, s, p, budget=budget)
         assert d == t
@@ -77,16 +77,15 @@ class TestUnitary:
         assert d == unitary_points_stratified(n, n + 2, n + 1, p)
         assert d == unitary_points_direct(n, n, n, p)
 
-    def test_one_scan_per_size_and_field(self):
-        from locmodel.matschemes import _square_zero_ranks
-
-        _square_zero_ranks.cache_clear()
+    def test_one_scan_per_size_and_field(self, cold_memo, monkeypatch):
+        scans = count_scans(monkeypatch)
         full = unitary_points_direct(3, 3, 3, 3)
         for r in range(4):
             got = unitary_points_direct(3, r, 3 - r, 3)
             assert got.by_rank == tuple((k, c) for k, c in full.by_rank if k <= min(r, 3 - r))
-        info = _square_zero_ranks.cache_info()
-        assert (info.misses, info.hits) == (1, 4)
+        assert scans == [(3, 3)]
+        # one entry, one element per histogram bin
+        assert [size for _, size, _ in cold_memo.values()] == [len(full.by_rank)]
 
     def test_monotone_in_rank_bound(self):
         prev = -1
@@ -119,6 +118,13 @@ class TestUnitary:
     def test_bad_ranks(self):
         with pytest.raises(BadRanks):
             unitary_points_direct(0, 0, 0, 3)
+
+
+def count_scans(monkeypatch):
+    """The (n, p) of every _square_zero_scan call from now on."""
+    scans, scan = [], matschemes._square_zero_scan
+    monkeypatch.setattr(matschemes, "_square_zero_scan", lambda n, p: scans.append((n, p)) or scan(n, p))
+    return scans
 
 
 def oracle_square_zero_ranks(n, p):
@@ -227,10 +233,29 @@ class TestKernels:
 
         assert _invertible_symmetric_count(k, p) == oracle_invertible_symmetric_count(k, p)
 
-    def test_frozen_histogram_n4_p5(self):
-        from locmodel.matschemes import _square_zero_ranks
+    def test_frozen_histogram_n4_p5(self, cold_memo, monkeypatch):
+        scans = count_scans(monkeypatch)
+        for _ in range(2):
+            assert unitary_points_direct(4, 2, 2, 5).by_rank == ((0, 1), (1, 144), (2, 1200))
+        assert scans == [(4, 5)]
 
-        assert _square_zero_ranks(4, 5) == ((0, 1), (1, 144), (2, 1200))
+    @pytest.mark.parametrize(
+        "n,p", [(n, p) for p, top in ((2, 8), (3, 6), (5, 5), (7, 4), (11, 3), (13, 3)) for n in range(1, top + 1)]
+    )
+    def test_isotropic_count_matches_oracle(self, n, p):
+        from locmodel.matschemes import _isotropic_subspace_count
+
+        for k in range(n + 1):
+            assert _isotropic_subspace_count(n, k, p) == isotropic_subspace_count(n, k, p), k
+
+    def test_stratified_count_reaches_far(self):
+        # no subspace is formed: F_13^12 holds 1.9 * 10^12 lines alone
+        budget = Budget(1)
+        start = time.perf_counter()
+        got = unitary_points_stratified(12, 6, 6, 13, budget=budget)
+        assert time.perf_counter() - start < 0.1
+        assert budget.spent == 0 and [k for k, _ in got.by_rank] == list(range(7))
+        assert [k for k, _ in unitary_points_stratified(16, 8, 8, 2, budget=budget).by_rank] == list(range(9))
 
     @pytest.mark.parametrize("n,p,hist", LARGE)
     def test_frozen_histograms(self, n, p, hist):
@@ -265,10 +290,11 @@ class TestKernels:
                     out |= set(const.co_names)
             return out
 
-        stratified = {"_isotropic_subspace_count", "_invertible_symmetric_count",
+        stratified = {"_isotropic_subspace_count", "_invertible_symmetric_count", "sigma", "symplectic",
                       "enumerate_subspaces", "gaussian_binomial", "unitary_points_stratified"}
         assert not names(matschemes._square_zero_scan) & stratified
-        for fn in (matschemes.unitary_points_stratified, matschemes._invertible_symmetric_count):
+        for fn in (matschemes.unitary_points_stratified, matschemes._invertible_symmetric_count,
+                   matschemes._isotropic_subspace_count):
             assert not {name for name in names(fn) if name.startswith("_square_zero")}
 
     @given(rank_blocks())
@@ -320,10 +346,10 @@ class TestKernels:
         unitary_points_direct(2, 1, 1, 5)
         with pytest.raises(BudgetExceeded):
             unitary_points_direct(2, 1, 1, 5, budget=Budget(5**3 - 1))
-        # the stratified count spends its 1 + 57 + 57 + 1 subspaces of F_7^3
-        with pytest.raises(BudgetExceeded):
-            unitary_points_stratified(3, 3, 3, 7, budget=Budget(115))
-        assert unitary_points_stratified(3, 3, 3, 7, budget=Budget(116)).total == 49
+        # the stratified count forms no subspace and spends nothing
+        budget = Budget(1)
+        assert unitary_points_stratified(3, 3, 3, 7, budget=budget).total == 49
+        assert budget.spent == 0
         with pytest.raises(BudgetExceeded):
             symplectic_P_points(1, 2, 3, "direct", budget=Budget(3**5 - 1))
         assert symplectic_P_points(1, 2, 3, "direct", budget=Budget(3**5)) == 27
