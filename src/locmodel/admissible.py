@@ -7,13 +7,14 @@ a window and of its inverse, before it forms the element.  Their
 expected equality is one of the main verification targets.
 
 adm_set takes the Bruhat ideal generated by the translations t_lam over
-the finite-Weyl orbit of mu, the union of their down-sets
-(weyl.bruhat_ideal).  It does not depend on I, so it is kept per mu,
-each element with the bitmask of its left and right descents
-(weyl._descents), and every call spends one budget unit per element,
-stored or not.  A class's minimal element is Bruhat-below each of its
-members, so the classes that meet the ideal are exactly those of its
-elements whose mask misses the generators of W_I.
+the finite-Weyl orbit of mu, the union of their down-sets, grown from
+one t_lam per class of the conjugation by Omega (_ideal).  It does not
+depend on I, so it is kept per mu, each element with the bitmask of its
+left and right descents (weyl._descents), and every call spends one
+budget unit per element, stored or not.  A class's minimal element is
+Bruhat-below each of its members, so the classes that meet the ideal
+are exactly those of its elements whose mask misses the generators of
+W_I.
 
 perm_set generates the classes whose members satisfy the vertex
 displacement condition x(a_i) - a_i in Conv(W_0 mu) for every i in I.
@@ -54,6 +55,7 @@ from .weyl import (
     _descents,
     _inverse,
     _no_descent_in,
+    _omega_conjugate,
     _window,
     alcove_vertices,
     bruhat_ideal,
@@ -110,14 +112,33 @@ def _ideal(mu: Coweight, budget: Budget):
     """(ideal, size): each element x of the Bruhat ideal of the t_lam, lam
     in W_0 mu, with the bitmask of its left and right descents, as a tuple
     of (x, mask) pairs, once the budget has room for the orbit, formed
-    before any unit is spent."""
+    before any unit is spent.  Conjugation by the length-zero generator
+    (weyl._omega_conjugate) keeps length and Bruhat order and permutes the
+    t_lam, so one top per class is grown; a conjugate joins with the
+    length of its source, the bits of its mask moved as the s_j are, and
+    spends its unit then.  A walk along the conjugates of a grown element
+    stops at the first one joined, whose own walk, or the one that joined
+    it, goes on from there."""
     budget.check(mu.orbit_size(), "coweight orbit points")
-    js = mu.datum.simple_indices
-    ideal = tuple(
-        (x, _descents(x.w, js) | _descents(_inverse(x.w), js))
-        for x in bruhat_ideal([translation(mu.datum, lam) for lam in mu.orbit()], budget)
-    )
-    return ideal, len(ideal)
+    datum, js, n = mu.datum, mu.datum.simple_indices, mu.datum.n
+    gl, s = datum.kind == "GL", 1 if datum.kind == "GL" else n
+    tops, covered = [], set()
+    for lam in mu.orbit():
+        w = (t := translation(datum, lam)).w
+        if w not in covered:
+            tops.append(t)
+            while w not in covered:
+                covered.add(w)
+                w = _omega_conjugate(w, s)
+    ideal = {x.w: (x, _descents(x.w, js) | _descents(_inverse(x.w), js)) for x in bruhat_ideal(tops, budget)}
+    for x, mask in list(ideal.values()):
+        w = x.w
+        while (w := _omega_conjugate(w, s)) not in ideal:
+            budget.spend(1, "ideal elements")
+            mask = sum(1 << ((j + 1) % n if gl else n - j) for j in js if mask >> j & 1)
+            ideal[w] = (z := WeylElement.of_window(datum, w), mask)
+            z._len = x._len
+    return tuple(ideal.values()), len(ideal)
 
 
 def adm_set(spec: ParahoricSpec, mu: Coweight, budget=None) -> AdmissibleSet:

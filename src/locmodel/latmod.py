@@ -369,17 +369,17 @@ def _containment_table(subspaces, p):
 def _chains(maps, slots, labels, choices, budget, index=None):
     """Yield {slot: subspace} for every chain, in itertools.product order
     over the labels: labels[s] is the tuple of slots chosen together and
-    choices[s] its options, each a tuple of subspaces in the order of
-    labels[s].  Link k holds when maps[k] sends slots[k] into the next
-    slot, the last wrapping to the first; it is checked once both its
-    ends are chosen.  index, if given, holds per label the
-    _containment_table of the first subspaces of its options, or None.  A
-    link from a label chosen earlier into the first slot of a label with
-    a table is a mask: the AND of the table's bitsets over the rows of the
-    image.  The label's options are then visited only at the bits of its
-    masks, in ascending order, and every other link is tested with leq.
-    Each image and mask is computed once per call.  Every option visited
-    spends one unit of the budget."""
+    choices[s] its options, read only by len and [j], each a tuple of
+    subspaces in the order of labels[s].  Link k holds when maps[k] sends
+    slots[k] into the next slot, the last wrapping to the first; it is
+    checked once both its ends are chosen.  index, if given, holds per
+    label the _containment_table of the first subspaces of its options,
+    or None.  A link from a label chosen earlier into the first slot of a
+    label with a table is a mask: the AND of the table's bitsets over the
+    rows of the image.  The label's options are then visited only at the
+    bits of its masks, in ascending order, and every other link is tested
+    with leq.  Each image and mask is computed once per call.  Every
+    option visited spends one unit of the budget."""
     where = {t: (s, pos) for s, label in enumerate(labels) for pos, t in enumerate(label)}
     index = index or [None] * len(labels)
     links = [([], []) for _ in labels]  # links[s]: (masked, tested), the links (k, source, target) completed by s
@@ -431,18 +431,36 @@ def _bits(mask):
         mask ^= low
 
 
+class _PairedOptions:
+    """The options (F_i, F_{-i}) of a paired GSp label, F_i from opts and
+    F_{-i} = perp(F_i, gram), each pair formed on its first [j] and kept:
+    _chains reads only len and [j]."""
+
+    def __init__(self, opts, gram):
+        self.opts, self.gram, self.pairs = opts, gram, {}
+
+    def __len__(self):
+        return len(self.opts)
+
+    def __getitem__(self, j):
+        if j not in self.pairs:
+            self.pairs[j] = (self.opts[j], linalg.perp(self.opts[j], self.gram))
+        return self.pairs[j]
+
+
 def _points(model: ChainModel, maps, opts, grams, budget):
     """Chain points, in product order, with the subspace of every
     independent label (the slots for GL, I for GSp) drawn from the one
     list opts.  For GSp, F_0 must be isotropic for grams[0] (so Lagrangian)
     and F_{-i} is the annihilator of F_i under grams[i], N-stable as N is
-    adjoint for it, chosen together with F_i.  Every label after the
-    first draws its first subspace from all of opts, so with more than
-    one label they share one containment table of opts, built here."""
+    adjoint for it, chosen together with F_i and formed when its option
+    is first visited (_PairedOptions).  Every label after the first draws
+    its first subspace from all of opts, so with more than one label they
+    share one containment table of opts, built here."""
     paired = [i for i in model.I if model.kind == "GSp" and i > 0]
     labels = [(i, -i) if i in paired else (i,) for i in model.I]
     choices = [
-        [(c, linalg.perp(c, grams[i])) for c in opts]
+        _PairedOptions(opts, grams[i])
         if i in paired
         else [(c,) for c in opts if model.kind == "GL" or linalg.isotropic(c, grams[0])]
         for i in model.I

@@ -36,7 +36,9 @@ length is lifted too (`bruhat_ideal`): each top is stripped to length 0
 along its first descents and its down-set grown back one letter at a
 time, one `_reflect` per element, so every element is made with its
 length; the tests check it against the cover search, the lifting
-recursion on products and the subword expansion.  The base-alcove
+recursion on products and the subword expansion.  Conjugation by the
+length-zero generator of Omega shifts a window (`_omega_conjugate`) and
+permutes the s_j, so it keeps length and Bruhat order.  The base-alcove
 vertices have a closed form.  Parahoric subgroups W_I and their
 generators live here; the minimal element of W_I x W_I is the member
 with no left and no right descent among the generators
@@ -348,9 +350,17 @@ def _first_descent(w, js):
 
 
 def _descents(w, js) -> int:
-    """The bitmask of the j in js at which _first_descent finds a right
-    descent s_j of the window w."""
-    return sum(1 << j for j in js if _first_descent(w, (j,)) is not None)
+    """The bitmask of the j in js at which _first_descent would find a
+    right descent s_j of the window w, read in one pass."""
+    return sum(1 << j for j in js if (w[j - 1] > w[j] if j else w[-1] - len(w) > w[0]))
+
+
+def _omega_conjugate(w, s):
+    """w conjugated by the shift i -> i + s, Omega's generator for s = 1 (GL)
+    and s = g (GSp): w(i - s) + s at position i, the first s entries from
+    the end of w lowered by N.  It maps s_j to s_{j+1 mod d}, or s_{g-j}."""
+    N = len(w)
+    return tuple(v - N + s for v in w[N - s :]) + tuple(v + s for v in w[: N - s])
 
 
 def _reflect(v, j, gsp):

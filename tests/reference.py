@@ -19,6 +19,10 @@ computes another way, kept as an oracle for it:
     ``weyl._first_descent``); ``product_reduced_word`` and ``downset``
     read their descents from it, so no oracle shares the window kernel
     it checks (``test_weyl`` parses this file to hold that);
+  * ``descent_mask``: the left and right descents of an element, one j
+    at a time on its window and on that of its inverse from the group
+    law (the library reads a window in one pass and carries the masks of
+    the Bruhat ideal along the conjugation by Omega);
   * ``product_reduced_word``: the greedy reduced word by one product
     s_j y per letter (the library swaps entries of the inverse window,
     ``weyl._reflect``);
@@ -278,6 +282,21 @@ def length_descents(x: WeylElement):
         left |= (length(s * x) < lx) << j
         right |= (length(x * s) < lx) << j
     return left, right
+
+
+def descent_mask(x: WeylElement) -> int:
+    """The bitmask of the left and right descents s_j of x, tested one j
+    at a time on the window of x and on that of x^-1, formed from
+    semidirect_inverse: s_j is a right descent of a window w iff
+    w(j) > w(j+1), with w(0) = w(N) - N (the library reads a window in
+    one pass, weyl._descents, and moves the masks of its ideal along the
+    Omega-conjugates, admissible._ideal)."""
+    mask = 0
+    for w in (x.w, WeylElement(x.datum, *semidirect_inverse(x)).w):
+        N = len(w)
+        for j in x.datum.simple_indices:
+            mask |= (w[j - 1] - (N if j == 0 else 0) > w[j]) << j
+    return mask
 
 
 def product_reduced_word(x: WeylElement):

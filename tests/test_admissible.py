@@ -30,6 +30,7 @@ from locmodel.weyl import (
     _no_descent_in,
     _window,
     alcove_vertices,
+    bruhat_ideal,
     finite,
     kappa,
     length,
@@ -37,6 +38,8 @@ from locmodel.weyl import (
 )
 
 from reference import (
+    cover_ideal,
+    descent_mask,
     double_coset,
     downset,
     enumerate_below,
@@ -448,6 +451,103 @@ def every_I(datum):
 
 _EXTENDED = extended("GL(4) and GSp(3): set LOCMODEL_EXTENDED=1")
 _EXTENDED_GENERATOR = extended("GL(5) and GSp(4) at every I: set LOCMODEL_EXTENDED=1")
+
+
+def omega_classes(mu: Coweight):
+    """The orbit of mu in classes under the coordinate move that conjugation
+    by the length-zero generator makes on a translation t_lam: the cyclic
+    shift lam -> (lam_d, lam_1, ..., lam_d-1) for GL(d), and
+    (v; c) -> (c - v_g, ..., c - v_1; c) for GSp(g)."""
+    if mu.datum.kind == "GL":
+        move = lambda lam: lam[-1:] + lam[:-1]
+    else:
+        move = lambda lam: tuple(lam[-1] - v for v in reversed(lam[:-1])) + lam[-1:]
+    classes, seen = [], set()
+    for lam in mu.orbit():
+        if lam not in seen:
+            cls = [lam]
+            while (lam := move(lam)) != cls[0]:
+                cls.append(lam)
+            seen.update(cls)
+            classes.append(cls)
+    return classes
+
+
+def sweep_coweights():
+    """Every coweight of the adm-perm-sweep benchmark families, and samples
+    from GL(5) and GSp(4)."""
+    families = ((GL2, 3), (GL3, 3), (GL4, 2), (GSP1, 2), (GSP2, 2))
+    out = [(datum, mu) for datum, k in families for mu in minuscule_sums(datum, k)]
+    out += [(GSP3, (1, 1, 1, 1))]
+    out += [(RootDatum("GL", 5), mu) for mu in ((1, 1, 0, 0, 0), (2, 1, 0, 0, 0), (2, 1, 1, 0, 0), (2, 2, 1, 1, 0))]
+    out += [(RootDatum("GSp", 4), mu) for mu in ((1, 1, 1, 1, 1), (2, 1, 1, 1, 2), (2, 2, 2, 2, 2))]
+    return out
+
+
+_FRONTIER = extended("GL(6) and C4 ideals against the cover search (about 35 s): set LOCMODEL_EXTENDED=1")
+
+
+class TestOmegaIdeal:
+    """_ideal grows one top per class of the conjugation by Omega and
+    carries lengths and descent masks to the conjugates; the checks here
+    use no Omega code of the library."""
+
+    @pytest.mark.parametrize(
+        "datum,mu_value",
+        sweep_coweights()
+        + [
+            pytest.param(RootDatum("GL", 6), (3, 2, 1, 0, 0, 0), marks=_FRONTIER),
+            pytest.param(RootDatum("GSp", 4), (2, 1, 1, 1, 0), marks=_FRONTIER),
+        ],
+        ids=lambda v: f"{v.kind}{v.n}" if isinstance(v, RootDatum) else ",".join(map(str, v)),
+    )
+    def test_equals_every_top_grown_and_cover_search(self, datum, mu_value, monkeypatch):
+        mu = Coweight(datum, mu_value)
+        tops = [translation(datum, lam) for lam in mu.orbit()]
+        grown = []
+        grow = admissible.bruhat_ideal
+        monkeypatch.setattr(admissible, "bruhat_ideal", lambda tops, budget: grown.extend(tops) or grow(tops, budget))
+        budget = Budget()
+        ideal, size = admissible._ideal(mu, budget)
+        elements = {x for x, _ in ideal}
+        assert len(elements) == len(ideal) == size == budget.spent
+        assert elements == bruhat_ideal(tops) == cover_ideal(tops)
+        # one top per class, its first member in the sorted orbit
+        assert [t.lam for t in grown] == [cls[0] for cls in omega_classes(mu)]
+        for x, mask in ideal:
+            assert mask == descent_mask(x), x
+            assert length(x) == length(WeylElement.of_window(datum, x.w)), x
+
+    @pytest.mark.parametrize(
+        "datum,mu_value,tops,grown",
+        [(GL4, (2, 1, 1, 0), 12, 3), (GL4, (1, 1, 0, 0), 6, 2), (GSP3, (1, 1, 1, 1), 8, 4), (GSP2, (1, 0, 1), 4, 3)],
+        ids=str,
+    )
+    def test_grown_tops(self, datum, mu_value, tops, grown):
+        # (1, 1, 0, 0) has a class of two, (1, 0, 1, 0) and (0, 1, 0, 1);
+        # (1, 0; 1) and (0, 1; 1) are classes of one, and no member of the
+        # GSp(6) orbit is fixed: v_2 = 1 - v_2 has no integer root
+        mu = Coweight(datum, mu_value)
+        assert (mu.orbit_size(), len(omega_classes(mu))) == (tops, grown)
+
+    @pytest.mark.parametrize(
+        "datum,mu_value",
+        [(GL2, (2, 0)), (GL3, (2, 1, 0)), (GL4, (2, 1, 1, 0)), (GSP1, (2, 2)), (GSP2, (2, 1, 2)), (GSP3, (1, 1, 1, 1))],
+        ids=str,
+    )
+    def test_budget_edge_on_a_cold_memo(self, datum, mu_value, cold_memo):
+        # every element, grown or conjugated, spends one unit when it joins:
+        # a cold call returns at |ideal| units and raises at one fewer
+        mu = Coweight(datum, mu_value)
+        n = len(bruhat_ideal([translation(datum, lam) for lam in mu.orbit()]))
+        for spec in (iwahori(datum), spec0(datum)):
+            with pytest.raises(BudgetExceeded):
+                adm_set(spec, mu, Budget(n - 1))
+            assert not cold_memo
+            budget = Budget(n)
+            adm_set(spec, mu, budget)
+            assert budget.spent == n
+            cold_memo.clear()
 
 
 class TestAgainstReference:

@@ -5,6 +5,7 @@ import ast
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -487,6 +488,52 @@ _REPORT_DIGESTS = [
     ("verify strata --group gl --d 3 --e 2 --r 1,1 --I 0,1 --p 2",
      "62e8eee0efaf2019a6a0e89165fa99c00037934f2ae66af5f7f332ab3ef961ea"),
 ]
+
+
+def _group_argv(kind, n):
+    return ["--group", "gl", "--d", str(n)] if kind == "GL" else ["--group", "gsp", "--g", str(n)]
+
+
+_SETS = [
+    (cmd, kind, n, ["--mu", mu] + (["--p", "2"] if cmd == "count" else []))
+    for cmd in ("adm", "perm", "count", "compare-adm-perm")
+    for kind, n, mu in (
+        ("GL", 2, "2,0"), ("GL", 3, "2,1,0"), ("GL", 4, "2,1,1,0"), ("GSp", 1, "2,2"), ("GSp", 2, "2,1,2")
+    )
+]
+_MODELS = [
+    ("verify strata", "GL", 2, ["--e", "2", "--r", "1,1", "--p", "2"]),
+    ("verify strata", "GL", 3, ["--e", "2", "--r", "1,1", "--p", "2"]),
+    ("verify strata", "GL", 3, ["--e", "2", "--r", "2,1", "--p", "2"]),
+    ("verify symplectic", "GSp", 1, ["--e", "2", "--p", "3"]),
+]
+
+
+class TestOmegaRelabelling:
+    """A report at I and one at Omega(I) agree once I is relabelled:
+    I -> I + 1 mod d for GL(d), I -> g - I for GSp(g), as conjugation by
+    the length-zero generator moves the affine simple reflections.  The
+    relabelling is written here, so these tests run no Omega code of the
+    library and check the whole pipeline: the sorted (length, predicted,
+    observed) rows and the totals, at every proper I."""
+
+    @staticmethod
+    def summary(argv, I):
+        code, out = run(argv + ["--I", ",".join(map(str, I)), "--format", "json"])
+        report = json.loads(out)
+        rows = sorted((row["length"], row["predicted"], row["observed"]) for row in report["rows"])
+        return code, report["pass"], rows, report["totals"]
+
+    @pytest.mark.parametrize(
+        "cmd,kind,n,extra", _SETS + _MODELS, ids=[f"{c} {k}{n} {' '.join(e)}" for c, k, n, e in _SETS + _MODELS]
+    )
+    def test_reports_agree_at_relabelled_I(self, cmd, kind, n, extra):
+        argv = cmd.split() + _group_argv(kind, n) + extra
+        labels = range(n) if kind == "GL" else range(n + 1)
+        for k in range(1, len(labels)):
+            for I in itertools.combinations(labels, k):
+                moved = sorted((i + 1) % n if kind == "GL" else n - i for i in I)
+                assert self.summary(argv, I) == self.summary(argv, moved), (argv, I)
 
 
 class TestReportDigests:

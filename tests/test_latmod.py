@@ -542,6 +542,20 @@ class TestChainIndex:
         assert list(trial_chains(maps, ["a", "b"], labels, choices)) == []
         assert budget.spent == 1
 
+    def test_paired_annihilators_formed_on_first_visit(self, monkeypatch):
+        # GSp(4) e=1 Iwahori at p=2: each of the paired labels 1 and 2 has
+        # 35 options, and F_{-i} = perp(F_i) is formed only for the options
+        # the backtracker visits, once each: 54 annihilators, not 2 x 35
+        calls = []
+        perp = linalg.perp
+        monkeypatch.setattr(linalg, "perp", lambda sub, gram: calls.append((sub, gram)) or perp(sub, gram))
+        model = build_model("GSp", 2, 1, {0, 1, 2}, 2)
+        points = list(naive_points(model))
+        assert (len(points), len(calls)) == (59, 54)
+        assert len({(sub, id(gram)) for sub, gram in calls}) == 54
+        for pt in points:
+            assert all(pt.subspaces[-i] == perp(pt.subspaces[i], model.gram[i]) for i in (1, 2))
+
     def test_one_label_builds_no_table(self, monkeypatch):
         def built(*args):
             raise AssertionError("built a containment table for one label")

@@ -56,6 +56,7 @@ from reference import (
     act_point,
     coset_min,
     cover_ideal,
+    descent_mask,
     downset,
     element_from_word,
     elements_of_length_leq,
@@ -531,6 +532,33 @@ class TestDescents:
         for _ in range(60):
             x = random_element(rng, datum, spread=3)
             assert window_descents(x) == length_descents(x), x
+
+    @pytest.mark.parametrize("datum", _KERNEL_DATA, ids=_IDS)
+    def test_one_pass_masks(self, datum):
+        # _descents reads a window in one pass: the mask of _first_descent
+        # one j at a time, and with the inverse's, the mask of the oracles
+        rng = random.Random(43)
+        js = datum.simple_indices
+        for x in list(small_elements(datum, 1)) + [random_element(rng, datum, spread=3) for _ in range(40)]:
+            left, right = window_descents(x)
+            assert (weyl._descents(weyl._inverse(x.w), js), weyl._descents(x.w, js)) == (left, right), x
+            assert left | right == descent_mask(x) == sum(length_descents(x)) - (left & right), x
+
+    @pytest.mark.parametrize("datum", _KERNEL_DATA, ids=_IDS)
+    def test_omega_conjugate(self, datum):
+        # the window shift by s = 1 for GL and g for GSp is conjugation by
+        # the length-zero generator, i -> i + s, by products; it moves each
+        # right descent s_j to s_(j+1 mod d) for GL and s_(g-j) for GSp
+        rng = random.Random(47)
+        tau = omega_generator(datum)
+        n, js = datum.n, datum.simple_indices
+        s = 1 if datum.kind == "GL" else n
+        for _ in range(40):
+            x = random_element(rng, datum, spread=3)
+            y = WeylElement.of_window(datum, weyl._omega_conjugate(x.w, s))
+            assert y == tau * x * tau.inv() and length(y) == length(x), x
+            moved = {(j + 1) % n if datum.kind == "GL" else n - j for j in js if length_descents(x)[1] >> j & 1}
+            assert moved == {j for j in js if length_descents(y)[1] >> j & 1}, x
 
     @pytest.mark.parametrize("datum", [GL3, GSP2], ids=_IDS)
     def test_reduced_word_takes_smallest_length_descent(self, datum):
