@@ -5,8 +5,9 @@ verify strata|torsor|symplectic|matrix, run-suite.
 
 Exit codes: 0 pass, 1 verification failure (two standard points with
 one signature included), 2 usage error (a --budget or LOCMODEL_BUDGET
-that is not a positive integer, and a manifest block lacking a parameter
-its case needs, included), 3 budget exceeded, 4 unexpected internal
+that is not a positive integer, a manifest block lacking a parameter its
+case needs, and a manifest or --out path that cannot be read or written,
+included), 3 budget exceeded, 4 unexpected internal
 error (one line on stderr, no traceback).  The report schema is
 {case, params, rows:[{w:{word, omega, translation, finite}, length,
 predicted, observed, source}], totals, pass, elapsed_ms}; CSV mirrors
@@ -326,7 +327,7 @@ def run_verify_matrix(params, budget=None):
     if params.get("n") is not None:
         n, r, s = int(params["n"]), int(params["r"]), int(params["s"])
         direct = matschemes.unitary_points_direct(n, r, s, p, budget=budget)
-        strat = matschemes.unitary_points_stratified(n, r, s, p, budget=budget)
+        strat = matschemes.unitary_points_stratified(n, r, s, p)
         by_rank = dict(direct.by_rank)
         rows = [
             {
@@ -691,10 +692,7 @@ def main(argv=None, stream=None):
     except ManifestParseError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ArtifactError, ValueError, KeyError) as exc:
+    except (OSError, ArtifactError, ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -22,6 +22,10 @@ Everything is special-fiber-only: the Eisenstein coefficients vanish
 and Q(T) = T^e.  The determinant condition of the naive moduli problem
 is automatic at field-valued points (det(c_0 + nilpotent) = c_0^rank)
 and is therefore documented here rather than tested per point.
+
+Each unramified factor M^l of the splitting model's special fiber is
+the chain model with e = 1 (and r = (r_l) for GL), counted by the same
+naive_points.
 """
 
 from __future__ import annotations
@@ -433,44 +437,19 @@ def _bits(mask):
 
 class _PairedOptions:
     """The options (F_i, F_{-i}) of a paired GSp label, F_i from opts and
-    F_{-i} = perp(F_i, gram), each pair formed on its first [j] and kept:
+    F_{-i} its _annihilator, each pair formed on its first [j] and kept:
     _chains reads only len and [j]."""
 
-    def __init__(self, opts, gram):
-        self.opts, self.gram, self.pairs = opts, gram, {}
+    def __init__(self, model, i, opts):
+        self.model, self.i, self.opts, self.pairs = model, i, opts, {}
 
     def __len__(self):
         return len(self.opts)
 
     def __getitem__(self, j):
         if j not in self.pairs:
-            self.pairs[j] = (self.opts[j], linalg.perp(self.opts[j], self.gram))
+            self.pairs[j] = (self.opts[j], _annihilator(self.model, self.i, self.opts[j]))
         return self.pairs[j]
-
-
-def _points(model: ChainModel, maps, opts, grams, budget):
-    """Chain points, in product order, with the subspace of every
-    independent label (the slots for GL, I for GSp) drawn from the one
-    list opts.  For GSp, F_0 must be isotropic for grams[0] (so Lagrangian)
-    and F_{-i} is the annihilator of F_i under grams[i], N-stable as N is
-    adjoint for it, chosen together with F_i and formed when its option
-    is first visited (_PairedOptions).  Every label after the first draws
-    its first subspace from all of opts, so with more than one label they
-    share one containment table of opts, built here."""
-    paired = [i for i in model.I if model.kind == "GSp" and i > 0]
-    labels = [(i, -i) if i in paired else (i,) for i in model.I]
-    choices = [
-        _PairedOptions(opts, grams[i])
-        if i in paired
-        else [(c,) for c in opts if model.kind == "GL" or linalg.isotropic(c, grams[0])]
-        for i in model.I
-    ]
-    index = None
-    if len(labels) > 1 and opts:
-        index = [None] + [_containment_table(opts, model.field.p)] * (len(labels) - 1)
-    order = list(model.I) + [-i for i in paired]
-    for chain in _chains(maps, model.slots, labels, choices, budget, index):
-        yield ChainPoint(model, {t: chain[t] for t in order})
 
 
 def naive_points(model: ChainModel, budget=None):
@@ -478,11 +457,32 @@ def naive_points(model: ChainModel, budget=None):
 
     Rank, Pi-stability, transition/wrap compatibility (and for GSp the
     pairing condition F_{-i} = F_i^perp) are tested; the determinant
-    condition is automatic at field points and not re-tested.
+    condition is automatic at field points and not re-tested.  The points
+    come in product order, with the subspace of every independent label
+    (the slots for GL, I for GSp) drawn from the one list of N-stable
+    subspaces of rank model.rank.  For GSp, F_0 must be isotropic for
+    gram[0] (so Lagrangian) and F_{-i} is the annihilator of F_i, N-stable
+    as N is adjoint for gram[i], chosen together with F_i and formed when
+    its option is first visited (_PairedOptions).  Every label after the
+    first draws its first subspace from all of the list, so with more than
+    one label they share one containment table of it, built here.
     """
     budget = budget or Budget()
-    stable = linalg.stable_subspaces(model.N, model.rank, budget)
-    yield from _points(model, model.T + [model.T_wrap], stable, model.gram, budget)
+    opts = linalg.stable_subspaces(model.N, model.rank, budget)
+    paired = [i for i in model.I if model.kind == "GSp" and i > 0]
+    labels = [(i, -i) if i in paired else (i,) for i in model.I]
+    choices = [
+        _PairedOptions(model, i, opts)
+        if i in paired
+        else [(c,) for c in opts if model.kind == "GL" or linalg.isotropic(c, model.gram[0])]
+        for i in model.I
+    ]
+    index = None
+    if len(labels) > 1 and opts:
+        index = [None] + [_containment_table(opts, model.field.p)] * (len(labels) - 1)
+    order = list(model.I) + [-i for i in paired]
+    for chain in _chains(model.T + [model.T_wrap], model.slots, labels, choices, budget, index):
+        yield ChainPoint(model, {t: chain[t] for t in order})
 
 
 # ---------------------------------------------------------------------------
@@ -598,40 +598,18 @@ def canonical_points(model: ChainModel, budget=None):
 # unramified models
 
 
-def _residue_maps(model: ChainModel):
-    """The transition and wrap maps on Lambda tensor F_p: the chain's own
-    maps on the Pi^0 coordinates (m, 0), where only exact exponent matches
-    survive."""
-    e = model.e
-    return [FieldMatrix(model.field, f.array[::e, ::e]) for f in model.T + [model.T_wrap]]
-
-
-def _mod_p_gram(model: ChainModel):
-    """Standard symplectic pairing on the residue symbols e_m, f_m."""
-    a = np.zeros((model.D, model.D), dtype=np.int64)
-    g = model.n
-    for m in range(g):
-        a[m, g + m] = 1
-        a[g + m, m] = -1
-    return FieldMatrix(model.field, a)
-
-
 def unramified_points(model: ChainModel, l: int, budget=None):
-    """Points of the single-embedding (Grassmannian-type) model M^l / N^l.
-
-    Chains of rank-r_l subspaces of the residue spaces, compatible with
-    the mod-p transition maps; the wrap map is reduced with the
-    Eisenstein coefficient sent to 0.  For GSp, F_{-i} is the
-    annihilator of F_i under the standard residue symplectic form.
+    """Points of the l-th unramified factor M^l of the special fiber: the
+    local model with e = 1 and the minuscule mu_l (Goertz), so the naive
+    points of the chain model of the same group, I and p with e = 1 and,
+    for GL, r = (r_l).  Its slots are the residue spaces Lambda_t tensor
+    F_p, its wrap map is pi with the Eisenstein coefficient sent to 0, and
+    for GSp its pairing is the standard symplectic form.
     """
     if not 1 <= l <= model.e:
         raise BadRanks(f"l must be in 1..{model.e}")
-    budget = budget or Budget()
-    r = model.r_vec[l - 1] if model.kind == "GL" else model.n
-    maps = _residue_maps(model)
-    opts = list(linalg.enumerate_subspaces(model.D, r, model.field, budget=budget))
-    grams = dict.fromkeys(model.I, _mod_p_gram(model)) if model.kind == "GSp" else {}
-    yield from _points(model, maps, opts, grams, budget)
+    r = (model.r_vec[l - 1],) if model.kind == "GL" else None
+    yield from naive_points(build_model(model.kind, model.n, 1, model.I, model.field.p, r), budget)
 
 
 @dataclass(frozen=True)

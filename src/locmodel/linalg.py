@@ -354,8 +354,9 @@ def stable_subspaces(N: FieldMatrix, k: int, budget=None) -> list:
     dimension as N is nilpotent, with U <= V <= N^-1(U) and U <= N(F_p^n).
     So level d is built from the levels below it: for each stable U inside
     the image of N, the V between U and N^-1(U) with N(V) = U, which
-    yields each V once.  Every V examined, over all levels, is spent
-    from one budget (a fresh Budget() if None), again on a memo hit.
+    yields each V once; no level d with dim N(F_p^n) < d < k is built.
+    Every V examined, over all levels, is spent from one budget (a fresh
+    Budget() if None), again on a memo hit.
     """
     n = N.rows
     if not 0 <= k <= n:
@@ -371,6 +372,8 @@ def _stable(N: FieldMatrix, k: int, budget):
     for d in range(1, k + 1):
         pairs += [(u, preimage(N, u)) for u in level if u.leq(im)]
         level = []
+        if im.dim < d < k:  # no subspace of it lies in im, so no later level reads it
+            continue
         for u, pre in pairs:
             level += [v for v in subspaces_between(u, pre, d, budget) if image(N, v) == u]
     return tuple(sorted(level, key=_order_key)), len(level)

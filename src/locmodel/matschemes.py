@@ -163,14 +163,14 @@ def _invertible_symmetric_count(k, p):
     return p ** (k * (k + 1) // 2 - h * h) * math.prod(p ** (2 * i - 1) - 1 for i in range(1, h + 1))
 
 
-def unitary_points_stratified(n, r, s, p, budget=None) -> UnitaryCount:
+def unitary_points_stratified(n, r, s, p) -> UnitaryCount:
     """Stratified count: A = C S C^t over isotropic column spaces.
 
     A square-zero symmetric A of rank k has totally isotropic column
     space (col A is contained in ker A = (col A)-perp), and conversely
     every pair (k-dim isotropic U, invertible symmetric k x k matrix S)
     yields exactly one such A.  Both factors are closed forms, so nothing
-    is formed and nothing is spent from ``budget``.
+    is formed and the count takes no budget.
     """
     _check_unitary(n, r, s, p)
     hist = {}

@@ -738,7 +738,7 @@ def classify_by_orbits(points, adm, model: ChainModel) -> StratumReport:
 
 
 # ---------------------------------------------------------------------------
-# latmod: unramified transition maps
+# latmod: the unramified transition maps and pairing
 
 
 def mod_p_map(model: ChainModel, src, dst, extra_pi):
@@ -759,6 +759,17 @@ def mod_p_maps(model: ChainModel):
     slots = model.slots
     maps = [mod_p_map(model, a, b, 0) for a, b in zip(slots, slots[1:])]
     return maps + [mod_p_map(model, slots[-1], slots[0], 1)]
+
+
+def standard_symplectic_form(model: ChainModel):
+    """The standard symplectic pairing on the residue symbols e_1 .. e_g,
+    f_1 .. f_g of a GSp model: e_m pairs with f_m to 1, f_m with e_m to -1."""
+    g = model.n
+    a = np.zeros((2 * g, 2 * g), dtype=np.int64)
+    for m in range(g):
+        a[m, g + m] = 1
+        a[g + m, m] = -1
+    return FieldMatrix(model.field, a)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from contextlib import contextmanager
 import pytest
 
 from locmodel.admissible import adm_set, perm_set, stratum_count
-from locmodel.cli import main
+from locmodel.cli import _classify, main
+from locmodel.errors import Budget
 from locmodel import latmod
 from locmodel.latmod import build_model, canonical_points, classify_strata, naive_points, torsor_check
 from locmodel.matschemes import symplectic_P_points, unitary_points_direct, unitary_points_stratified
@@ -198,26 +199,50 @@ class TestCriterion4GL3Strata:
         assert sum(self.elapsed) < 300
 
 
+TORSOR_MODELS = [
+    ("GL", 2, 2, (0,), 2, (1, 1)),
+    ("GL", 2, 2, (0,), 3, (1, 1)),
+    ("GL", 2, 2, (0,), 2, (2, 0)),
+    ("GL", 2, 2, (0,), 3, (2, 0)),
+    ("GL", 3, 2, (0,), 2, (1, 1)),
+    ("GL", 3, 2, (0, 1), 2, (1, 1)),
+    # tameness requires p coprime to e, so the GSp instances
+    # run at the two smallest odd primes
+    ("GSp", 1, 2, (0,), 3, None),
+    ("GSp", 1, 2, (0,), 5, None),
+]
+
+
 class TestCriterion5Torsor:
-    @pytest.mark.parametrize(
-        "kind,size,e,I,p,r_vec",
-        [
-            ("GL", 2, 2, (0,), 2, (1, 1)),
-            ("GL", 2, 2, (0,), 3, (1, 1)),
-            ("GL", 2, 2, (0,), 2, (2, 0)),
-            ("GL", 2, 2, (0,), 3, (2, 0)),
-            ("GL", 3, 2, (0,), 2, (1, 1)),
-            ("GL", 3, 2, (0, 1), 2, (1, 1)),
-            # tameness requires p coprime to e, so the GSp instances
-            # run at the two smallest odd primes
-            ("GSp", 1, 2, (0,), 3, None),
-            ("GSp", 1, 2, (0,), 5, None),
-        ],
-    )
+    @pytest.mark.parametrize("kind,size,e,I,p,r_vec", TORSOR_MODELS)
     def test_torsor_identity(self, kind, size, e, I, p, r_vec):
         model = build_model(kind, size, e, set(I), p, r_vec)
         rep = torsor_check(model)
         assert rep.passed, rep
+
+    @pytest.mark.parametrize(
+        "kind,size,e,I,p,r_vec",
+        TORSOR_MODELS + [
+            pytest.param("GL", 4, len(r_vec), I, 2, r_vec,
+                         marks=extended("GL(4) factors, every r_l: set LOCMODEL_EXTENDED=1"))
+            for I in ((0,), (0, 1, 2, 3))
+            for r_vec in ((4, 3, 2), (1, 0))
+        ],
+    )
+    def test_factor_counts_are_closed_form(self, kind, size, e, I, p, r_vec):
+        # each unramified factor is the local model with e = 1 and the
+        # minuscule mu_l (Goertz): all its naive points are canonical and
+        # its strata have the closed-form counts of adm(mu_l)
+        model = build_model(kind, size, e, set(I), p, r_vec)
+        for l in range(1, e + 1):
+            factor = sum(1 for _ in latmod.unramified_points(model, l))
+            params = {"group": kind.lower(), "d" if kind == "GL" else "g": size, "e": 1,
+                      "I": ",".join(map(str, I)), "p": p}
+            if kind == "GL":
+                params["r"] = str(r_vec[l - 1])
+            _, _, totals, ok = _classify(params, Budget())
+            assert ok, (l, totals)
+            assert totals["naive"] == totals["canonical"] == totals["predicted"] == factor
 
 
 class TestCriterion6Symplectic:

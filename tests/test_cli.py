@@ -55,6 +55,13 @@ _EXACT_SPEND = [
     # 21 stable and 16 flag-level subspaces, 8 lines of F_3^2 for the two
     # unramified levels and 37 slot options visited
     (["verify", "torsor", "--group", "gsp", "--g", "1", "--e", "2", "--I", "0", "--p", "3"], 21 + 16 + 8 + 37),
+    # 3 stable and 3 flag-level subspaces, 3 lines of F_2^2 for the level
+    # with r_l = 1 and nothing for the zero subspace of the level with
+    # r_l = 0, and 10 slot options visited
+    (["verify", "torsor", "--group", "gl", "--d", "2", "--e", "2", "--r", "1,0", "--I", "0", "--p", "2"], 3 + 3 + 3 + 10),
+    # N = 0: the 7 planes of F_2^3 at once, with no level of lines built
+    # first, and each visited as the slot option
+    (["enumerate", "naive", "--group", "gl", "--d", "3", "--e", "1", "--r", "2", "--I", "0", "--p", "2"], 7 + 7),
     # the N of the case above: 5 ideal elements, the same 21 + 16
     # subspaces and 26 slot options visited
     (["verify", "symplectic", "--g", "1", "--e", "2", "--I", "0", "--p", "3"], 5 + 21 + 16 + 26),
@@ -905,6 +912,20 @@ class TestManifest:
     def test_missing_manifest_file(self):
         code, _ = run(["run-suite", "/nonexistent/manifest.txt"])
         assert code == 2
+
+    def test_manifest_path_is_a_directory(self, tmp_path, capsys):
+        code, out = run(["run-suite", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_out_path_is_a_file(self, tmp_path, capsys):
+        mf = tmp_path / "suite.txt"
+        mf.write_text("case=adm\ngroup=gl\nd=2\nmu=1,0\niwahori=1\n")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out = run(["run-suite", str(mf), "--out", str(taken)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("usage error:")
 
 
 _SRC = Path(__file__).resolve().parent.parent / "src"

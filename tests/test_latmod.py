@@ -51,6 +51,7 @@ from reference import (
     omega_generator,
     random_chain_automorphism,
     stable_under,
+    standard_symplectic_form,
     trial_chains,
     total_count,
 )
@@ -91,7 +92,7 @@ def grassmannian_filter(model, lagrangian, rank=None):
 
 def label_candidates(model):
     """Per independent label (the slots for GL, I for GSp), in order, the
-    options that latmod._points keeps from the N-stable subspaces: all of
+    options that latmod.naive_points keeps from the N-stable subspaces: all of
     them, except that the GSp F_0 must annihilate itself."""
     stable = linalg.stable_subspaces(model.N, model.rank)
     if model.kind == "GL":
@@ -119,7 +120,7 @@ def gsp_product_filter(model):
 
 
 def gsp_product_loop(model, maps, cands, grams):
-    """The former GSp branch of latmod._points, kept as the reference: the
+    """The former GSp branch of latmod.naive_points, kept as the reference: the
     full product over the labels of I, each F_{-i} derived as perp(F_i)
     per product, then the transitions and the wrap."""
     for combo in itertools.product(*cands):
@@ -428,18 +429,16 @@ class TestNaive:
         assert got == expected
         assert [list(s) for s in got] == [list(s) for s in expected]
 
-    def test_gsp_budget_counts_combinations(self):
-        # I = {0, 1}: all 13 options of F_0 are visited, and under each
-        # only the options of F_1 that contain T(F_0), read from the
-        # containment table: 25 of the 13 * 13 pairs, each a point
+    def test_gsp_budget_counts_combinations(self, cold_memo):
+        # I = {0, 1}: the 21 subspaces that build the stable ones, then all
+        # 13 options of F_0 are visited, and under each only the options of
+        # F_1 that contain T(F_0), read from the containment table: 25 of
+        # the 13 * 13 pairs, each a point
         model = build_model("GSp", 1, 2, {0, 1}, 3)
-        maps = model.T + [model.T_wrap]
         assert [len(c) for c in label_candidates(model)] == [13, 13]
-        stable = linalg.stable_subspaces(model.N, model.rank)
-        pts = list(latmod._points(model, maps, stable, model.gram, Budget(13 + 25)))
-        assert len(pts) == 25
+        assert len(list(naive_points(model, Budget(21 + 13 + 25)))) == 25
         with pytest.raises(BudgetExceeded):
-            list(latmod._points(model, maps, stable, model.gram, Budget(13 + 25 - 1)))
+            list(naive_points(model, Budget(21 + 13 + 25 - 1)))
 
     @pytest.mark.parametrize(
         "size,e,I,p", [(1, 2, {0, 1}, 3), (2, 1, {0, 1, 2}, 2), (2, 2, {1}, 3)], ids=str
@@ -447,7 +446,7 @@ class TestNaive:
     def test_gsp_unramified_equals_product_loop(self, size, e, I, p):
         model = build_model("GSp", size, e, I, p)
         maps = mod_p_maps(model)
-        gram = latmod._mod_p_gram(model)
+        gram = standard_symplectic_form(model)
         opts = list(linalg.enumerate_subspaces(model.D, size, model.field))
         cands = [[s for s in opts if linalg.perp(s, gram) == s] if i == 0 else opts for i in model.I]
         grams = dict.fromkeys(model.I, gram)
@@ -767,9 +766,23 @@ class TestUnramified:
                         r_vec = (1,) * e if kind == "GL" else None
                         model = build_model(kind, size, e, I, 5, r_vec)
                         expected = mod_p_maps(model)
-                        assert latmod._residue_maps(model) == expected
+                        unramified = build_model(kind, size, 1, I, 5, (1,) if kind == "GL" else None)
+                        assert unramified.T + [unramified.T_wrap] == expected
                         checked += len(expected)
         assert checked == 390
+
+    def test_unramified_gram_is_standard_symplectic(self):
+        # every GSp(1..3) chain with e = 1 and every I pairs its residue
+        # spaces by the standard symplectic form
+        checked = 0
+        for size, p in itertools.product((1, 2, 3), (2, 3, 5)):
+            for k in range(1, size + 2):
+                for I in itertools.combinations(range(size + 1), k):
+                    model = build_model("GSp", size, 1, I, p)
+                    for gram in model.gram.values():
+                        assert gram == standard_symplectic_form(model)
+                        checked += 1
+        assert checked == 144
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_torsor_gl2(self, p):

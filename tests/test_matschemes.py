@@ -61,12 +61,12 @@ class TestUnitary:
 
     @pytest.mark.parametrize("n,p", [(n, p) for n, p, _ in LARGE])
     def test_direct_equals_stratified_large(self, n, p):
-        # r = n // 2 bounds no rank of a square-zero matrix; one budget holds
-        # p^m for the direct scan, and the stratified count spends nothing
+        # r = n // 2 bounds no rank of a square-zero matrix; the budget
+        # holds p^m for the direct scan, and the stratified count takes none
         r, s, m = n // 2, n - n // 2, n * (n + 1) // 2
         budget = Budget(p**m)
         d = unitary_points_direct(n, r, s, p, budget=budget)
-        t = unitary_points_stratified(n, r, s, p, budget=budget)
+        t = unitary_points_stratified(n, r, s, p)
         assert d == t
         assert budget.spent == budget.limit
 
@@ -250,12 +250,11 @@ class TestKernels:
 
     def test_stratified_count_reaches_far(self):
         # no subspace is formed: F_13^12 holds 1.9 * 10^12 lines alone
-        budget = Budget(1)
         start = time.perf_counter()
-        got = unitary_points_stratified(12, 6, 6, 13, budget=budget)
+        got = unitary_points_stratified(12, 6, 6, 13)
         assert time.perf_counter() - start < 0.1
-        assert budget.spent == 0 and [k for k, _ in got.by_rank] == list(range(7))
-        assert [k for k, _ in unitary_points_stratified(16, 8, 8, 2, budget=budget).by_rank] == list(range(9))
+        assert [k for k, _ in got.by_rank] == list(range(7))
+        assert [k for k, _ in unitary_points_stratified(16, 8, 8, 2).by_rank] == list(range(9))
 
     @pytest.mark.parametrize("n,p,hist", LARGE)
     def test_frozen_histograms(self, n, p, hist):
@@ -346,10 +345,8 @@ class TestKernels:
         unitary_points_direct(2, 1, 1, 5)
         with pytest.raises(BudgetExceeded):
             unitary_points_direct(2, 1, 1, 5, budget=Budget(5**3 - 1))
-        # the stratified count forms no subspace and spends nothing
-        budget = Budget(1)
-        assert unitary_points_stratified(3, 3, 3, 7, budget=budget).total == 49
-        assert budget.spent == 0
+        # the stratified count forms no subspace and takes no budget
+        assert unitary_points_stratified(3, 3, 3, 7).total == 49
         with pytest.raises(BudgetExceeded):
             symplectic_P_points(1, 2, 3, "direct", budget=Budget(3**5 - 1))
         assert symplectic_P_points(1, 2, 3, "direct", budget=Budget(3**5)) == 27
