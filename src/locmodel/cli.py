@@ -5,10 +5,12 @@ verify strata|torsor|symplectic|matrix, run-suite.
 
 Exit codes: 0 pass, 1 verification failure (two standard points with
 one signature included), 2 usage error (a --budget or LOCMODEL_BUDGET
-that is not a positive integer, a manifest block lacking a parameter its
-case needs, and a manifest or --out path that cannot be read or written,
-included), 3 budget exceeded, 4 unexpected internal
-error (one line on stderr, no traceback).  The report schema is
+that is not a positive integer, a manifest block that its command line's
+parser rejects, or that holds a key its case does not take or an
+expect_* value that is not an integer, all before any case runs, and a
+manifest or --out path that cannot be read or written, included), 3
+budget exceeded, 4 unexpected internal error (one line on stderr, no
+traceback).  The report schema is
 {case, params, rows:[{w:{word, omega, translation, finite}, length,
 predicted, observed, source}], totals, pass, elapsed_ms}; CSV mirrors
 the rows, text is a human-readable table.  Output is deterministic for
@@ -52,18 +54,15 @@ from . import latmod, matschemes
 
 def _ints(text):
     try:
-        return tuple(int(x) for x in str(text).split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
 def _datum(params) -> RootDatum:
-    group = params.get("group", "gl").lower()
-    if group == "gl":
-        return RootDatum("GL", int(params["d"]))
-    if group == "gsp":
-        return RootDatum("GSp", int(params["g"]))
-    raise ValueError(f"unknown group {params['group']!r}")
+    if params["group"] == "gsp":
+        return RootDatum("GSp", params["g"])
+    return RootDatum("GL", params["d"])
 
 
 def _spec(datum, params) -> ParahoricSpec:
@@ -72,23 +71,25 @@ def _spec(datum, params) -> ParahoricSpec:
     return ParahoricSpec(datum, frozenset(_ints(params["I"])))
 
 
+def _spec_mu(params):
+    """The (parahoric, coweight) pair of adm, perm, compare-adm-perm and count."""
+    datum = _datum(params)
+    return _spec(datum, params), Coweight(datum, _ints(params["mu"]))
+
+
 def _model(params):
     datum = _datum(params)
     r_vec = _ints(params["r"]) if params.get("r") is not None else None
-    return latmod.build_model(datum.kind, datum.n, int(params["e"]), _spec(datum, params).I, int(params["p"]), r_vec)
+    return latmod.build_model(datum.kind, datum.n, params["e"], _spec(datum, params).I, params["p"], r_vec)
 
 
 def _mu_from_model(model) -> Coweight:
     """The coweight whose admissible set stratifies the model: the sum
-    of the minuscule coweights omega_{r_l} for GL, e * mu_1 for GSp."""
-    datum = RootDatum(model.kind, model.n)
-    if model.kind == "GL":
-        mu = [0] * model.n
-        for r in model.r_vec:
-            for i in range(r):
-                mu[i] += 1
-        return Coweight(datum, tuple(mu))
-    return Coweight(datum, (model.e,) * model.n + (model.e,))
+    of the minuscule coweights omega_{r_l}, mu_i = #{l : r_l > i}, with
+    the similitude c = e for GSp."""
+    mu = tuple(sum(r > i for r in model.r_vec) for i in range(model.n))
+    c = (model.e,) if model.kind == "GSp" else ()
+    return Coweight(RootDatum(model.kind, model.n), mu + c)
 
 
 def _cycle_notation(w) -> str:
@@ -149,26 +150,23 @@ def _class_sort_key(c):
 # case runners
 
 
-def _report(case, params, rows, totals, passed, t0):
+def _report(case, params, rows, totals, passed):
     return {
         "case": case,
         "params": {k: v for k, v in sorted(params.items()) if v is not None},
         "rows": rows,
         "totals": totals,
         "pass": bool(passed),
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
 
 
 def _run_set(case, build, params, budget):
-    t0 = time.monotonic()
-    datum = _datum(params)
-    s = build(_spec(datum, params), Coweight(datum, _ints(params["mu"])), budget)
+    s = build(*_spec_mu(params), budget)
     rows = [
         _class_row(c, source=f"admissible.{case}_set")
         for c in sorted(s.classes, key=_class_sort_key)
     ]
-    return _report(case, params, rows, {"predicted": None, "observed": len(rows)}, True, t0)
+    return _report(case, params, rows, {"predicted": None, "observed": len(rows)}, True)
 
 
 def run_adm(params, budget=None):
@@ -180,10 +178,7 @@ def run_perm(params, budget=None):
 
 
 def run_compare(params, budget=None):
-    t0 = time.monotonic()
-    datum = _datum(params)
-    spec = _spec(datum, params)
-    mu = Coweight(datum, _ints(params["mu"]))
+    spec, mu = _spec_mu(params)
     a = adm_set(spec, mu, budget).classes
     b = perm_set(spec, mu, budget).classes
     rows = [
@@ -196,19 +191,15 @@ def run_compare(params, budget=None):
         for c in sorted(a | b, key=_class_sort_key)
     ]
     totals = {"predicted": len(a), "observed": len(b)}
-    return _report("compare-adm-perm", params, rows, totals, a == b, t0)
+    return _report("compare-adm-perm", params, rows, totals, a == b)
 
 
 def run_count(params, budget=None):
     """Predicted: stratum_count, in closed form.  Observed:
     poincare_quotient, over all the members of each class; a quotient
     that leaves a remainder is None and fails the case."""
-    t0 = time.monotonic()
-    datum = _datum(params)
-    spec = _spec(datum, params)
-    mu = Coweight(datum, _ints(params["mu"]))
-    q = int(params["p"])
-    s = adm_set(spec, mu, budget)
+    q = params["p"]
+    s = adm_set(*_spec_mu(params), budget)
     rows = []
     for c in sorted(s.classes, key=_class_sort_key):
         n = stratum_count(c, q)
@@ -216,7 +207,7 @@ def run_count(params, budget=None):
         rows.append(_class_row(c, predicted=n, observed=observed, source="admissible.stratum_count"))
     ok = all(row["predicted"] == row["observed"] for row in rows)
     totals = {k: sum(row[k] or 0 for row in rows) for k in ("predicted", "observed")}
-    return _report("count", params, rows, totals, ok, t0)
+    return _report("count", params, rows, totals, ok)
 
 
 def _subspace_dump(sub):
@@ -224,32 +215,19 @@ def _subspace_dump(sub):
 
 
 def run_enumerate(params, budget=None):
-    t0 = time.monotonic()
     model = _model(params)
-    what = params.get("points", "naive")
+    what = params["points"]
+    src = f"latmod.{what}_points"
+    level = (params["l"],) if what == "unramified" else ()
     rows = []
-    if what == "naive":
-        pts = latmod.naive_points(model, budget=budget)
-        src = "latmod.naive_points"
-    elif what == "canonical":
-        pts = latmod.canonical_points(model, budget=budget)
-        src = "latmod.canonical_points"
-    elif what == "splitting":
-        pts = latmod.splitting_points(model, budget=budget)
-        src = "latmod.splitting_points"
-    elif what == "unramified":
-        pts = latmod.unramified_points(model, int(params["l"]), budget=budget)
-        src = "latmod.unramified_points"
-    else:
-        raise ValueError(f"unknown point kind {what!r}")
-    for pt in pts:
+    for pt in getattr(latmod, f"{what}_points")(model, *level, budget=budget):
         if what == "splitting":
             dump = {str(t): [_subspace_dump(f) for f in fs] for t, fs in pt.flags.items()}
         else:
             dump = {str(t): _subspace_dump(s) for t, s in pt.subspaces.items()}
         rows.append({"point": dump, "source": src})
     totals = {"predicted": None, "observed": len(rows)}
-    return _report(f"enumerate-{what}", params, rows, totals, True, t0)
+    return _report(f"enumerate-{what}", params, rows, totals, True)
 
 
 def _classify(params, budget):
@@ -284,13 +262,11 @@ def _classify(params, budget):
 
 
 def run_verify_strata(params, budget=None):
-    t0 = time.monotonic()
     _, rows, totals, ok = _classify(params, budget)
-    return _report("verify-strata", params, rows, totals, ok, t0)
+    return _report("verify-strata", params, rows, totals, ok)
 
 
 def run_verify_torsor(params, budget=None):
-    t0 = time.monotonic()
     model = _model(params)
     rep = latmod.torsor_check(model, budget=budget)
     rows = [
@@ -304,13 +280,11 @@ def run_verify_torsor(params, budget=None):
         for l, f in enumerate(rep.unramified_factors, start=1)
     ]
     totals = {"predicted": rep.product, "observed": rep.splitting_total}
-    return _report("verify-torsor", params, rows, totals, rep.passed, t0)
+    return _report("verify-torsor", params, rows, totals, rep.passed)
 
 
 def run_verify_symplectic(params, budget=None):
-    t0 = time.monotonic()
-    params = dict(params)
-    params["group"] = "gsp"
+    params = {**params, "group": "gsp"}
     s, rows, counts, ok = _classify(params, budget)
     maximal = len(s.maximal_classes())
     # one maximal class is expected only at a special maximal parahoric
@@ -318,14 +292,13 @@ def run_verify_symplectic(params, budget=None):
     ok = ok and (maximal == 1 or not special)
     totals = {k: counts[k] for k in ("predicted", "observed", "unmatched")}
     totals["maximal_classes"] = maximal
-    return _report("verify-symplectic", params, rows, totals, ok, t0)
+    return _report("verify-symplectic", params, rows, totals, ok)
 
 
 def run_verify_matrix(params, budget=None):
-    t0 = time.monotonic()
-    p = int(params["p"])
+    p = params["p"]
     if params.get("n") is not None:
-        n, r, s = int(params["n"]), int(params["r"]), int(params["s"])
+        n, r, s = params["n"], params["r"], params["s"]
         direct = matschemes.unitary_points_direct(n, r, s, p, budget=budget)
         strat = matschemes.unitary_points_stratified(n, r, s, p)
         by_rank = dict(direct.by_rank)
@@ -341,8 +314,8 @@ def run_verify_matrix(params, budget=None):
         ]
         totals = {"predicted": strat.total, "observed": direct.total}
         passed = direct.total == strat.total and direct.by_rank == strat.by_rank
-        return _report("verify-matrix-unitary", params, rows, totals, passed, t0)
-    g, e = int(params["g"]), int(params["e"])
+        return _report("verify-matrix-unitary", params, rows, totals, passed)
+    g, e = params["g"], params["e"]
     direct = matschemes.symplectic_P_points(g, e, p, "direct", budget=budget)
     linear = matschemes.symplectic_P_points(g, e, p, "linear", budget=budget)
     rows = [
@@ -355,7 +328,7 @@ def run_verify_matrix(params, budget=None):
         }
     ]
     totals = {"predicted": linear, "observed": direct}
-    return _report("verify-matrix-symplectic", params, rows, totals, direct == linear, t0)
+    return _report("verify-matrix-symplectic", params, rows, totals, direct == linear)
 
 
 _RUNNERS = {
@@ -369,6 +342,14 @@ _RUNNERS = {
     "verify-symplectic": run_verify_symplectic,
     "verify-matrix": run_verify_matrix,
 }
+
+
+def _run(case, params, budget):
+    """The report of case's runner, its elapsed_ms added last."""
+    t0 = time.monotonic()
+    report = _RUNNERS[case](params, budget=budget)
+    report["elapsed_ms"] = int((time.monotonic() - t0) * 1000)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -403,37 +384,50 @@ def parse_manifest(text):
     return cases
 
 
-def _block_params(block):
-    """The runner parameters of a manifest block."""
-    params = {k: v for k, v in block.items() if k != "case" and not k.startswith("expect_")}
-    if "iwahori" in params:
-        params["iwahori"] = params["iwahori"].lower() in ("1", "true", "yes")
-    return params
-
-
-def _bad_expectation(block):
-    """The message for the first expect_* value of block not an integer, or None."""
+def _parse_block(block):
+    """The (case, runner parameters) of a manifest block, parsed as its
+    command line: case=verify-strata is verify strata, points= enumerate's
+    positional (naive by default), iwahori=1|true|yes the flag (any other
+    value leaves it out) and every other key but expect_* --key=value.
+    Raises _UsageError for a block the parser or _missing rejects, a key
+    the case does not take and an expect_* value that is not an integer."""
+    case = block["case"]
+    keys = [k for k in block if k != "case" and not k.startswith("expect_")]
+    options = {k: block[k] for k in keys}
+    argv = case.split("-", 1) if case.startswith("verify-") else [case]
+    if case == "enumerate":
+        argv.append(options.pop("points", "naive"))
+    if options.pop("iwahori", "").lower() in ("1", "true", "yes"):
+        argv.append("--iwahori")
+    case, params, _ = _parse(argv + [f"--{k}={v}" for k, v in options.items()])
+    # an abbreviated key, or format or budget, parses but is no parameter
+    unused = [k for k in keys if k not in params]
+    if unused:
+        raise _UsageError(f"the case takes no {', '.join(unused)}")
     for key, value in block.items():
         if key.startswith("expect_"):
             try:
                 int(value)
             except ValueError:
-                return f"{key} must be an integer, got {value!r}"
-    return None
+                raise _UsageError(f"{key} must be an integer, got {value!r}") from None
+    return case, params
 
 
 def run_suite(manifest_path, budget=None, out_dir=None):
-    """Run every block of the manifest, each with a fresh Budget(budget)."""
+    """Run every block of the manifest, each with a fresh Budget(budget).
+    Every block is parsed before any case runs."""
     with open(manifest_path) as fh:
         cases = parse_manifest(fh.read())
-    for i, block in enumerate(cases):  # before any case runs
-        problem = _missing(block["case"], _block_params(block)) or _bad_expectation(block)
-        if problem:
-            raise ManifestParseError(f"block {i + 1} ({block['case']}): {problem}")
+    runs = []
+    for i, block in enumerate(cases):
+        try:
+            runs.append(_parse_block(block))
+        except _UsageError as exc:
+            raise ManifestParseError(f"block {i + 1} ({block['case']}): {exc}") from None
     reports = []
     ok = True
-    for i, block in enumerate(cases):
-        report = _RUNNERS[block["case"]](_block_params(block), budget=Budget(budget))
+    for i, (block, (case, params)) in enumerate(zip(cases, runs)):
+        report = _run(case, params, Budget(budget))
         for key, value in block.items():
             if key.startswith("expect_"):
                 field = key[len("expect_"):]
@@ -547,13 +541,17 @@ def emit(report, fmt, stream):
 # argument parsing
 
 
+class _UsageError(ValueError):
+    """A command line or manifest block the parser or _missing rejects."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.exit(2, f"usage error: {message}\n")
+        raise _UsageError(message)
 
 
-# the options each case requires; _missing checks them, and the rest,
-# on the command line and in manifest blocks alike
+# the options each case requires, as the parser checks them; _missing
+# checks the rest, on the command line and in manifest blocks alike
 _REQUIRED = {
     **dict.fromkeys(("adm", "perm", "compare-adm-perm"), ("mu",)),
     "count": ("mu", "p"),
@@ -573,12 +571,12 @@ def _add_common(sp, case):
     sp.add_argument("--format", default="text", choices=["json", "csv", "text"])
     sp.add_argument("--budget", type=int)
     if "e" in need:
-        sp.add_argument("--e", type=int)
+        sp.add_argument("--e", type=int, required=True)
         sp.add_argument("--r")
     if "mu" in need:
-        sp.add_argument("--mu")
+        sp.add_argument("--mu", required=True)
     if "p" in need:
-        sp.add_argument("--p", type=int)
+        sp.add_argument("--p", type=int, required=True)
 
 
 def build_parser():
@@ -612,27 +610,24 @@ def build_parser():
 
 
 def _missing(case, params):
-    """The usage message for parameters lacking what the runner of case
-    needs, or None.  The command line and manifest blocks share it."""
-    absent = [f"--{k}" for k in _REQUIRED[case] if params.get(k) is None]
-    if absent:
-        return "the following arguments are required: " + ", ".join(absent)
+    """The usage message for parsed parameters of case that lack what its
+    runner needs beyond the parser's required options (--d or --g, --I or
+    --iwahori, --n/--r/--s or --g/--e, --l), or None."""
     if case == "verify-matrix":
-        need = ("n", "r", "s") if params.get("n") is not None else ("g", "e")
-        bad = any(params.get(k) is None for k in need)
+        need = ("n", "r", "s") if params["n"] is not None else ("g", "e")
+        bad = any(params[k] is None for k in need)
         return "verify matrix needs --n, --r and --s, or --g and --e" if bad else None
-    gsp = case == "verify-symplectic" or str(params.get("group", "gl")).lower() == "gsp"
-    size = "g" if gsp else "d"
-    if params.get(size) is None:
+    size = "g" if case == "verify-symplectic" or params["group"] == "gsp" else "d"
+    if params[size] is None:
         return f"need --{size} for this group"
-    if params.get("I") is None and not params.get("iwahori"):
+    if params["I"] is None and not params["iwahori"]:
         return "need --I or --iwahori"
-    if params.get("points") == "unramified" and params.get("l") is None:
+    if params.get("points") == "unramified" and params["l"] is None:
         return "enumerate unramified needs --l"
     return None
 
 
-def _budget(parser, args):
+def _budget(args):
     """The budget limit of --budget, else of LOCMODEL_BUDGET, else None
     (the default); a limit that is not a positive integer is a usage error."""
     limit, source = args.budget, "--budget"
@@ -641,9 +636,9 @@ def _budget(parser, args):
         try:
             limit = int(os.environ["LOCMODEL_BUDGET"])
         except ValueError:
-            parser.error("LOCMODEL_BUDGET must be an integer")
+            raise _UsageError("LOCMODEL_BUDGET must be an integer") from None
     if limit is not None and limit <= 0:
-        parser.error(f"{source} must be a positive integer, got {limit}")
+        raise _UsageError(f"{source} must be a positive integer, got {limit}")
     return limit
 
 
@@ -653,20 +648,24 @@ def _parser():
     return build_parser()
 
 
+def _parse(argv):
+    """The case, runner parameters and namespace of a command line;
+    raises _UsageError for one the parser or _missing rejects."""
+    args = _parser().parse_args(argv)
+    case = args.command if args.command != "verify" else f"verify-{args.verify_what}"
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "verify_what", "format", "budget")}
+    problem = case in _REQUIRED and _missing(case, params)
+    if problem:
+        raise _UsageError(problem)
+    return case, params, args
+
+
 def main(argv=None, stream=None):
     stream = stream or sys.stdout
     try:
-        args = _parser().parse_args(argv)
-        name = args.command if args.command != "verify" else f"verify-{args.verify_what}"
-        problem = name in _REQUIRED and _missing(name, vars(args))
-        if problem:
-            _parser().error(problem)
-        limit = _budget(_parser(), args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-
-    try:
-        if args.command == "run-suite":
+        case, params, args = _parse(argv)
+        limit = _budget(args)
+        if case == "run-suite":
             aggregate = run_suite(args.manifest, budget=limit, out_dir=args.out)
             if args.format == "json":
                 stream.write(_to_json(aggregate) + "\n")
@@ -675,14 +674,11 @@ def main(argv=None, stream=None):
                     emit(rep, args.format, stream)
             return 0 if aggregate["pass"] else 1
 
-        params = {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("command", "verify_what", "format", "budget")
-        }
-        report = _RUNNERS[name](params, budget=Budget(limit))
+        report = _run(case, params, Budget(limit))
         emit(report, args.format, stream)
         return 0 if report["pass"] else 1
+    except SystemExit as exc:  # --help
+        return exc.code
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
@@ -692,7 +688,7 @@ def main(argv=None, stream=None):
     except ManifestParseError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ArtifactError, ValueError, KeyError) as exc:
+    except (OSError, ArtifactError, ValueError, KeyError) as exc:  # _UsageError included
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

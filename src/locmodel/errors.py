@@ -21,7 +21,7 @@ DEFAULT_BUDGET = 10**7
 class Budget:
     """One cumulative allowance of enumeration work, shared by every
     enumerator of a case.  Each spends its own unit (subspaces, slot
-    options visited, matrices, down-set elements, displacement candidates, the
+    options visited, matrices, ideal elements, displacement candidates, the
     double-coset members of a Poincare quotient); a spend that takes the
     total past the limit raises BudgetExceeded."""
 

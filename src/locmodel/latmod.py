@@ -24,8 +24,9 @@ is automatic at field-valued points (det(c_0 + nilpotent) = c_0^rank)
 and is therefore documented here rather than tested per point.
 
 Each unramified factor M^l of the splitting model's special fiber is
-the chain model with e = 1 (and r = (r_l) for GL), counted by the same
-naive_points.
+the chain model with e = 1 and r = (r_l), counted by the same
+naive_points.  A GSp model is the GL chain with a pairing: its ranks are
+forced to r = (g, ..., g).
 """
 
 from __future__ import annotations
@@ -55,19 +56,12 @@ from .weyl import WeylElement
 # model construction
 
 
-def _gl_slot_basis(d, i):
-    # pi^-1 e_1 .. pi^-1 e_i, e_{i+1} .. e_d
-    return [(("e", m), -1 if m <= i else 0) for m in range(1, d + 1)]
-
-def _gsp_slot_basis(g, e, label):
-    if label >= 0:
-        i = label
-        basis = [(("e", m), -1 if m <= i else 0) for m in range(1, g + 1)]
-        basis += [(("f", m), 1 - e) for m in range(1, g + 1)]
-    else:
-        i = -label
-        basis = [(("e", m), 0) for m in range(1, g + 1)]
-        basis += [(("f", m), 2 - e if m <= i else 1 - e) for m in range(1, g + 1)]
+def _slot_basis(kind, n, e, label):
+    # pi^-1 e_1 .. pi^-1 e_i, e_{i+1} .. e_n (i = label >= 0), and for GSp
+    # delta f_1 .. delta f_n, with pi delta f_1 .. pi delta f_i at label -i
+    basis = [(("e", m), -1 if m <= label else 0) for m in range(1, n + 1)]
+    if kind == "GSp":
+        basis += [(("f", m), 2 - e if m <= -label else 1 - e) for m in range(1, n + 1)]
     return basis
 
 
@@ -83,15 +77,9 @@ class ChainModel:
         self.r_vec = tuple(r_vec)
         self.D = size if kind == "GL" else 2 * size
 
-        if kind == "GL":
-            self.slots = self.I
-            self.slot_basis = {i: _gl_slot_basis(size, i) for i in self.slots}
-        else:
-            neg = [-i for i in sorted(self.I, reverse=True) if i > 0]
-            self.slots = tuple(neg) + self.I
-            self.slot_basis = {
-                t: _gsp_slot_basis(size, e, t) for t in self.slots
-            }
+        neg = [-i for i in sorted(self.I, reverse=True) if i > 0 and kind == "GSp"]
+        self.slots = tuple(neg) + self.I
+        self.slot_basis = {t: _slot_basis(kind, size, e, t) for t in self.slots}
         self.dim = self.D * e
 
         self.N = self._pi_matrix()
@@ -114,15 +102,11 @@ class ChainModel:
     @property
     def rank(self):
         """The rank of the chain subspaces F_t."""
-        if self.kind == "GL":
-            return sum(self.r_vec)
-        return self.e * self.n
+        return sum(self.r_vec)
 
     def level_rank(self, j):
         """rank of F^j in a splitting flag (1 <= j <= e)."""
-        if self.kind == "GL":
-            return sum(self.r_vec[:j])
-        return j * self.n
+        return sum(self.r_vec[:j])
 
     @cached_property
     def signature_plan(self):
@@ -601,14 +585,14 @@ def canonical_points(model: ChainModel, budget=None):
 def unramified_points(model: ChainModel, l: int, budget=None):
     """Points of the l-th unramified factor M^l of the special fiber: the
     local model with e = 1 and the minuscule mu_l (Goertz), so the naive
-    points of the chain model of the same group, I and p with e = 1 and,
-    for GL, r = (r_l).  Its slots are the residue spaces Lambda_t tensor
+    points of the chain model of the same group, I and p with e = 1 and
+    r = (r_l).  Its slots are the residue spaces Lambda_t tensor
     F_p, its wrap map is pi with the Eisenstein coefficient sent to 0, and
     for GSp its pairing is the standard symplectic form.
     """
     if not 1 <= l <= model.e:
         raise BadRanks(f"l must be in 1..{model.e}")
-    r = (model.r_vec[l - 1],) if model.kind == "GL" else None
+    r = model.r_vec[l - 1 : l]
     yield from naive_points(build_model(model.kind, model.n, 1, model.I, model.field.p, r), budget)
 
 

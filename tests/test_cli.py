@@ -202,7 +202,7 @@ class TestExitCodes:
         assert run(adm + ["--budget", "2"])[0] == 3
         # verify matrix: the 5^10 scan, within the default 10^7
         budget = Budget()
-        report = cli.run_verify_matrix({"n": "4", "r": "2", "s": "2", "p": "5"}, budget)
+        report = cli.run_verify_matrix({"n": 4, "r": 2, "s": 2, "p": 5}, budget)
         assert report["pass"] and budget.spent == 9_765_625 <= budget.limit
         matrix = ["verify", "matrix", "--n", "4", "--r", "2", "--s", "2", "--p", "5"]
         assert run(matrix + ["--budget", "9765625"])[0] == 0
@@ -281,6 +281,10 @@ class TestExitCodes:
         code, out = run(argv)
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --jobs 2")
+
+    def test_help_is_zero(self, capsys):
+        # the one path on which the parser still exits
+        assert run(["--help"])[0] == 0 and "usage:" in capsys.readouterr().out
 
     def test_unexpected_exception_is_four(self, monkeypatch, capsys):
         def broken(params, budget=None):
@@ -802,7 +806,44 @@ class TestParserReuse:
         assert capsys.readouterr().err.startswith("verification failed: standard points of")
 
 
+# one case of each runner, as a manifest block and as its command line
+_BLOCK_AND_ARGV = [
+    ("case=adm\ngroup=gl\nd=2\nmu=1,0\niwahori=yes", ["adm", *_GL_MU]),
+    ("case=perm\ngroup=gsp\ng=1\nmu=1,1\nI=0", ["perm", "--group", "gsp", "--g", "1", "--mu", "1,1", "--I", "0"]),
+    ("case=compare-adm-perm\ngroup=gl\nd=3\nmu=2,1,0\nI=0,2",
+     ["compare-adm-perm", "--group", "gl", "--d", "3", "--mu", "2,1,0", "--I", "0,2"]),
+    ("case=count\nd=2\nmu=2,0\nI=0\np=2", ["count", "--d", "2", "--mu", "2,0", "--I", "0", "--p", "2"]),
+    ("case=enumerate\ngroup=gl\nd=2\ne=2\nr=1,1\nI=0\np=2", ["enumerate", "naive", *_GL_MODEL]),
+    ("case=verify-strata\ngroup=gl\nd=2\ne=2\nr=1,1\nI=0\np=2", ["verify", "strata", *_GL_MODEL]),
+    ("case=verify-torsor\ngroup=gsp\ng=1\ne=2\nI=0\np=3",
+     ["verify", "torsor", "--group", "gsp", "--g", "1", "--e", "2", "--I", "0", "--p", "3"]),
+    ("case=verify-symplectic\ng=1\ne=2\nI=0\np=3", ["verify", "symplectic", "--g", "1", "--e", "2", "--I", "0", "--p", "3"]),
+    ("case=verify-matrix\nn=2\nr=1\ns=1\np=5", ["verify", "matrix", "--n", "2", "--r", "1", "--s", "1", "--p", "5"]),
+    ("case=verify-matrix\ng=1\ne=2\np=3", ["verify", "matrix", "--g", "1", "--e", "2", "--p", "3"]),
+    # a negative list needs the = form on the command line
+    ("case=adm\ngroup=gl\nd=2\nmu=-1,0\nI=0", ["adm", "--group", "gl", "--d", "2", "--mu=-1,0", "--I", "0"]),
+]
+
+
 class TestManifest:
+    def test_blocks_report_as_their_command_lines(self, tmp_path):
+        # params included: a block is parsed as its command line
+        mf = tmp_path / "suite.txt"
+        mf.write_text("\n\n".join(block for block, _ in _BLOCK_AND_ARGV) + "\n")
+        code, out = run(["run-suite", str(mf)])
+        suite = json.loads(out)["cases"]
+        assert code == 0 and len(suite) == len(_BLOCK_AND_ARGV)
+        for (block, argv), report in zip(_BLOCK_AND_ARGV, suite):
+            code, out = run(argv + ["--format", "json"])
+            fresh = json.loads(out)
+            assert code == 0
+            report.pop("elapsed_ms"), fresh.pop("elapsed_ms")
+            assert report == fresh, block
+
+    def test_negative_list_needs_the_equals_form(self, capsys):
+        code, _ = run(["adm", "--group", "gl", "--d", "2", "--mu", "-1,0", "--I", "0"])
+        assert code == 2 and "argument --mu: expected one argument" in capsys.readouterr().err
+
     def test_parse_blocks(self):
         cases = parse_manifest("case=adm\nd=2\n\n# comment\ncase=count\np=3\n")
         assert [c["case"] for c in cases] == ["adm", "count"]
@@ -828,7 +869,8 @@ class TestManifest:
         cases = [("compare-adm-perm", "0"), ("adm", "0,1"), ("count", "1,2"), ("perm", "0,1,2")]
         mf = tmp_path / "suite.txt"
         mf.write_text("\n".join(
-            f"case={case}\ngroup=gl\nd=3\nmu=2,1,0\nI={I}\np=2\n" for case, I in cases
+            f"case={case}\ngroup=gl\nd=3\nmu=2,1,0\nI={I}\n" + ("p=2\n" if case == "count" else "")
+            for case, I in cases
         ))
         code, out = run(["run-suite", str(mf), "--budget", "100000"])
         suite = json.loads(out)["cases"]
@@ -839,9 +881,7 @@ class TestManifest:
             code, out = run(argv + (["--p", "2"] if case == "count" else []) + ["--budget", "100000"])
             fresh = json.loads(out)
             assert code == 0
-            # params echo the manifest's strings or the parsed options
-            for key in ("elapsed_ms", "params"):
-                report.pop(key), fresh.pop(key)
+            report.pop("elapsed_ms"), fresh.pop("elapsed_ms")
             assert report == fresh, (case, I)
 
     def test_suite_pass_and_csv(self, tmp_path):
@@ -890,6 +930,30 @@ class TestManifest:
         code, out = run(["run-suite", str(mf)])
         assert code == 2 and out == "" and ran == []
         assert capsys.readouterr().err == f"manifest error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "block,message",
+        [
+            ("case=adm\nd=abc\nmu=1,0\niwahori=1\n", "block 2 (adm): argument --d: invalid int value: 'abc'"),
+            ("case=adm\nd=2\nmu=1,0\niwahori=1\nfoo=bar\n", "block 2 (adm): unrecognized arguments: --foo=bar"),
+            ("case=adm\nd=2\nmu=1,0\niwahori=1\np=2\n", "block 2 (adm): unrecognized arguments: --p=2"),
+            ("case=adm\ngroup=GL\nd=2\nmu=1,0\niwahori=1\n", "block 2 (adm): argument --group: invalid choice: 'GL'"),
+            ("case=enumerate\npoints=all\nd=2\ne=2\nr=1,1\nI=0\np=2\n",
+             "block 2 (enumerate): argument points: invalid choice: 'all'"),
+            ("case=verify-matrix\ng=1\ne=2\np=3\niwahori=0\n", "block 2 (verify-matrix): the case takes no iwahori"),
+            # parsed, but no runner parameter: an abbreviation, or an option of the command line
+            ("case=adm\ngr=gl\nd=2\nmu=1,0\niwahori=1\n", "block 2 (adm): the case takes no gr"),
+            ("case=adm\nd=2\nmu=1,0\niwahori=1\nbudget=5\n", "block 2 (adm): the case takes no budget"),
+        ],
+    )
+    def test_rejected_key_before_any_case(self, tmp_path, monkeypatch, capsys, block, message):
+        ran = []
+        monkeypatch.setitem(cli._RUNNERS, "adm", lambda params, budget=None: ran.append(params))
+        mf = tmp_path / "suite.txt"
+        mf.write_text("case=adm\nd=2\nmu=1,0\niwahori=1\n\n" + block)
+        code, out = run(["run-suite", str(mf)])
+        assert code == 2 and out == "" and ran == []
+        assert capsys.readouterr().err.startswith(f"manifest error: {message}")
 
     def test_non_integer_expectation_rejected_before_any_case(self, tmp_path, monkeypatch, capsys):
         ran = []
