@@ -1,14 +1,18 @@
 """Command-line verification harness.
 
 Subcommands: adm, perm, compare-adm-perm, count, enumerate,
-verify strata|torsor|symplectic|matrix, run-suite.
+verify strata|torsor|symplectic|matrix, run-suite, each read by its own
+parser, built on first use and kept.  No option may be abbreviated, and
+each group takes its own size: --d for GL, --g for GSp (verify
+symplectic is GSp only).
 
 Exit codes: 0 pass, 1 verification failure (two standard points with
-one signature included), 2 usage error (a --budget or LOCMODEL_BUDGET
-that is not a positive integer, a manifest block that its command line's
-parser rejects, or that holds a key its case does not take or an
-expect_* value that is not an integer, all before any case runs, and a
-manifest or --out path that cannot be read or written, included), 3
+one signature included), 2 usage error (an abbreviated option, the other
+group's size, a --budget or LOCMODEL_BUDGET that is not a positive
+integer, a manifest block that its command line's parser rejects, or
+that holds a key its case does not take or an expect_* value that is not
+an integer, all before any case runs, and a manifest or --out path that
+cannot be read or written, included), 3
 budget exceeded, 4 unexpected internal error (one line on stderr, no
 traceback).  The report schema is
 {case, params, rows:[{w:{word, omega, translation, finite}, length,
@@ -284,7 +288,6 @@ def run_verify_torsor(params, budget=None):
 
 
 def run_verify_symplectic(params, budget=None):
-    params = {**params, "group": "gsp"}
     s, rows, counts, ok = _classify(params, budget)
     maximal = len(s.maximal_classes())
     # one maximal class is expected only at a special maximal parahoric
@@ -400,7 +403,7 @@ def _parse_block(block):
     if options.pop("iwahori", "").lower() in ("1", "true", "yes"):
         argv.append("--iwahori")
     case, params, _ = _parse(argv + [f"--{k}={v}" for k, v in options.items()])
-    # an abbreviated key, or format or budget, parses but is no parameter
+    # format and budget parse but are no parameters
     unused = [k for k in keys if k not in params]
     if unused:
         raise _UsageError(f"the case takes no {', '.join(unused)}")
@@ -550,74 +553,71 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# the options each case requires, as the parser checks them; _missing
-# checks the rest, on the command line and in manifest blocks alike
-_REQUIRED = {
-    **dict.fromkeys(("adm", "perm", "compare-adm-perm"), ("mu",)),
-    "count": ("mu", "p"),
-    **dict.fromkeys(("enumerate", "verify-strata", "verify-torsor", "verify-symplectic"), ("e", "p")),
-    "verify-matrix": ("p",),
-}
+# the case of each command, by its words on the command line
+_CASES = {tuple(c.split("-", 1)) if c.startswith("verify-") else (c,): c for c in (*_RUNNERS, "run-suite")}
 
 
-def _add_common(sp, case):
-    need = _REQUIRED[case]
-    if case != "verify-matrix":  # the matrix schemes take no group or level
-        sp.add_argument("--group", default="gl", choices=["gl", "gsp"])
+@functools.lru_cache(maxsize=None)
+def _command_parser(words):
+    """The parser of the command named by words, built on the first
+    command line that names it and kept for the process."""
+    case = _CASES[words]
+    sp = _Parser(prog=" ".join(("locmodel", *words)), allow_abbrev=False)
+    sp.add_argument("--format", default="json" if case == "run-suite" else "text", choices=["json", "csv", "text"])
+    sp.add_argument("--budget", type=int)
+    if case == "run-suite":
+        sp.add_argument("manifest")
+        sp.add_argument("--out")
+        return sp
+    if case == "enumerate":
+        sp.add_argument("points", choices=["naive", "splitting", "canonical", "unramified"])
+        sp.add_argument("--l", type=int)
+    if case == "verify-matrix":  # the matrix schemes take no group or level
+        for key in ("n", "r", "s", "e"):
+            sp.add_argument(f"--{key}", type=int)
+    else:
+        groups = ["gsp"] if case == "verify-symplectic" else ["gl", "gsp"]
+        sp.add_argument("--group", default=groups[0], choices=groups)
         sp.add_argument("--d", type=int)
         sp.add_argument("--I")
         sp.add_argument("--iwahori", action="store_true")
     sp.add_argument("--g", type=int)
-    sp.add_argument("--format", default="text", choices=["json", "csv", "text"])
-    sp.add_argument("--budget", type=int)
-    if "e" in need:
+    if case in ("adm", "perm", "compare-adm-perm", "count"):
+        sp.add_argument("--mu", required=True)
+    elif case != "verify-matrix":  # the lattice models
         sp.add_argument("--e", type=int, required=True)
         sp.add_argument("--r")
-    if "mu" in need:
-        sp.add_argument("--mu", required=True)
-    if "p" in need:
+    if case not in ("adm", "perm", "compare-adm-perm"):
         sp.add_argument("--p", type=int, required=True)
+    return sp
 
 
-def build_parser():
-    parser = _Parser(prog="locmodel", description=__doc__)
+def _command_tree():
+    """The parser of the command names alone: it rejects a command line
+    that names no command, and prints the top-level and verify help."""
+    parser = _Parser(prog="locmodel", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("adm", "perm", "compare-adm-perm", "count"):
-        _add_common(sub.add_parser(name), name)
-    sp = sub.add_parser("enumerate")
-    sp.add_argument("points", choices=["naive", "splitting", "canonical", "unramified"])
-    _add_common(sp, "enumerate")
-    sp.add_argument("--l", type=int)
-
-    vp = sub.add_parser("verify")
-    vsub = vp.add_subparsers(dest="verify_what", required=True)
-    for what in ("strata", "torsor", "symplectic"):
-        _add_common(vsub.add_parser(what), f"verify-{what}")
-    sp = vsub.add_parser("matrix")
-    _add_common(sp, "verify-matrix")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--e", type=int)
-
-    sp = sub.add_parser("run-suite")
-    sp.add_argument("manifest")
-    sp.add_argument("--out")
-    sp.add_argument("--format", default="json", choices=["json", "csv", "text"])
-    sp.add_argument("--budget", type=int)
+    for name in ("adm", "perm", "compare-adm-perm", "count", "enumerate", "verify", "run-suite"):
+        sp = sub.add_parser(name, allow_abbrev=False)
+        if name == "verify":
+            vsub = sp.add_subparsers(dest="verify_what", required=True)
+            for what in ("strata", "torsor", "symplectic", "matrix"):
+                vsub.add_parser(what, allow_abbrev=False)
     return parser
 
 
 def _missing(case, params):
     """The usage message for parsed parameters of case that lack what its
     runner needs beyond the parser's required options (--d or --g, --I or
-    --iwahori, --n/--r/--s or --g/--e, --l), or None."""
+    --iwahori, --n/--r/--s or --g/--e, --l), or hold the other group's
+    size, or None; on the command line and in manifest blocks alike."""
     if case == "verify-matrix":
         need = ("n", "r", "s") if params["n"] is not None else ("g", "e")
         bad = any(params[k] is None for k in need)
         return "verify matrix needs --n, --r and --s, or --g and --e" if bad else None
-    size = "g" if case == "verify-symplectic" or params["group"] == "gsp" else "d"
+    size, other = ("g", "d") if params["group"] == "gsp" else ("d", "g")
+    if params[other] is not None:
+        return f"--group {params['group']} takes --{size}, not --{other}"
     if params[size] is None:
         return f"need --{size} for this group"
     if params["I"] is None and not params["iwahori"]:
@@ -642,19 +642,18 @@ def _budget(args):
     return limit
 
 
-@functools.lru_cache(maxsize=None)
-def _parser():
-    """The argument parser, built on the first main() call and reused."""
-    return build_parser()
-
-
 def _parse(argv):
-    """The case, runner parameters and namespace of a command line;
-    raises _UsageError for one the parser or _missing rejects."""
-    args = _parser().parse_args(argv)
-    case = args.command if args.command != "verify" else f"verify-{args.verify_what}"
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "verify_what", "format", "budget")}
-    problem = case in _REQUIRED and _missing(case, params)
+    """The case, runner parameters and namespace of a command line, read
+    by its own command's parser; raises _UsageError for one that names no
+    command or that the parser or _missing rejects."""
+    words = tuple(argv[: 2 if "verify" in argv[:1] else 1])
+    if words not in _CASES:
+        _command_tree().parse_args(argv)  # raises, or exits for --help
+        raise _UsageError(f"the command comes first: {' '.join(argv)}")
+    case = _CASES[words]
+    args = _command_parser(words).parse_args(argv[len(words):])
+    params = {k: v for k, v in vars(args).items() if k not in ("format", "budget")}
+    problem = case != "run-suite" and _missing(case, params)
     if problem:
         raise _UsageError(problem)
     return case, params, args
@@ -663,7 +662,7 @@ def _parse(argv):
 def main(argv=None, stream=None):
     stream = stream or sys.stdout
     try:
-        case, params, args = _parse(argv)
+        case, params, args = _parse(sys.argv[1:] if argv is None else argv)
         limit = _budget(args)
         if case == "run-suite":
             aggregate = run_suite(args.manifest, budget=limit, out_dir=args.out)

@@ -1,6 +1,7 @@
 """Tests for the command-line harness: exit codes, report schema,
 manifest handling, determinism."""
 
+import argparse
 import ast
 import gc
 import hashlib
@@ -282,9 +283,74 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --jobs 2")
 
-    def test_help_is_zero(self, capsys):
+    @pytest.mark.parametrize(
+        "argv,usage",
+        [
+            (["--help"], "usage: locmodel [-h]\n"),
+            (["verify", "--help"], "usage: locmodel verify [-h] {strata,torsor,symplectic,matrix} ...\n"),
+            (["adm", "--help"], "usage: locmodel adm [-h]"),
+            (["verify", "strata", "--help"], "usage: locmodel verify strata [-h]"),
+        ],
+        ids=str,
+    )
+    def test_help_is_zero(self, argv, usage, capsys):
         # the one path on which the parser still exits
-        assert run(["--help"])[0] == 0 and "usage:" in capsys.readouterr().out
+        assert run(argv) == (0, "") and capsys.readouterr().out.startswith(usage)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([], "the following arguments are required: command"),
+            (["verify"], "the following arguments are required: verify_what"),
+            (["verify", "foo"],
+             "argument verify_what: invalid choice: 'foo' (choose from 'strata', 'torsor', 'symplectic', 'matrix')"),
+            (["no-such-command"],
+             "argument command: invalid choice: 'no-such-command' (choose from 'adm', 'perm', "
+             "'compare-adm-perm', 'count', 'enumerate', 'verify', 'run-suite')"),
+        ],
+        ids=str,
+    )
+    def test_line_naming_no_command(self, argv, message, capsys):
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adm", "--gr", "gl", "--d", "2", "--mu", "1,0", "--iwa", "--bud", "5"],
+            ["adm", "--group", "gl", "--d", "2", "--mu", "1,0", "--iwahori", "--form", "json"],
+            ["run-suite", "suite.txt", "--o", "reports"],
+        ],
+        ids=str,
+    )
+    def test_abbreviated_option_is_usage_error(self, argv, capsys):
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["adm", "--group", "gl", "--d", "2", "--g", "5", "--mu", "1,0", "--iwahori"],
+             "--group gl takes --d, not --g"),
+            (["adm", "--group", "gsp", "--g", "1", "--d", "3", "--mu", "1,1", "--iwahori"],
+             "--group gsp takes --g, not --d"),
+            (["verify", "symplectic", "--d", "3", "--g", "1", "--e", "2", "--I", "0", "--p", "3"],
+             "--group gsp takes --g, not --d"),
+            (["verify", "symplectic", "--group", "gl", "--g", "1", "--e", "2", "--I", "0", "--p", "3"],
+             "argument --group: invalid choice: 'gl' (choose from 'gsp')"),
+        ],
+        ids=str,
+    )
+    def test_other_groups_option_is_usage_error(self, argv, message, capsys):
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    def test_symplectic_takes_its_own_group(self):
+        argv = ["verify", "symplectic", "--g", "1", "--e", "2", "--I", "0", "--p", "3", "--format", "json"]
+        code, out = run(argv)
+        assert code == 0 and json.loads(out)["params"]["group"] == "gsp"
+        code, named = run(argv[:2] + ["--group", "gsp"] + argv[2:])
+        assert code == 0 and json.loads(named)["params"] == json.loads(out)["params"]
 
     def test_unexpected_exception_is_four(self, monkeypatch, capsys):
         def broken(params, budget=None):
@@ -333,9 +399,10 @@ def _csv(values):
 def command_lines(draw):
     """A random small command line under a small --budget.  The values
     mostly fit together; about one flag in twelve that its subcommand
-    takes is left out, and as many get a value from _BAD."""
+    takes is left out, and as many get a value from _BAD.  The other
+    group's size flag is given only with a value from _BAD."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
-    gsp = draw(st.booleans())
+    gsp = draw(st.booleans()) or command == ("verify", "symplectic")
     n = draw(st.integers(1, 2 if gsp else 3))
     e = draw(st.integers(1, 3))
     labels = range(n + 1) if gsp else range(n)
@@ -353,10 +420,11 @@ def command_lines(draw):
         "--n": str(n),
         "--s": str(draw(st.integers(0, n))),
     }
+    other = () if command[-1] == "matrix" else ("--d",) if gsp else ("--g",)
     argv = list(command)
     for flag in _FLAGS[command]:
         choice = draw(st.integers(0, 11))
-        if choice == 0:
+        if choice == 0 or (flag in other and choice != 1):
             continue
         value = draw(st.sampled_from(_BAD[flag])) if choice == 1 else fitting[flag]
         argv += [flag] if value is None else [flag, value]
@@ -785,9 +853,27 @@ class TestParserReuse:
         assert first == second
         assert first[0][1]["case"] == "adm" and first[1][1]["case"] == "verify-matrix-unitary"
         assert first[0][1]["params"] == {"I": "0", "d": 3, "group": "gl", "iwahori": False, "mu": "1,1,0"}
-        # the reused parser reads argv exactly as a freshly built one
-        for argv in (self.ADM, self.MATRIX):
-            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+        # the kept parser of each command reads argv exactly as a freshly built one
+        for words, rest in ((("adm",), self.ADM[1:]), (("verify", "matrix"), self.MATRIX[2:])):
+            kept = cli._command_parser(words)
+            fresh = cli._command_parser.__wrapped__(words)
+            assert kept is cli._command_parser(words) and fresh is not kept
+            assert vars(kept.parse_args(rest)) == vars(fresh.parse_args(rest))
+
+    def test_each_command_builds_its_own_parser_once(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._command_parser.cache_clear()
+        strata = ["verify", "strata", *_GL_MODEL]
+        assert run(self.MATRIX)[0] == 0 and built == ["locmodel verify matrix"]
+        assert run(self.MATRIX)[0] == 0 and built == ["locmodel verify matrix"]
+        assert run(strata)[0] == 0 and built == ["locmodel verify matrix", "locmodel verify strata"]
 
     def test_usage_error_after_reuse(self):
         assert run(self.ADM)[0] == 0
@@ -941,8 +1027,9 @@ class TestManifest:
             ("case=enumerate\npoints=all\nd=2\ne=2\nr=1,1\nI=0\np=2\n",
              "block 2 (enumerate): argument points: invalid choice: 'all'"),
             ("case=verify-matrix\ng=1\ne=2\np=3\niwahori=0\n", "block 2 (verify-matrix): the case takes no iwahori"),
-            # parsed, but no runner parameter: an abbreviation, or an option of the command line
-            ("case=adm\ngr=gl\nd=2\nmu=1,0\niwahori=1\n", "block 2 (adm): the case takes no gr"),
+            ("case=adm\ngr=gl\nd=2\nmu=1,0\niwahori=1\n", "block 2 (adm): unrecognized arguments: --gr=gl"),
+            ("case=adm\ngroup=gl\nd=2\ng=5\nmu=1,0\niwahori=1\n", "block 2 (adm): --group gl takes --d, not --g"),
+            # parsed, but no runner parameter: an option of the command line
             ("case=adm\nd=2\nmu=1,0\niwahori=1\nbudget=5\n", "block 2 (adm): the case takes no budget"),
         ],
     )
